@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .confusion import logsumexp
 from .data import LabelMatrix
-from .solver import PROB_FLOOR, initialize_posterior
+from .solver import PROB_FLOOR, initialize_posterior, scatter_rows
 
 
 @dataclass
@@ -30,10 +30,10 @@ def majority_vote(labels: LabelMatrix):
 
 def _ds_m_step(labels: LabelMatrix, posterior, smoothing: float, uniform_prior: bool):
     m, K = labels.num_workers, labels.num_classes
-    counts = np.zeros((m, K, K))
-    q = posterior[labels.items]
-    np.add.at(counts, (labels.workers, slice(None), labels.labels), q)
-    counts += smoothing
+    # counts[i, c, k]: posterior mass of class c where worker i answered k
+    counts = scatter_rows(labels.workers * K + labels.labels,
+                          posterior[labels.items], m * K).reshape(m, K, K)
+    counts = counts.transpose(0, 2, 1) + smoothing
     totals = counts.sum(axis=2, keepdims=True)
     confusion = np.where(totals > 0, counts / np.maximum(totals, PROB_FLOOR), 1.0 / K)
     if uniform_prior:
@@ -45,20 +45,20 @@ def _ds_m_step(labels: LabelMatrix, posterior, smoothing: float, uniform_prior: 
 
 
 def _ds_e_step(labels: LabelMatrix, confusion, prior):
-    n, K = labels.num_items, labels.num_classes
     log_p = np.log(np.maximum(confusion, PROB_FLOOR))
-    log_q = np.tile(np.log(np.maximum(prior, PROB_FLOOR)), (n, 1))
-    np.add.at(log_q, labels.items, log_p[labels.workers, :, labels.labels])
+    log_q = scatter_rows(labels.items, log_p[labels.workers, :, labels.labels],
+                         labels.num_items)
+    log_q += np.log(np.maximum(prior, PROB_FLOOR))
     log_q -= logsumexp(log_q, axis=1, keepdims=True)
     return np.exp(log_q), log_q
 
 
 def ds_marginal_loglik(labels: LabelMatrix, params: DSParams) -> float:
     """Marginal log-likelihood of the observed labels under a DS model."""
-    n, K = labels.num_items, labels.num_classes
     log_p = np.log(np.maximum(params.confusion, PROB_FLOOR))
-    acc = np.tile(np.log(np.maximum(params.prior, PROB_FLOOR)), (n, 1))
-    np.add.at(acc, labels.items, log_p[labels.workers, :, labels.labels])
+    acc = scatter_rows(labels.items, log_p[labels.workers, :, labels.labels],
+                       labels.num_items)
+    acc += np.log(np.maximum(params.prior, PROB_FLOOR))
     # Items without labels contribute log sum_c prior(c) = 0.
     return float(np.sum(logsumexp(acc, axis=1)))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.special import logsumexp
 
 # Relation pairs (true-label relation, observed-label relation) against a
 # threshold s, in the fixed order used throughout storage and serialization.
@@ -26,6 +25,25 @@ class Mode(str, enum.Enum):
 class RegularizerVariant(str, enum.Enum):
     EUCLIDEAN = "euclidean"
     CENTERED = "centered"
+
+
+def logsumexp(a, axis: int = -1, keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(a))) along `axis`, shifted by the max so nothing overflows.
+
+    Inputs must be finite: scores are, and every log in this package is
+    floored by PROB_FLOOR before it gets here. The
+    reduced axis is short (the class count), so the max and the sum run as a
+    loop of whole-array operations over its slices, in index order.
+    """
+    parts = np.moveaxis(np.asarray(a, dtype=float), axis, 0)
+    top = parts[0].copy()
+    for part in parts[1:]:
+        np.maximum(top, part, out=top)
+    total = np.zeros_like(top)
+    for part in parts:
+        total += np.exp(part - top)
+    out = np.log(total) + top
+    return np.expand_dims(out, axis) if keepdims else out
 
 
 def ordinal_basis(K: int) -> np.ndarray:

@@ -6,10 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import solver
-from .confusion import Mode, RegularizerVariant
+from .confusion import Mode, RegularizerVariant, logsumexp
 from .data import GoldLabels, LabelMatrix
 from .evaluation import error_rate, mean_square_error
 from .solver import PROB_FLOOR, HyperParams

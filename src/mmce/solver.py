@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .confusion import (
     Mode,
     RegularizerVariant,
     expand_ordinal,
     init_params,
+    logsumexp,
     project_ordinal,
     regularizer_value_and_gradient,
 )
@@ -80,10 +80,24 @@ def _log_model(labels: LabelMatrix, sigma_dense, tau_dense):
     Returns (log_full, log_obs): log_full[l, c, k] = log P(k | c) for the
     (worker, item) pair of observation l; log_obs[l, c] = log P(x_l | c).
     """
-    scores = sigma_dense[labels.workers] + tau_dense[labels.items]  # (L, K, K)
-    log_full = scores - logsumexp(scores, axis=2, keepdims=True)
+    log_full = np.take(sigma_dense, labels.workers, axis=0)  # (L, K, K)
+    log_full += np.take(tau_dense, labels.items, axis=0)
+    log_full -= logsumexp(log_full, axis=2, keepdims=True)
     log_obs = log_full[np.arange(labels.num_labels), :, labels.labels]
     return log_full, log_obs
+
+
+def scatter_rows(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sum the rows of `values` into `size` slots: out[index[l]] += values[l].
+
+    One np.bincount pass that adds in row order, so the result equals
+    np.add.at on zeros exactly.
+    """
+    tail = values.shape[1:]
+    width = int(np.prod(tail))
+    slots = (np.asarray(index)[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(slots, weights=values.ravel(),
+                       minlength=size * width).reshape((size, *tail))
 
 
 def _penalties(worker_params, item_params, hyper: HyperParams):
@@ -123,8 +137,8 @@ def dual_objective(labels, posterior, worker_params, item_params,
 def initialize_posterior(labels: LabelMatrix) -> np.ndarray:
     """Vote-count posterior; items without labels get the uniform row."""
     n, K = labels.num_items, labels.num_classes
-    counts = np.zeros((n, K))
-    np.add.at(counts, (labels.items, labels.labels), 1.0)
+    counts = np.bincount(labels.items * K + labels.labels,
+                         minlength=n * K).reshape(n, K).astype(float)
     totals = counts.sum(axis=1, keepdims=True)
     out = np.full((n, K), 1.0 / K)
     labeled = totals[:, 0] > 0
@@ -138,8 +152,7 @@ def e_step(labels: LabelMatrix, worker_params, item_params,
     K = labels.num_classes
     _, log_obs = _log_model(labels, _dense(worker_params, hyper.mode, K),
                             _dense(item_params, hyper.mode, K))
-    log_q = np.zeros((labels.num_items, K))
-    np.add.at(log_q, labels.items, log_obs)
+    log_q = scatter_rows(labels.items, log_obs, labels.num_items)
     log_q -= logsumexp(log_q, axis=1, keepdims=True)
     return np.exp(log_q)
 
@@ -157,19 +170,22 @@ def m_step_gradients(labels: LabelMatrix, posterior, worker_params, item_params,
         raise ValueError("posterior shape does not match the label matrix")
     log_full, _ = _log_model(labels, _dense(worker_params, hyper.mode, K),
                              _dense(item_params, hyper.mode, K))
-    probs = np.exp(log_full)  # (L, K, K)
-    q = posterior[labels.items]  # (L, K)
-    resid = -probs
-    resid[np.arange(labels.num_labels), :, labels.labels] += 1.0
-    per_obs = q[:, :, None] * resid  # (L, K, K)
-    gw = np.zeros((labels.num_workers, K, K))
-    gi = np.zeros((labels.num_items, K, K))
-    np.add.at(gw, labels.workers, per_obs)
-    np.add.at(gi, labels.items, per_obs)
+    _, og, _, pg = _penalties(worker_params, item_params, hyper)
+    return _gradients(labels, posterior, log_full, og, pg, hyper)
+
+
+def _gradients(labels: LabelMatrix, posterior, log_full, og, pg, hyper: HyperParams):
+    """Gradients from one model pass and the penalty gradients og, pg."""
+    K = labels.num_classes
+    per_obs = np.exp(log_full)  # (L, K, K), turned in place into Q(c) * [I(x = k) - P]
+    np.negative(per_obs, out=per_obs)
+    per_obs[np.arange(labels.num_labels), :, labels.labels] += 1.0
+    per_obs *= posterior[labels.items][:, :, None]
+    gw = scatter_rows(labels.workers, per_obs, labels.num_workers)
+    gi = scatter_rows(labels.items, per_obs, labels.num_items)
     if hyper.mode == Mode.ORDINAL:
         gw = project_ordinal(gw, K)
         gi = project_ordinal(gi, K)
-    _, og, _, pg = _penalties(worker_params, item_params, hyper)
     gw -= og
     gi -= pg
     if hyper.clamp_item_params:
@@ -177,32 +193,74 @@ def m_step_gradients(labels: LabelMatrix, posterior, worker_params, item_params,
     return gw, gi
 
 
+def _split(x, w_shape, i_shape):
+    """Worker and item score tensors from one flat vector [worker, item]."""
+    w_size = int(np.prod(w_shape))
+    return x[:w_size].reshape(w_shape), x[w_size:].reshape(i_shape)
+
+
+def _value_and_grad(x, labels: LabelMatrix, posterior, hyper: HyperParams,
+                    w_shape, i_shape):
+    """The L-BFGS objective: the negated penalized likelihood and its gradient
+    at the flat scores x, both from a single model pass."""
+    K = labels.num_classes
+    worker_params, item_params = _split(x, w_shape, i_shape)
+    log_full, log_obs = _log_model(labels, _dense(worker_params, hyper.mode, K),
+                                   _dense(item_params, hyper.mode, K))
+    ov, og, pv, pg = _penalties(worker_params, item_params, hyper)
+    gw, gi = _gradients(labels, posterior, log_full, og, pg, hyper)
+    value = _data_term(labels, posterior, log_obs) - ov - pv
+    return -value, -np.concatenate([gw.ravel(), gi.ravel()])
+
+
 def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
            hyper: HyperParams, max_halvings: int = 50, armijo: float = 1e-4):
-    """A few backtracking gradient-ascent steps on the penalized likelihood.
+    """A few line-searched gradient-ascent steps on the penalized likelihood.
+
+    Each step moves along the gradient g by the largest size
+    t = step_init * 2**-j, j = 0 .. max_halvings - 1, that passes the Armijo
+    test f(x + t g) >= f(x) + armijo * t * |g|^2. The first search starts at
+    step_init and halves. Each later search starts from the previous accepted
+    size: if that passes, it doubles while the doubled size is <= step_init
+    and passes; otherwise it halves until a size passes. No size goes below
+    the floor step_init * 2**-(max_halvings - 1); when the floor fails too,
+    the line search has failed and the M-step stops. The objective is concave
+    in the scores, so the passing sizes form an interval [0, t*] and the warm
+    start accepts the same size as a search from step_init, in fewer
+    evaluations.
 
     Only improving steps are accepted, so the objective cannot decrease.
     Returns (worker_params, item_params, line_search_failed).
     """
     wp, ip = worker_params, item_params
     value = penalized_likelihood(labels, posterior, wp, ip, hyper)
+    floor = hyper.step_init * 0.5 ** (max_halvings - 1)
+    step = hyper.step_init
     failed = False
     for _ in range(hyper.inner_gradient_steps):
         gw, gi = m_step_gradients(labels, posterior, wp, ip, hyper)
         gnorm2 = float(np.sum(gw ** 2) + np.sum(gi ** 2))
         if gnorm2 == 0.0:
             break
-        step = hyper.step_init
-        for _ in range(max_halvings):
+        best = None  # (step, wp, ip, value) of the largest passing size tried
+        grow = True  # only while no size of this search has failed
+        while True:
             cand_w, cand_i = wp + step * gw, ip + step * gi
             cand_val = penalized_likelihood(labels, posterior, cand_w, cand_i, hyper)
             if cand_val >= value + armijo * step * gnorm2:
-                wp, ip, value = cand_w, cand_i, cand_val
+                best = (step, cand_w, cand_i, cand_val)
+                if not grow or 2 * step > hyper.step_init:
+                    break
+                step *= 2
+            elif best is not None or step <= floor:
                 break
-            step *= 0.5
-        else:
+            else:
+                step *= 0.5
+                grow = False
+        if best is None:
             failed = True
             break
+        step, wp, ip, value = best
     return wp, ip, failed
 
 
@@ -217,22 +275,12 @@ def m_step_exact(labels: LabelMatrix, posterior, worker_params, item_params,
     """
     from scipy.optimize import minimize
 
-    w_shape, i_shape = worker_params.shape, item_params.shape
-    w_size = worker_params.size
-
-    def unpack(x):
-        return x[:w_size].reshape(w_shape), x[w_size:].reshape(i_shape)
-
-    def neg(x):
-        wp, ip = unpack(x)
-        val = penalized_likelihood(labels, posterior, wp, ip, hyper)
-        gw, gi = m_step_gradients(labels, posterior, wp, ip, hyper)
-        return -val, -np.concatenate([gw.ravel(), gi.ravel()])
-
+    shapes = (worker_params.shape, item_params.shape)
     x0 = np.concatenate([worker_params.ravel(), item_params.ravel()])
-    res = minimize(neg, x0, jac=True, method="L-BFGS-B",
+    res = minimize(_value_and_grad, x0, args=(labels, posterior, hyper, *shapes),
+                   jac=True, method="L-BFGS-B",
                    options={"maxiter": 2000, "gtol": gtol, "ftol": 1e-15})
-    wp, ip = unpack(res.x)
+    wp, ip = _split(res.x, *shapes)
     if hyper.clamp_item_params:
         ip = item_params  # gradients were zeroed; keep the clamped block intact
     return wp, ip, False
@@ -298,25 +346,18 @@ def polish_stationary_point(labels: LabelMatrix, result: FitResult,
     from scipy.optimize import minimize
 
     q = round_posterior(result.posterior)
-    wp, ip = result.worker_params.copy(), result.item_params.copy()
-    w_shape, i_shape, w_size = wp.shape, ip.shape, wp.size
-
-    def neg(x):
-        w, i = x[:w_size].reshape(w_shape), x[w_size:].reshape(i_shape)
-        val = penalized_likelihood(labels, q, w, i, hyper)
-        gw, gi = m_step_gradients(labels, q, w, i, hyper)
-        return -val, -np.concatenate([gw.ravel(), gi.ravel()])
-
-    x = np.concatenate([wp.ravel(), ip.ravel()])
+    shapes = (result.worker_params.shape, result.item_params.shape)
+    x = np.concatenate([result.worker_params.ravel(), result.item_params.ravel()])
     for _ in range(rounds):
-        res = minimize(neg, x, jac=True, method="L-BFGS-B",
+        res = minimize(_value_and_grad, x, args=(labels, q, hyper, *shapes),
+                       jac=True, method="L-BFGS-B",
                        options={"maxiter": 20000, "maxfun": 50000,
                                 "gtol": 1e-14, "ftol": 0})
         x = res.x
         sat = np.abs(x) > pin_threshold
         x[sat] = np.sign(x[sat]) * 600.0
-    return FitResult(posterior=q, worker_params=x[:w_size].reshape(w_shape),
-                     item_params=x[w_size:].reshape(i_shape),
+    wp, ip = _split(x, *shapes)
+    return FitResult(posterior=q, worker_params=wp, item_params=ip,
                      objective_trace=list(result.objective_trace),
                      converged=result.converged, iterations=result.iterations)
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mmce import synthetic
+from mmce import solver, synthetic
 from mmce.confusion import Mode, RegularizerVariant, init_params
 from mmce.data import from_triples
+from mmce.selection import resolve_hyperparams
 from mmce.solver import (
     FitResult,
     HyperParams,
@@ -153,7 +154,69 @@ class TestGradients:
             np.testing.assert_allclose(goi, project_ordinal(gmi, K) - 0.7 * ip, atol=1e-10)
 
 
+def halving_m_step(labels, posterior, wp, ip, hyper, max_halvings=50, armijo=1e-4):
+    """Reference line search: every step restarts at step_init and halves."""
+    value = penalized_likelihood(labels, posterior, wp, ip, hyper)
+    failed = False
+    for _ in range(hyper.inner_gradient_steps):
+        gw, gi = m_step_gradients(labels, posterior, wp, ip, hyper)
+        gnorm2 = float(np.sum(gw ** 2) + np.sum(gi ** 2))
+        if gnorm2 == 0.0:
+            break
+        step = hyper.step_init
+        for _ in range(max_halvings):
+            cand_w, cand_i = wp + step * gw, ip + step * gi
+            cand_val = penalized_likelihood(labels, posterior, cand_w, cand_i, hyper)
+            if cand_val >= value + armijo * step * gnorm2:
+                wp, ip, value = cand_w, cand_i, cand_val
+                break
+            step *= 0.5
+        else:
+            failed = True
+            break
+    return wp, ip, failed
+
+
+def assert_same_steps(got, want):
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+    assert got[2] == want[2]
+
+
 class TestMStep:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_same_accepted_steps_as_halving_search(self, mode):
+        h = HyperParams(alpha=0.5, beta=0.5, mode=mode)
+        for seed in range(100):
+            lm = synthetic.random_instance(seed)
+            wp, ip, q = random_state(lm, seed + 31, mode=mode)
+            assert_same_steps(m_step(lm, q, wp, ip, h), halving_m_step(lm, q, wp, ip, h))
+
+    def test_same_accepted_steps_under_huge_penalty(self):
+        lm = synthetic.random_instance(5)
+        wp, ip, q = random_state(lm, 6, scale=1.0)
+        h = HyperParams(alpha=1e6, beta=1e6, inner_gradient_steps=50)
+        assert_same_steps(m_step(lm, q, wp, ip, h), halving_m_step(lm, q, wp, ip, h))
+
+    def test_model_evaluations_per_outer_iteration(self, monkeypatch):
+        # A search restarted at step_init for every step costs about 39
+        # evaluations per outer iteration here; the warm start needs 23.
+        conf = np.stack([synthetic.diagonal_confusion(3, 0.8)] * 30)
+        lm, _ = synthetic.sample_labels(30, 200, 3, 10, conf, seed=0)
+        alpha, beta = resolve_hyperparams(1.0, lm)
+        calls = []
+        model = solver._log_model
+
+        def counted(*args):
+            calls.append(1)
+            return model(*args)
+
+        monkeypatch.setattr(solver, "_log_model", counted)
+        r = fit(lm, HyperParams(alpha=alpha, beta=beta))
+        assert r.line_search_failures == 0
+        assert len(calls) <= 25 * r.iterations
+
+
     def test_stationary_point_unchanged(self):
         # balanced labels + uniform posterior: every observed count matches the
         # uniform model's expectation, so the gradient is exactly zero

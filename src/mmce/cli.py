@@ -45,7 +45,8 @@ def _add_solver_flags(p):
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--inner-steps", type=int, default=5)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=42,
+                   help="CV fold seed for select; the fit itself is deterministic")
 
 
 def cmd_stats(args) -> int:
@@ -98,7 +99,7 @@ def cmd_aggregate(args) -> int:
             alpha=alpha, beta=beta, mode=Mode(args.mode),
             variant=RegularizerVariant(args.variant),
             max_outer_iters=args.max_iters, inner_gradient_steps=args.inner_steps,
-            tol=args.tol, seed=args.seed)
+            tol=args.tol)
         result = solver.fit(labels, hyper)
         posterior, predicted = result.posterior, result.predicted
         trace_rows = [((i + 1) // 2, phase, v) for i, (phase, v) in

@@ -49,12 +49,6 @@ class LabelMatrix:
     def observations(self) -> list[tuple[int, int, int]]:
         return list(zip(self.workers.tolist(), self.items.tolist(), self.labels.tolist()))
 
-    def worker_index(self, worker_id: str) -> int:
-        return self.worker_ids.index(worker_id)
-
-    def item_index(self, item_id: str) -> int:
-        return self.item_ids.index(item_id)
-
     def unlabeled_items(self) -> np.ndarray:
         """Indices of items with zero observations (emitted with uniform posteriors)."""
         counts = np.bincount(self.items, minlength=self.num_items)
@@ -77,30 +71,29 @@ class LabelMatrix:
         )
 
 
-def from_triples(triples, num_classes, worker_ids=None, item_ids=None) -> LabelMatrix:
-    """Build a LabelMatrix from (worker_id, item_id, label) triples.
+def _intern(rows, num_classes, label_base, worker_ids=None, item_ids=None) -> LabelMatrix:
+    """Validate (line_no, (worker_id, item_id, label)) rows into a LabelMatrix.
 
-    IDs are interned in first-appearance order; pre-seeded ID lists may be
-    passed to register workers/items that have no observations.
+    Every rule for one observation lives here: ids are non-empty, the label is
+    an integer in label_base..num_classes-1+label_base, and a worker labels an
+    item at most once. Errors name the row's line number. IDs are interned in
+    first-appearance order, after the pre-registered worker_ids/item_ids.
     """
-    w_map: dict[str, int] = {}
-    i_map: dict[str, int] = {}
-    if worker_ids:
-        for wid in worker_ids:
-            w_map.setdefault(str(wid), len(w_map))
-    if item_ids:
-        for iid in item_ids:
-            i_map.setdefault(str(iid), len(i_map))
+    w_map = {wid: n for n, wid in enumerate(dict.fromkeys(map(str, worker_ids or ())))}
+    i_map = {iid: n for n, iid in enumerate(dict.fromkeys(map(str, item_ids or ())))}
     ws, its, ls = [], [], []
     seen = set()
-    for n, (wid, iid, lab) in enumerate(triples, start=1):
-        wid, iid = str(wid), str(iid)
+    top = num_classes - 1 + label_base
+    for n, (wid, iid, lab) in rows:
         if not wid or not iid:
             raise LabelFileError("empty worker or item id", n)
-        lab = int(lab)
-        if not 0 <= lab < num_classes:
+        try:
+            value = int(lab)
+        except ValueError:
+            raise LabelFileError(f"label {lab!r} is not an integer", n) from None
+        if not label_base <= value <= top:
             raise LabelFileError(
-                f"label {lab} out of range (valid labels are 0..{num_classes - 1})", n)
+                f"label {value} out of range (valid labels are {label_base}..{top})", n)
         wi = w_map.setdefault(wid, len(w_map))
         ii = i_map.setdefault(iid, len(i_map))
         if (wi, ii) in seen:
@@ -108,7 +101,7 @@ def from_triples(triples, num_classes, worker_ids=None, item_ids=None) -> LabelM
         seen.add((wi, ii))
         ws.append(wi)
         its.append(ii)
-        ls.append(lab)
+        ls.append(value - label_base)
     return LabelMatrix(
         num_workers=len(w_map),
         num_items=len(i_map),
@@ -121,8 +114,20 @@ def from_triples(triples, num_classes, worker_ids=None, item_ids=None) -> LabelM
     )
 
 
+def from_triples(triples, num_classes, worker_ids=None, item_ids=None) -> LabelMatrix:
+    """Build a LabelMatrix from (worker_id, item_id, label) triples.
+
+    IDs are interned in first-appearance order; pre-seeded ID lists may be
+    passed to register workers/items that have no observations. Errors name
+    the triple's 1-based position.
+    """
+    rows = ((n, (str(wid), str(iid), lab))
+            for n, (wid, iid, lab) in enumerate(triples, start=1))
+    return _intern(rows, num_classes, 0, worker_ids, item_ids)
+
+
 def _parse_rows(path, expected_fields):
-    rows = []
+    """Yield (line_no, stripped fields) per non-blank line, skipping a header."""
     with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
@@ -134,8 +139,7 @@ def _parse_rows(path, expected_fields):
             if len(parts) != len(expected_fields):
                 raise LabelFileError(
                     f"expected {len(expected_fields)} comma-separated fields, got {len(parts)}", n)
-            rows.append((n, [p.strip() for p in parts]))
-    return rows
+            yield n, [p.strip() for p in parts]
 
 
 def load_labels(path, num_classes, label_base=0) -> LabelMatrix:
@@ -145,18 +149,7 @@ def load_labels(path, num_classes, label_base=0) -> LabelMatrix:
     """
     if label_base not in (0, 1):
         raise ValueError("label_base must be 0 or 1")
-    triples = []
-    for n, (wid, iid, lab) in _parse_rows(path, ["worker", "item", "label"]):
-        try:
-            lab = int(lab) - label_base
-        except ValueError:
-            raise LabelFileError(f"label {lab!r} is not an integer", n) from None
-        if not 0 <= lab < num_classes:
-            raise LabelFileError(
-                f"label {lab + label_base} out of range "
-                f"(valid labels are {label_base}..{num_classes - 1 + label_base})", n)
-        triples.append((wid, iid, lab))
-    return from_triples(triples, num_classes)
+    return _intern(_parse_rows(path, ["worker", "item", "label"]), num_classes, label_base)
 
 
 def write_labels(labels: LabelMatrix, path, label_base=0) -> None:

@@ -3,7 +3,7 @@ validation-set selection against known labels."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,8 +41,7 @@ class CVConfig:
     def hyper(self, alpha: float, beta: float) -> HyperParams:
         return HyperParams(alpha=alpha, beta=beta, mode=self.mode, variant=self.variant,
                            max_outer_iters=self.max_outer_iters,
-                           inner_gradient_steps=self.inner_gradient_steps, tol=self.tol,
-                           seed=self.seed)
+                           inner_gradient_steps=self.inner_gradient_steps, tol=self.tol)
 
 
 @dataclass
@@ -54,8 +53,6 @@ class CVReport:
     alpha: float
     beta: float
     metric: str = "heldout_loglik"
-    scores_maximize: bool = True
-    selection_values: dict[float, float] = field(default_factory=dict)
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -100,10 +97,8 @@ def heldout_loglik(train_fit: solver.FitResult, heldout: LabelMatrix,
     """
     if heldout.num_labels == 0:
         return 0.0
-    K = heldout.num_classes
-    sig = solver._dense(train_fit.worker_params, hyper.mode, K)
-    tau = solver._dense(train_fit.item_params, hyper.mode, K)
-    _, log_obs = solver._log_model(heldout, sig, tau)  # (L, K)
+    _, log_obs = solver._log_model(heldout, train_fit.worker_params,
+                                   train_fit.item_params, hyper.mode)  # (L, K)
     q = train_fit.posterior
     if scoring == "hard":
         ll = log_obs[np.arange(heldout.num_labels), train_fit.predicted[heldout.items]]
@@ -158,5 +153,4 @@ def validation_select(labels: LabelMatrix, gold: GoldLabels,
     return CVReport(gamma_grid=tuple(config.gamma_grid),
                     per_fold={g: [scores[g]] for g in config.gamma_grid},
                     mean_scores=scores, selected_gamma=selected,
-                    alpha=alpha, beta=beta, metric=metric, scores_maximize=False,
-                    selection_values=scores)
+                    alpha=alpha, beta=beta, metric=metric)

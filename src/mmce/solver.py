@@ -36,7 +36,6 @@ class HyperParams:
     inner_gradient_steps: int = 5
     step_init: float = 1.0
     tol: float = 1e-6
-    seed: int = 42
     clamp_item_params: bool = False  # freeze tau at 0 (Dawid-Skene reduction)
     exact_m_step: bool = False  # solve the M-step block to optimality via L-BFGS
 
@@ -70,18 +69,17 @@ class FitResult:
         return np.argmax(self.posterior, axis=1)
 
 
-def _dense(params, mode: Mode, K: int):
-    return expand_ordinal(params, K) if mode == Mode.ORDINAL else params
-
-
-def _log_model(labels: LabelMatrix, sigma_dense, tau_dense):
-    """Per-observation log-probability tables.
+def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
+    """Per-observation log-probability tables, expanding ordinal scores first.
 
     Returns (log_full, log_obs): log_full[l, c, k] = log P(k | c) for the
     (worker, item) pair of observation l; log_obs[l, c] = log P(x_l | c).
     """
-    log_full = np.take(sigma_dense, labels.workers, axis=0)  # (L, K, K)
-    log_full += np.take(tau_dense, labels.items, axis=0)
+    if mode == Mode.ORDINAL:
+        worker_params = expand_ordinal(worker_params, labels.num_classes)
+        item_params = expand_ordinal(item_params, labels.num_classes)
+    log_full = np.take(worker_params, labels.workers, axis=0)  # (L, K, K)
+    log_full += np.take(item_params, labels.items, axis=0)
     log_full -= logsumexp(log_full, axis=2, keepdims=True)
     log_obs = log_full[np.arange(labels.num_labels), :, labels.labels]
     return log_full, log_obs
@@ -121,8 +119,7 @@ def _data_term(labels, posterior, log_obs) -> float:
 def penalized_likelihood(labels, posterior, worker_params, item_params,
                          hyper: HyperParams) -> float:
     """The objective the M-step ascends: expected log-likelihood minus penalties."""
-    _, log_obs = _log_model(labels, _dense(worker_params, hyper.mode, labels.num_classes),
-                            _dense(item_params, hyper.mode, labels.num_classes))
+    _, log_obs = _log_model(labels, worker_params, item_params, hyper.mode)
     ov, _, pv, _ = _penalties(worker_params, item_params, hyper)
     return _data_term(labels, posterior, log_obs) - ov - pv
 
@@ -149,9 +146,7 @@ def initialize_posterior(labels: LabelMatrix) -> np.ndarray:
 def e_step(labels: LabelMatrix, worker_params, item_params,
            hyper: HyperParams) -> np.ndarray:
     """Exact posterior block update: Bayes rule with a uniform prior, in log space."""
-    K = labels.num_classes
-    _, log_obs = _log_model(labels, _dense(worker_params, hyper.mode, K),
-                            _dense(item_params, hyper.mode, K))
+    _, log_obs = _log_model(labels, worker_params, item_params, hyper.mode)
     log_q = scatter_rows(labels.items, log_obs, labels.num_items)
     log_q -= logsumexp(log_q, axis=1, keepdims=True)
     return np.exp(log_q)
@@ -168,8 +163,7 @@ def m_step_gradients(labels: LabelMatrix, posterior, worker_params, item_params,
     K = labels.num_classes
     if posterior.shape != (labels.num_items, K):
         raise ValueError("posterior shape does not match the label matrix")
-    log_full, _ = _log_model(labels, _dense(worker_params, hyper.mode, K),
-                             _dense(item_params, hyper.mode, K))
+    log_full, _ = _log_model(labels, worker_params, item_params, hyper.mode)
     _, og, _, pg = _penalties(worker_params, item_params, hyper)
     return _gradients(labels, posterior, log_full, og, pg, hyper)
 
@@ -203,10 +197,8 @@ def _value_and_grad(x, labels: LabelMatrix, posterior, hyper: HyperParams,
                     w_shape, i_shape):
     """The L-BFGS objective: the negated penalized likelihood and its gradient
     at the flat scores x, both from a single model pass."""
-    K = labels.num_classes
     worker_params, item_params = _split(x, w_shape, i_shape)
-    log_full, log_obs = _log_model(labels, _dense(worker_params, hyper.mode, K),
-                                   _dense(item_params, hyper.mode, K))
+    log_full, log_obs = _log_model(labels, worker_params, item_params, hyper.mode)
     ov, og, pv, pg = _penalties(worker_params, item_params, hyper)
     gw, gi = _gradients(labels, posterior, log_full, og, pg, hyper)
     value = _data_term(labels, posterior, log_obs) - ov - pv
@@ -362,15 +354,16 @@ def polish_stationary_point(labels: LabelMatrix, result: FitResult,
                      converged=result.converged, iterations=result.iterations)
 
 
+def _label_entropy(labels: LabelMatrix, posterior, log_full) -> float:
+    per_pair = -np.sum(np.exp(log_full) * log_full, axis=2)  # (L, K): row entropy per class
+    return float(np.sum(posterior[labels.items] * per_pair))
+
+
 def conditional_label_entropy(labels: LabelMatrix, posterior, worker_params,
                               item_params, hyper: HyperParams) -> float:
     """H(observed labels | true labels) under the fitted model and posterior."""
-    K = labels.num_classes
-    log_full, _ = _log_model(labels, _dense(worker_params, hyper.mode, K),
-                             _dense(item_params, hyper.mode, K))
-    probs = np.exp(log_full)
-    per_pair = -np.sum(probs * log_full, axis=2)  # (L, K): row entropy per class
-    return float(np.sum(posterior[labels.items] * per_pair))
+    log_full, _ = _log_model(labels, worker_params, item_params, hyper.mode)
+    return _label_entropy(labels, posterior, log_full)
 
 
 def kl_identity_check(labels: LabelMatrix, result: FitResult,
@@ -380,15 +373,12 @@ def kl_identity_check(labels: LabelMatrix, result: FitResult,
     With the posterior rounded to deterministic, the KL divergence from the
     (extended) posterior point mass to the fitted model should equal the
     conditional label entropy plus n*log K; the gap vanishes exactly when the
-    fitted scores satisfy the moment (stationarity) conditions.
+    fitted scores satisfy the moment (stationarity) conditions. The KL
+    divergence at the point mass is -sum log P(x_l | y*) + n*log K, so the
+    n*log K terms cancel and the residual is |-sum log P(x_l | y*) - H(X|Y)|.
     """
     q = round_posterior(result.posterior)
-    K = labels.num_classes
-    _, log_obs = _log_model(labels, _dense(result.worker_params, hyper.mode, K),
-                            _dense(result.item_params, hyper.mode, K))
-    # D_KL(Q || P) at the point mass: -sum log P(x_l | y*) + n*log K.
+    log_full, log_obs = _log_model(labels, result.worker_params, result.item_params,
+                                   hyper.mode)
     neg_loglik = -float(np.sum(q[labels.items] * log_obs))
-    d_kl = neg_loglik + labels.num_items * np.log(K)
-    h_xy = conditional_label_entropy(labels, q, result.worker_params,
-                                     result.item_params, hyper)
-    return abs(d_kl - h_xy - labels.num_items * np.log(K))
+    return abs(neg_loglik - _label_entropy(labels, q, log_full))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from mmce.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
@@ -145,3 +150,17 @@ class TestEvaluate:
         code = main(["evaluate", "--predictions", str(post),
                      "--gold", str(bad), "--label-base", "1"])
         assert code == EXIT_USAGE
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported lazily, by the L-BFGS paths only; loading it at import
+    # time would slow the start-up of every command
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, mmce, mmce.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

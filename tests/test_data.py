@@ -43,6 +43,19 @@ class TestLoadLabels:
         with pytest.raises(LabelFileError, match="line 2"):
             load_labels(p, 2)
 
+    @pytest.mark.parametrize("row, message", [
+        ("w1,i1,1", "duplicate observation for worker 'w1', item 'i1'"),
+        (",i2,1", "empty worker or item id"),
+        ("w1,i2,x", "label 'x' is not an integer"),
+    ])
+    def test_errors_name_the_file_line(self, tmp_path, row, message):
+        # a header and a blank line precede the bad row, which is line 4
+        p = tmp_path / "l.csv"
+        p.write_text(f"worker,item,label\nw1,i1,0\n\n{row}\n")
+        with pytest.raises(LabelFileError, match=f"^line 4: {message}$") as err:
+            load_labels(p, 2)
+        assert err.value.line_no == 4
+
     def test_label_base_one(self, tmp_path):
         p = write_csv(tmp_path / "l.csv", [("w", "i", 1), ("w", "j", 3)])
         lm = load_labels(p, 3, label_base=1)

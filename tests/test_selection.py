@@ -162,10 +162,10 @@ class TestValidationSelect:
         for g in config.gamma_grid:
             alpha, beta = resolve_hyperparams(g, lm)
             result = fit(lm, config.hyper(alpha, beta))
-            assert report.selection_values[g] == pytest.approx(
+            assert report.mean_scores[g] == pytest.approx(
                 error_rate(result.predicted, gold))
-        assert report.selection_values[report.selected_gamma] == min(
-            report.selection_values.values())
+        assert report.mean_scores[report.selected_gamma] == min(
+            report.mean_scores.values())
 
     def test_ordinal_mode_uses_mse(self):
         conf = np.stack([synthetic.diagonal_confusion(3, 0.8)] * 6)

@@ -264,8 +264,8 @@ class TestDualObjective:
         h = HyperParams(alpha=0.0, beta=0.0)
         val = dual_objective(lm, three_worker_posterior, wp, ip, h)
         # complete log-likelihood: sum of log P(x_l | truth) over observations
-        from mmce.solver import _dense, _log_model
-        _, log_obs = _log_model(lm, wp, ip)
+        from mmce.solver import _log_model
+        _, log_obs = _log_model(lm, wp, ip, Mode.MULTICLASS)
         truth = np.argmax(three_worker_posterior, axis=1)
         expected = sum(log_obs[l, truth[lm.items[l]]] for l in range(lm.num_labels))
         assert val == pytest.approx(expected)
@@ -275,7 +275,7 @@ class TestDualObjective:
         wp, ip, q = random_state(lm, 14)
         h = HyperParams(alpha=0.7, beta=1.3)
         from mmce.solver import _log_model
-        _, log_obs = _log_model(lm, wp, ip)
+        _, log_obs = _log_model(lm, wp, ip, Mode.MULTICLASS)
         data = 0.0
         for l in range(lm.num_labels):
             for c in range(lm.num_classes):
@@ -347,7 +347,7 @@ class TestKlIdentity:
         lm = synthetic.random_instance(25)
         wp, ip, q = random_state(lm, 26)
         h = HyperParams()
-        log_full, _ = _log_model(lm, wp, ip)
+        log_full, _ = _log_model(lm, wp, ip, Mode.MULTICLASS)
         direct = 0.0
         for l in range(lm.num_labels):
             for c in range(lm.num_classes):

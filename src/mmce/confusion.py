@@ -9,6 +9,7 @@ itself is shared.
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -40,16 +41,21 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> np.ndarray:
     for part in parts[1:]:
         np.maximum(top, part, out=top)
     total = np.zeros_like(top)
+    term = np.empty_like(top)  # reused for each slice: no per-slice temporaries
     for part in parts:
-        total += np.exp(part - top)
-    out = np.log(total) + top
-    return np.expand_dims(out, axis) if keepdims else out
+        np.subtract(part, top, out=term)
+        total += np.exp(term, out=term)
+    np.log(total, out=total)
+    total += top
+    return np.expand_dims(total, axis) if keepdims else total
 
 
+@functools.lru_cache(maxsize=16)
 def ordinal_basis(K: int) -> np.ndarray:
     """Indicator basis B[s-1, r, c, k] = I(c rel_true s) * I(k rel_obs s).
 
-    The dense expansion of ordinal parameters is linear in this basis.
+    The dense expansion of ordinal parameters is linear in this basis. Built
+    once per K and shared by every caller, so the array is read-only.
     """
     if K < 2:
         raise ValueError("ordinal parameterization needs K >= 2")
@@ -60,6 +66,7 @@ def ordinal_basis(K: int) -> np.ndarray:
         rels = {">=": ge, "<": lt}
         for ri, (rt, ro) in enumerate(REL_PAIRS):
             basis[si, ri] = np.outer(rels[rt], rels[ro])
+    basis.setflags(write=False)
     return basis
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,37 +82,54 @@ def _intern(rows, num_classes, label_base, worker_ids=None, item_ids=None) -> La
     """
     w_map = {wid: n for n, wid in enumerate(dict.fromkeys(map(str, worker_ids or ())))}
     i_map = {iid: n for n, iid in enumerate(dict.fromkeys(map(str, item_ids or ())))}
-    ws, its, ls = [], [], []
-    seen = set()
+    ws, its, ls, lines = array("q"), array("q"), array("q"), array("q")
     top = num_classes - 1 + label_base
-    for n, (wid, iid, lab) in rows:
-        if not wid or not iid:
-            raise LabelFileError("empty worker or item id", n)
-        try:
-            value = int(lab)
-        except ValueError:
-            raise LabelFileError(f"label {lab!r} is not an integer", n) from None
-        if not label_base <= value <= top:
-            raise LabelFileError(
-                f"label {value} out of range (valid labels are {label_base}..{top})", n)
-        wi = w_map.setdefault(wid, len(w_map))
-        ii = i_map.setdefault(iid, len(i_map))
-        if (wi, ii) in seen:
-            raise LabelFileError(f"duplicate observation for worker {wid!r}, item {iid!r}", n)
-        seen.add((wi, ii))
-        ws.append(wi)
-        its.append(ii)
-        ls.append(value - label_base)
+    try:
+        for n, (wid, iid, lab) in rows:
+            if not wid or not iid:
+                raise LabelFileError("empty worker or item id", n)
+            try:
+                value = int(lab)
+            except ValueError:
+                raise LabelFileError(f"label {lab!r} is not an integer", n) from None
+            if not label_base <= value <= top:
+                raise LabelFileError(
+                    f"label {value} out of range (valid labels are {label_base}..{top})", n)
+            ws.append(w_map.setdefault(wid, len(w_map)))
+            its.append(i_map.setdefault(iid, len(i_map)))
+            ls.append(value - label_base)
+            lines.append(n)
+    except Exception:
+        # a repeated pair before the failing row is the first fault in file order
+        _check_duplicates(ws, its, lines, w_map, i_map)
+        raise
+    _check_duplicates(ws, its, lines, w_map, i_map)
     return LabelMatrix(
         num_workers=len(w_map),
         num_items=len(i_map),
         num_classes=int(num_classes),
-        workers=np.asarray(ws, dtype=np.int64),
-        items=np.asarray(its, dtype=np.int64),
-        labels=np.asarray(ls, dtype=np.int64),
+        workers=np.frombuffer(ws, dtype=np.int64),
+        items=np.frombuffer(its, dtype=np.int64),
+        labels=np.frombuffer(ls, dtype=np.int64),
         worker_ids=tuple(w_map),
         item_ids=tuple(i_map),
     )
+
+
+def _check_duplicates(ws, its, lines, w_map, i_map) -> None:
+    """Raise on the first row, in file order, that repeats a worker-item pair.
+
+    Pairs are compared as one int64 key, exact below 2**31 workers and 2**32
+    items; flat arrays and one sort keep this far smaller than a set of pairs.
+    """
+    pairs = np.frombuffer(ws, dtype=np.int64) << 32 | np.frombuffer(its, dtype=np.int64)
+    order = np.argsort(pairs, kind="stable")
+    repeats = order[1:][pairs[order[1:]] == pairs[order[:-1]]]
+    if len(repeats):
+        r = int(repeats.min())
+        wid, iid = tuple(w_map)[ws[r]], tuple(i_map)[its[r]]
+        raise LabelFileError(f"duplicate observation for worker {wid!r}, item {iid!r}",
+                             lines[r])
 
 
 def from_triples(triples, num_classes, worker_ids=None, item_ids=None) -> LabelMatrix:
@@ -119,11 +137,21 @@ def from_triples(triples, num_classes, worker_ids=None, item_ids=None) -> LabelM
 
     IDs are interned in first-appearance order; pre-seeded ID lists may be
     passed to register workers/items that have no observations. Errors name
-    the triple's 1-based position.
+    the triple's 1-based position. An id that a labels file cannot carry (a
+    comma, a line break, or leading or trailing whitespace) is rejected, so
+    write_labels output always loads back.
     """
-    rows = ((n, (str(wid), str(iid), lab))
-            for n, (wid, iid, lab) in enumerate(triples, start=1))
-    return _intern(rows, num_classes, 0, worker_ids, item_ids)
+    def rows():
+        for n, (wid, iid, lab) in enumerate(triples, start=1):
+            wid, iid = str(wid), str(iid)
+            for x in (wid, iid):
+                if x != x.strip() or any(ch in x for ch in ",\r\n"):
+                    raise LabelFileError(
+                        f"id {x!r} in triple {(wid, iid, lab)!r} has a comma, a line "
+                        "break or surrounding whitespace, which a labels file cannot hold", n)
+            yield n, (wid, iid, lab)
+
+    return _intern(rows(), num_classes, 0, worker_ids, item_ids)
 
 
 def _parse_rows(path, expected_fields):
@@ -183,6 +211,8 @@ def load_gold(path, item_ids, num_classes, label_base=0) -> GoldLabels:
             raise LabelFileError(f"gold label {lab!r} is not an integer", n) from None
         if not 0 <= lab < num_classes:
             raise LabelFileError(f"gold label {lab + label_base} out of range", n)
+        if item_index[iid] in by_item:
+            raise LabelFileError(f"second gold label for item {iid!r}", n)
         by_item[item_index[iid]] = lab
     return GoldLabels(by_item)
 
@@ -262,14 +292,21 @@ def read_posterior(path):
         if tuple(header[:2]) != POSTERIOR_HEADER_PREFIX:
             raise LabelFileError("not a posterior file: bad header", 1)
         K = len(header) - 2
-        ids, preds, rows = [], [], []
+        ids, preds, probs = [], array("q"), array("d")  # flat buffers, no per-row objects
         for n, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split("\t")
             if len(parts) != K + 2:
                 raise LabelFileError("wrong number of columns", n)
+            try:
+                preds.append(int(parts[1]))
+            except ValueError:
+                raise LabelFileError(f"predicted label {parts[1]!r} is not an integer",
+                                     n) from None
+            try:
+                probs.extend(map(float, parts[2:]))
+            except ValueError as exc:
+                raise LabelFileError(f"probability is not a number ({exc})", n) from None
             ids.append(parts[0])
-            preds.append(int(parts[1]))
-            rows.append([float(p) for p in parts[2:]])
-    return ids, np.asarray(preds, dtype=np.int64), np.asarray(rows)
+    return ids, np.array(preds, dtype=np.int64), np.array(probs).reshape(len(ids), K)

@@ -88,14 +88,15 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
 def scatter_rows(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """Sum the rows of `values` into `size` slots: out[index[l]] += values[l].
 
-    One np.bincount pass that adds in row order, so the result equals
+    One np.bincount per column, each adding in row order, so the result equals
     np.add.at on zeros exactly.
     """
     tail = values.shape[1:]
-    width = int(np.prod(tail))
-    slots = (np.asarray(index)[:, None] * width + np.arange(width)).ravel()
-    return np.bincount(slots, weights=values.ravel(),
-                       minlength=size * width).reshape((size, *tail))
+    columns = values.reshape(len(values), int(np.prod(tail)))
+    out = np.empty((size, columns.shape[1]))
+    for j in range(columns.shape[1]):
+        out[:, j] = np.bincount(index, weights=columns[:, j], minlength=size)
+    return out.reshape((size, *tail))
 
 
 def _penalties(worker_params, item_params, hyper: HyperParams):
@@ -113,22 +114,35 @@ def entropy(posterior: np.ndarray) -> float:
 
 
 def _data_term(labels, posterior, log_obs) -> float:
-    return float(np.sum(posterior[labels.items] * log_obs))
+    weighted = np.take(posterior, labels.items, axis=0)
+    weighted *= log_obs
+    return float(np.sum(weighted))
 
 
 def penalized_likelihood(labels, posterior, worker_params, item_params,
-                         hyper: HyperParams) -> float:
-    """The objective the M-step ascends: expected log-likelihood minus penalties."""
-    _, log_obs = _log_model(labels, worker_params, item_params, hyper.mode)
+                         hyper: HyperParams, model=None, model_out=None) -> float:
+    """The objective the M-step ascends: expected log-likelihood minus penalties.
+
+    `model` is the (log_full, log_obs) pair of `_log_model` at these scores,
+    computed here when omitted. A list passed as `model_out` receives the
+    model used, so a caller can reuse it at the same scores.
+    """
+    if model is None:
+        model = _log_model(labels, worker_params, item_params, hyper.mode)
+    if model_out is not None:
+        model_out.append(model)
     ov, _, pv, _ = _penalties(worker_params, item_params, hyper)
-    return _data_term(labels, posterior, log_obs) - ov - pv
+    return _data_term(labels, posterior, model[1]) - ov - pv
 
 
 def dual_objective(labels, posterior, worker_params, item_params,
-                   hyper: HyperParams) -> float:
-    """Regularized dual: expected log-likelihood + label entropy - penalties."""
+                   hyper: HyperParams, model=None) -> float:
+    """Regularized dual: expected log-likelihood + label entropy - penalties.
+
+    `model` is the (log_full, log_obs) pair at these scores, if already computed.
+    """
     return penalized_likelihood(labels, posterior, worker_params, item_params,
-                                hyper) + entropy(posterior)
+                                hyper, model) + entropy(posterior)
 
 
 def initialize_posterior(labels: LabelMatrix) -> np.ndarray:
@@ -144,28 +158,35 @@ def initialize_posterior(labels: LabelMatrix) -> np.ndarray:
 
 
 def e_step(labels: LabelMatrix, worker_params, item_params,
-           hyper: HyperParams) -> np.ndarray:
-    """Exact posterior block update: Bayes rule with a uniform prior, in log space."""
-    _, log_obs = _log_model(labels, worker_params, item_params, hyper.mode)
-    log_q = scatter_rows(labels.items, log_obs, labels.num_items)
+           hyper: HyperParams, model=None) -> np.ndarray:
+    """Exact posterior block update: Bayes rule with a uniform prior, in log space.
+
+    `model` is the (log_full, log_obs) pair at these scores, if already computed.
+    """
+    if model is None:
+        model = _log_model(labels, worker_params, item_params, hyper.mode)
+    log_q = scatter_rows(labels.items, model[1], labels.num_items)
     log_q -= logsumexp(log_q, axis=1, keepdims=True)
     return np.exp(log_q)
 
 
 def m_step_gradients(labels: LabelMatrix, posterior, worker_params, item_params,
-                     hyper: HyperParams):
+                     hyper: HyperParams, model=None):
     """Analytic gradients of the penalized likelihood w.r.t. both score tensors.
 
     The data part per observation is Q(c) * [I(x = k) - P(k | c)], accumulated
     into the observation's worker and item slots in observation order (a fixed
-    reduction order, so results are reproducible).
+    reduction order, so results are reproducible). `model` is the
+    (log_full, log_obs) pair at these scores, if already computed; only
+    log_full is read.
     """
     K = labels.num_classes
     if posterior.shape != (labels.num_items, K):
         raise ValueError("posterior shape does not match the label matrix")
-    log_full, _ = _log_model(labels, worker_params, item_params, hyper.mode)
+    if model is None:
+        model = _log_model(labels, worker_params, item_params, hyper.mode)
     _, og, _, pg = _penalties(worker_params, item_params, hyper)
-    return _gradients(labels, posterior, log_full, og, pg, hyper)
+    return _gradients(labels, posterior, model[0], og, pg, hyper)
 
 
 def _gradients(labels: LabelMatrix, posterior, log_full, og, pg, hyper: HyperParams):
@@ -174,7 +195,7 @@ def _gradients(labels: LabelMatrix, posterior, log_full, og, pg, hyper: HyperPar
     per_obs = np.exp(log_full)  # (L, K, K), turned in place into Q(c) * [I(x = k) - P]
     np.negative(per_obs, out=per_obs)
     per_obs[np.arange(labels.num_labels), :, labels.labels] += 1.0
-    per_obs *= posterior[labels.items][:, :, None]
+    per_obs *= np.take(posterior, labels.items, axis=0)[:, :, None]
     gw = scatter_rows(labels.workers, per_obs, labels.num_workers)
     gi = scatter_rows(labels.items, per_obs, labels.num_items)
     if hyper.mode == Mode.ORDINAL:
@@ -222,37 +243,44 @@ def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
     evaluations.
 
     Only improving steps are accepted, so the objective cannot decrease.
+    Each objective evaluation hands back its model, and the gradient at an
+    accepted point reuses it, so every point costs one model pass.
     Returns (worker_params, item_params, line_search_failed).
     """
     wp, ip = worker_params, item_params
-    value = penalized_likelihood(labels, posterior, wp, ip, hyper)
+    model = []  # out-channel: receives the model of each objective evaluation
+    value = penalized_likelihood(labels, posterior, wp, ip, hyper, model_out=model)
     floor = hyper.step_init * 0.5 ** (max_halvings - 1)
     step = hyper.step_init
     failed = False
     for _ in range(hyper.inner_gradient_steps):
-        gw, gi = m_step_gradients(labels, posterior, wp, ip, hyper)
+        gw, gi = m_step_gradients(labels, posterior, wp, ip, hyper, model.pop())
         gnorm2 = float(np.sum(gw ** 2) + np.sum(gi ** 2))
         if gnorm2 == 0.0:
             break
-        best = None  # (step, wp, ip, value) of the largest passing size tried
+        best = None  # (step, wp, ip, value, log_full) of the largest passing size tried
         grow = True  # only while no size of this search has failed
         while True:
             cand_w, cand_i = wp + step * gw, ip + step * gi
-            cand_val = penalized_likelihood(labels, posterior, cand_w, cand_i, hyper)
+            cand_val = penalized_likelihood(labels, posterior, cand_w, cand_i, hyper,
+                                            model_out=model)
             if cand_val >= value + armijo * step * gnorm2:
-                best = (step, cand_w, cand_i, cand_val)
+                # keep log_full only: the gradient reads nothing else
+                best = (step, cand_w, cand_i, cand_val, model.pop()[0])
                 if not grow or 2 * step > hyper.step_init:
                     break
                 step *= 2
-            elif best is not None or step <= floor:
+                continue
+            model.clear()  # free a failed size's model before the next evaluation
+            if best is not None or step <= floor:
                 break
-            else:
-                step *= 0.5
-                grow = False
+            step *= 0.5
+            grow = False
         if best is None:
             failed = True
             break
-        step, wp, ip, value = best
+        step, wp, ip, value = best[:4]
+        model.append((best[4], None))
     return wp, ip, failed
 
 
@@ -297,11 +325,15 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
         step_fn = m_step_exact if hyper.exact_m_step else m_step
         wp, ip, failed = step_fn(labels, posterior, wp, ip, hyper)
         ls_failures += failed
-        trace.append(dual_objective(labels, posterior, wp, ip, hyper))
+        # One model pass at the new scores serves both traces and the E-step;
+        # it is dropped before the next M-step so two models are never alive.
+        model = _log_model(labels, wp, ip, hyper.mode)
+        trace.append(dual_objective(labels, posterior, wp, ip, hyper, model))
         phases.append("m")
-        posterior = e_step(labels, wp, ip, hyper)
-        trace.append(dual_objective(labels, posterior, wp, ip, hyper))
+        posterior = e_step(labels, wp, ip, hyper, model)
+        trace.append(dual_objective(labels, posterior, wp, ip, hyper, model))
         phases.append("e")
+        del model
         if abs(trace[-1] - prev) < hyper.tol * max(abs(prev), PROB_FLOOR):
             converged = True
             break
@@ -356,7 +388,7 @@ def polish_stationary_point(labels: LabelMatrix, result: FitResult,
 
 def _label_entropy(labels: LabelMatrix, posterior, log_full) -> float:
     per_pair = -np.sum(np.exp(log_full) * log_full, axis=2)  # (L, K): row entropy per class
-    return float(np.sum(posterior[labels.items] * per_pair))
+    return float(np.sum(np.take(posterior, labels.items, axis=0) * per_pair))
 
 
 def conditional_label_entropy(labels: LabelMatrix, posterior, worker_params,
@@ -380,5 +412,5 @@ def kl_identity_check(labels: LabelMatrix, result: FitResult,
     q = round_posterior(result.posterior)
     log_full, log_obs = _log_model(labels, result.worker_params, result.item_params,
                                    hyper.mode)
-    neg_loglik = -float(np.sum(q[labels.items] * log_obs))
+    neg_loglik = -float(np.sum(np.take(q, labels.items, axis=0) * log_obs))
     return abs(neg_loglik - _label_entropy(labels, q, log_full))

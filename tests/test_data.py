@@ -56,6 +56,19 @@ class TestLoadLabels:
             load_labels(p, 2)
         assert err.value.line_no == 4
 
+    @pytest.mark.parametrize("rows, message", [
+        ("w1,i1,1\nw2,i1,9\n", "line 3: duplicate observation for worker 'w1', item 'i1'"),
+        ("w2,i1,9\nw1,i1,1\n", "line 3: label 9 out of range"),
+        ("w1,i1,1\nw2,i1\n", "line 3: duplicate observation"),
+        ("w2,i2,0\nw1,i2,0\nw2,i2,1\nw1,i1,0\n", "line 5: duplicate observation "
+                                                  "for worker 'w2', item 'i2'"),
+    ])
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, rows, message):
+        p = tmp_path / "l.csv"
+        p.write_text(f"worker,item,label\nw1,i1,0\n{rows}")
+        with pytest.raises(LabelFileError, match=f"^{message}"):
+            load_labels(p, 2)
+
     def test_label_base_one(self, tmp_path):
         p = write_csv(tmp_path / "l.csv", [("w", "i", 1), ("w", "j", 3)])
         lm = load_labels(p, 3, label_base=1)
@@ -78,6 +91,25 @@ class TestLoadLabels:
         out = tmp_path / "out.csv"
         write_labels(lm, out)
         assert out.read_bytes() == p.read_bytes()
+
+
+class TestFromTriples:
+    @pytest.mark.parametrize("bad", ["a,b", " a", "a ", "a\nb", "a\r", "\tz"])
+    def test_rejects_ids_a_labels_file_cannot_hold(self, bad):
+        with pytest.raises(LabelFileError, match=r"^line 2: id .* in triple \(") as err:
+            from_triples([("w", "i", 0), ("w", bad, 1)], 2)
+        assert repr(bad) in str(err.value)
+        with pytest.raises(LabelFileError, match="^line 1: "):
+            from_triples([(bad, "i", 0)], 2)
+
+    def test_write_labels_round_trip(self, tmp_path):
+        triples = [("a b", "i;1", 0), ("c", "i;1", 1), ("\u00e9", "j k", 1), (7, 8, 0)]
+        lm = from_triples(triples, 2)
+        path = tmp_path / "l.csv"
+        write_labels(lm, path)
+        back = load_labels(path, 2)
+        assert (back.worker_ids, back.item_ids) == (lm.worker_ids, lm.item_ids)
+        assert back.observations == lm.observations
 
 
 class TestSummarize:
@@ -150,6 +182,17 @@ class TestPosteriorFile:
         with pytest.raises(LabelFileError, match="header"):
             read_posterior(p)
 
+    @pytest.mark.parametrize("row, message", [
+        ("b\tx\t0.5\t0.5", "predicted label 'x' is not an integer"),
+        ("b\t0\t0.5\tnan?", "probability is not a number"),
+    ])
+    def test_bad_value_names_the_line(self, tmp_path, row, message):
+        p = tmp_path / "x.tsv"
+        p.write_text(f"item\tpredicted\tp0\tp1\na\t0\t0.5\t0.5\n{row}\n")
+        with pytest.raises(LabelFileError, match=f"^line 3: {message}") as err:
+            read_posterior(p)
+        assert err.value.line_no == 3
+
 
 class TestGold:
     def test_load_and_unknown_item(self, tmp_path, three_worker_labels):
@@ -159,3 +202,10 @@ class TestGold:
         bad = write_csv(tmp_path / "b.csv", [("nope", 0)])
         with pytest.raises(LabelFileError, match="unknown item"):
             load_gold(bad, three_worker_labels.item_ids, 3)
+
+    def test_second_gold_label_for_an_item_rejected(self, tmp_path, three_worker_labels):
+        p = write_csv(tmp_path / "g.csv", [("i1", 0), ("i3", 1), ("i1", 1)])
+        with pytest.raises(LabelFileError,
+                           match="^line 3: second gold label for item 'i1'$") as err:
+            load_gold(p, three_worker_labels.item_ids, 3)
+        assert err.value.line_no == 3

@@ -217,6 +217,55 @@ class TestMStep:
         assert len(calls) <= 25 * r.iterations
 
 
+    def test_one_model_pass_per_score_point(self, monkeypatch):
+        # Each line-search trial, each M-step start and each fitted point gets
+        # one model pass; without that sharing this case takes 23 per iteration.
+        conf = np.stack([synthetic.diagonal_confusion(3, 0.8)] * 30)
+        lm, _ = synthetic.sample_labels(30, 200, 3, 10, conf, seed=0)
+        alpha, beta = resolve_hyperparams(1.0, lm)
+        calls = []
+        model = solver._log_model
+
+        def counted(*args):
+            calls.append(1)
+            return model(*args)
+
+        monkeypatch.setattr(solver, "_log_model", counted)
+        r = fit(lm, HyperParams(alpha=alpha, beta=beta))
+        assert r.line_search_failures == 0
+        assert len(calls) <= 17 * r.iterations
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_model_passes_run_inside_objective_or_gradient(self, monkeypatch, mode):
+        # The benchmark tracer counts line-search trials and accepted steps from
+        # the objective and gradient calls under m_step, so m_step must make its
+        # model passes through those two functions only.
+        stack, parents = [], []
+
+        def probe(name, fn):
+            def wrapped(*args, **kwargs):
+                if name == "model":
+                    parents.append(stack[-1] if stack else None)
+                stack.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stack.pop()
+            return wrapped
+
+        for attr, name in (("penalized_likelihood", "objective"),
+                           ("m_step_gradients", "gradient"), ("_log_model", "model")):
+            monkeypatch.setattr(solver, attr, probe(name, getattr(solver, attr)))
+        h = HyperParams(alpha=0.5, beta=0.5, mode=mode)
+        for seed in range(10):
+            lm = synthetic.random_instance(seed)
+            wp, ip, q = random_state(lm, seed + 31, mode=mode)
+            result = solver.m_step(lm, q, wp, ip, h)
+            assert isinstance(result, tuple) and len(result) == 3
+            assert isinstance(result[2], bool)
+        assert parents
+        assert set(parents) <= {"objective", "gradient"}
+
     def test_stationary_point_unchanged(self):
         # balanced labels + uniform posterior: every observed count matches the
         # uniform model's expectation, so the gradient is exactly zero
@@ -246,6 +295,66 @@ class TestMStep:
             w2, i2, _ = m_step(lm, q, wp, ip, h)
             after = penalized_likelihood(lm, q, w2, i2, h)
             assert after >= before - 1e-9
+
+
+def reference_fit(labels, hyper):
+    """The fit loop with every trace and E-step making its own model pass."""
+    K = labels.num_classes
+    wp = init_params(hyper.mode, labels.num_workers, K)
+    ip = init_params(hyper.mode, labels.num_items, K)
+    posterior = initialize_posterior(labels)
+    trace = [dual_objective(labels, posterior, wp, ip, hyper)]
+    for _ in range(hyper.max_outer_iters):
+        prev = trace[-1]
+        wp, ip, _ = m_step(labels, posterior, wp, ip, hyper)
+        trace.append(dual_objective(labels, posterior, wp, ip, hyper))
+        posterior = e_step(labels, wp, ip, hyper)
+        trace.append(dual_objective(labels, posterior, wp, ip, hyper))
+        if abs(trace[-1] - prev) < hyper.tol * max(abs(prev), solver.PROB_FLOOR):
+            break
+    return posterior, wp, ip, trace
+
+
+def assert_fit_equals_reference(labels, hyper):
+    r = fit(labels, hyper)
+    posterior, wp, ip, trace = reference_fit(labels, hyper)
+    assert np.array_equal(r.posterior, posterior)
+    assert np.array_equal(r.worker_params, wp)
+    assert np.array_equal(r.item_params, ip)
+    assert np.array_equal(r.objective_trace, trace)
+
+
+class TestSharedModel:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_fit_equals_reference_loop(self, mode):
+        h = HyperParams(alpha=0.5, beta=0.5, mode=mode, max_outer_iters=30)
+        for seed in range(30):
+            assert_fit_equals_reference(synthetic.random_instance(seed), h)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_fit_equals_reference_loop_planted_k5(self, mode):
+        conf = np.stack([synthetic.diagonal_confusion(5, 0.7)] * 30)
+        lm, _ = synthetic.sample_labels(30, 200, 5, 5, conf, seed=1)
+        alpha, beta = resolve_hyperparams(1.0, lm)
+        assert_fit_equals_reference(
+            lm, HyperParams(alpha=alpha, beta=beta, mode=mode, max_outer_iters=40))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_precomputed_model_gives_same_values(self, mode):
+        h = HyperParams(alpha=0.7, beta=1.3, mode=mode)
+        for seed in range(10):
+            lm = synthetic.random_instance(seed)
+            wp, ip, q = random_state(lm, seed + 50, mode=mode)
+            model = solver._log_model(lm, wp, ip, mode)
+            out = []
+            value = penalized_likelihood(lm, q, wp, ip, h, model_out=out)
+            assert len(out) == 1
+            assert value == penalized_likelihood(lm, q, wp, ip, h, model)
+            assert dual_objective(lm, q, wp, ip, h) == dual_objective(lm, q, wp, ip, h, model)
+            assert np.array_equal(e_step(lm, wp, ip, h), e_step(lm, wp, ip, h, model))
+            for got, want in zip(m_step_gradients(lm, q, wp, ip, h, model),
+                                 m_step_gradients(lm, q, wp, ip, h)):
+                assert np.array_equal(got, want)
 
 
 class TestDualObjective:

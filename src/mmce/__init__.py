@@ -1,12 +1,11 @@
 """Crowdsourced label aggregation via regularized minimax conditional entropy."""
 
 from .baselines import DSParams, dawid_skene_em, majority_vote
-from .confusion import Mode, RegularizerVariant, expand_ordinal, label_distribution
+from .confusion import Mode, RegularizerVariant, expand_ordinal
 from .data import (
     DatasetSummary,
     GoldLabels,
     LabelMatrix,
-    empirical_confusion,
     from_triples,
     load_gold,
     load_labels,
@@ -21,8 +20,8 @@ __all__ = [
     "CVConfig", "CVReport", "DSParams", "DatasetSummary", "EvalReport", "FitResult",
     "GoldLabels", "HyperParams", "LabelMatrix", "Mode", "RegularizerVariant",
     "calibration_bins", "cross_validate", "dawid_skene_em", "dual_objective",
-    "e_step", "empirical_confusion", "error_rate", "expand_ordinal", "fit",
-    "from_triples", "initialize_posterior", "label_distribution", "load_gold",
-    "load_labels", "majority_vote", "mean_square_error", "resolve_hyperparams",
-    "summarize", "validation_select", "write_labels",
+    "e_step", "error_rate", "expand_ordinal", "fit", "from_triples",
+    "initialize_posterior", "load_gold", "load_labels", "majority_vote",
+    "mean_square_error", "resolve_hyperparams", "summarize", "validation_select",
+    "write_labels",
 ]

@@ -44,21 +44,26 @@ def _ds_m_step(labels: LabelMatrix, posterior, smoothing: float, uniform_prior: 
     return confusion, prior
 
 
-def _ds_e_step(labels: LabelMatrix, confusion, prior):
+def _ds_log_joint(labels: LabelMatrix, confusion, prior) -> np.ndarray:
+    """Per-item log joint (n, K): log prior(c) + sum of log p(x_l | c) over its labels."""
     log_p = np.log(np.maximum(confusion, PROB_FLOOR))
-    log_q = scatter_rows(labels.items, log_p[labels.workers, :, labels.labels],
-                         labels.num_items)
-    log_q += np.log(np.maximum(prior, PROB_FLOOR))
-    log_q -= logsumexp(log_q, axis=1, keepdims=True)
-    return np.exp(log_q), log_q
+    acc = scatter_rows(labels.items, log_p[labels.workers, :, labels.labels],
+                       labels.num_items)
+    acc += np.log(np.maximum(prior, PROB_FLOOR))
+    return acc
+
+
+def _ds_e_step(labels: LabelMatrix, confusion, prior):
+    """Posterior and the marginal log-likelihood, from one log-joint pass."""
+    log_q = _ds_log_joint(labels, confusion, prior)
+    log_norm = logsumexp(log_q, axis=1, keepdims=True)
+    log_q -= log_norm
+    return np.exp(log_q), float(np.sum(log_norm))
 
 
 def ds_marginal_loglik(labels: LabelMatrix, params: DSParams) -> float:
     """Marginal log-likelihood of the observed labels under a DS model."""
-    log_p = np.log(np.maximum(params.confusion, PROB_FLOOR))
-    acc = scatter_rows(labels.items, log_p[labels.workers, :, labels.labels],
-                       labels.num_items)
-    acc += np.log(np.maximum(params.prior, PROB_FLOOR))
+    acc = _ds_log_joint(labels, params.confusion, params.prior)
     # Items without labels contribute log sum_c prior(c) = 0.
     return float(np.sum(logsumexp(acc, axis=1)))
 
@@ -72,12 +77,14 @@ def dawid_skene_em(labels: LabelMatrix, max_iters: int = 100, tol: float = 1e-8,
     """
     if smoothing < 0:
         raise ValueError("smoothing must be >= 0")
+    if labels.num_labels == 0:
+        raise ValueError("cannot fit an empty label matrix")
     posterior, _ = majority_vote(labels)
     trace = []
     for _ in range(max_iters):
         confusion, prior = _ds_m_step(labels, posterior, smoothing, uniform_prior)
-        posterior, _ = _ds_e_step(labels, confusion, prior)
-        trace.append(ds_marginal_loglik(labels, DSParams(confusion, prior)))
+        posterior, loglik = _ds_e_step(labels, confusion, prior)
+        trace.append(loglik)
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol * max(1.0, abs(trace[-2])):
             break
     return posterior, DSParams(confusion, prior), trace

@@ -39,14 +39,21 @@ def _add_common(p):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--mode", choices=[m.value for m in Mode], default="multiclass")
+    defaults = solver.HyperParams
+    p.add_argument("--mode", choices=[m.value for m in Mode], default=defaults.mode.value)
     p.add_argument("--variant", choices=[v.value for v in RegularizerVariant],
-                   default="euclidean")
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--inner-steps", type=int, default=5)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=42,
+                   default=defaults.variant.value)
+    p.add_argument("--max-iters", type=int, default=defaults.max_outer_iters)
+    p.add_argument("--inner-steps", type=int, default=defaults.inner_gradient_steps)
+    p.add_argument("--tol", type=float, default=defaults.tol)
+    p.add_argument("--seed", type=int, default=selection.CVConfig.seed,
                    help="CV fold seed for select; the fit itself is deterministic")
+
+
+def _solver_settings(args) -> dict:
+    """The solver flags as keyword arguments of HyperParams and CVConfig."""
+    return dict(mode=args.mode, variant=args.variant, max_outer_iters=args.max_iters,
+                inner_gradient_steps=args.inner_steps, tol=args.tol)
 
 
 def cmd_stats(args) -> int:
@@ -95,15 +102,13 @@ def cmd_aggregate(args) -> int:
         trace_rows = [(i + 1, "em", v) for i, v in enumerate(trace)]
     elif args.method == "mmce":
         alpha, beta = _resolve_aggregate_hyper(args, labels)
-        hyper = solver.HyperParams(
-            alpha=alpha, beta=beta, mode=Mode(args.mode),
-            variant=RegularizerVariant(args.variant),
-            max_outer_iters=args.max_iters, inner_gradient_steps=args.inner_steps,
-            tol=args.tol)
+        hyper = solver.HyperParams(alpha=alpha, beta=beta, **_solver_settings(args))
         result = solver.fit(labels, hyper)
         posterior, predicted = result.posterior, result.predicted
+        # the trace is the initial value, then one (m, e) pair per iteration
+        phases = ["init"] + ["m", "e"] * result.iterations
         trace_rows = [((i + 1) // 2, phase, v) for i, (phase, v) in
-                      enumerate(zip(result.trace_phases, result.objective_trace))]
+                      enumerate(zip(phases, result.objective_trace))]
         if args.params_out:
             write_params(args.params_out, result.worker_params, result.item_params,
                          hyper.mode)
@@ -125,10 +130,8 @@ def cmd_select(args) -> int:
     labels = _load_labels(args)
     grid = tuple(float(g) for g in args.grid.split(","))
     config = selection.CVConfig(
-        folds=args.folds, gamma_grid=grid, seed=args.seed, mode=Mode(args.mode),
-        variant=RegularizerVariant(args.variant), max_outer_iters=args.max_iters,
-        inner_gradient_steps=args.inner_steps, tol=args.tol,
-        heldout_scoring=args.heldout_scoring)
+        folds=args.folds, gamma_grid=grid, seed=args.seed,
+        heldout_scoring=args.heldout_scoring, **_solver_settings(args))
     if args.gold:
         gold = data.load_gold(args.gold, labels.item_ids, labels.num_classes,
                               args.label_base)
@@ -190,11 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_solver_flags(p)
     p.add_argument("--gold", help="use validation-set selection against this gold CSV")
-    p.add_argument("--grid", default="0.25,0.5,1,2,4",
-                   help="comma-separated gamma grid")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--grid", help="comma-separated gamma grid",
+                   default=",".join(f"{g:g}" for g in selection.DEFAULT_GAMMA_GRID))
+    p.add_argument("--folds", type=int, default=selection.CVConfig.folds)
     p.add_argument("--heldout-scoring", choices=("marginal", "hard"),
-                   default="marginal")
+                   default=selection.CVConfig.heldout_scoring)
     p.add_argument("--out", help="CV report CSV output path")
     p.add_argument("--fit-final", action="store_true",
                    help="fit the selected model on all labels afterwards")

@@ -83,21 +83,6 @@ def project_ordinal(dense_grad: np.ndarray, K: int) -> np.ndarray:
     return np.einsum("...ck,srck->...sr", dense_grad, ordinal_basis(K))
 
 
-def log_label_distribution(sigma_row: np.ndarray, tau_row: np.ndarray) -> np.ndarray:
-    """Row-wise log P(k | c) for one worker/item pair.
-
-    Entry (c, k) is the score sigma(c, k) + tau(c, k) log-softmaxed over k.
-    Shifted by the row max, so large scores cannot overflow.
-    """
-    scores = np.asarray(sigma_row) + np.asarray(tau_row)
-    return scores - logsumexp(scores, axis=-1, keepdims=True)
-
-
-def label_distribution(sigma_row, tau_row, c: int) -> np.ndarray:
-    """P(observed label | true class c) under the exponential-score model."""
-    return np.exp(log_label_distribution(sigma_row, tau_row)[c])
-
-
 def center(params: np.ndarray) -> np.ndarray:
     """Subtract per-entity group means: one mean over the diagonal entries and
     one over the off-diagonal entries. A symmetric idempotent linear map."""

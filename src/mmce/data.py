@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import logging
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 
 class LabelFileError(ValueError):
@@ -45,10 +42,6 @@ class LabelMatrix:
     @property
     def num_labels(self) -> int:
         return len(self.labels)
-
-    @property
-    def observations(self) -> list[tuple[int, int, int]]:
-        return list(zip(self.workers.tolist(), self.items.tolist(), self.labels.tolist()))
 
     def unlabeled_items(self) -> np.ndarray:
         """Indices of items with zero observations (emitted with uniform posteriors)."""
@@ -248,26 +241,6 @@ def summarize(labels: LabelMatrix, gold: GoldLabels | None = None) -> DatasetSum
         labels_per_item=labels.num_labels / labels.num_items if labels.num_items else 0.0,
         avg_worker_error=avg_err,
     )
-
-
-def empirical_confusion(labels: LabelMatrix, posterior: np.ndarray):
-    """Posterior-weighted observed confusion counts.
-
-    Returns (worker_tensor, item_tensor): worker entry (i, c, k) is the
-    posterior mass of class c over items that worker i labeled k; the item
-    tensor swaps the roles of workers and items.
-    """
-    n, K = posterior.shape
-    if n != labels.num_items or K != labels.num_classes:
-        raise ValueError("posterior shape does not match the label matrix")
-    if not np.allclose(posterior.sum(axis=1), 1.0, atol=1e-9):
-        raise ValueError("posterior rows must sum to 1")
-    worker = np.zeros((labels.num_workers, K, K))
-    item = np.zeros((labels.num_items, K, K))
-    q = posterior[labels.items]  # (L, K)
-    np.add.at(worker, (labels.workers, slice(None), labels.labels), q)
-    np.add.at(item, (labels.items, slice(None), labels.labels), q)
-    return worker, item
 
 
 POSTERIOR_HEADER_PREFIX = ("item", "predicted")

@@ -78,12 +78,6 @@ def mean_square_error(predictions: np.ndarray, gold: GoldLabels) -> float:
     return float(np.mean(diff ** 2))
 
 
-def posterior_mean_predictions(posterior: np.ndarray) -> np.ndarray:
-    """Rounded posterior-mean labels, an alternative ordinal point prediction."""
-    means = posterior @ np.arange(posterior.shape[1])
-    return np.rint(means).astype(np.int64)
-
-
 def calibration_bins(posterior: np.ndarray, gold: GoldLabels,
                      predictions: np.ndarray | None = None) -> tuple[CalibrationBin, ...]:
     """Bucket gold items by maximum posterior probability and score each bucket."""

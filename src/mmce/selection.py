@@ -21,11 +21,11 @@ class CVConfig:
     folds: int = 5
     gamma_grid: tuple[float, ...] = DEFAULT_GAMMA_GRID
     seed: int = 42
-    mode: Mode = Mode.MULTICLASS
-    variant: RegularizerVariant = RegularizerVariant.EUCLIDEAN
-    max_outer_iters: int = 200
-    inner_gradient_steps: int = 5
-    tol: float = 1e-6
+    mode: Mode = HyperParams.mode
+    variant: RegularizerVariant = HyperParams.variant
+    max_outer_iters: int = HyperParams.max_outer_iters
+    inner_gradient_steps: int = HyperParams.inner_gradient_steps
+    tol: float = HyperParams.tol
     heldout_scoring: str = "marginal"  # or "hard": score against argmax labels
 
     def __post_init__(self):

@@ -8,7 +8,7 @@ so the trace is non-decreasing up to floating-point slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,11 @@ from .data import LabelMatrix
 
 PROB_FLOOR = 1e-300  # floor before logs; invisible at output precision
 
+# M-step line search: first trial size, trials per search, sufficient-increase factor
+STEP_INIT = 1.0
+MAX_HALVINGS = 50
+ARMIJO = 1e-4
+
 
 @dataclass
 class HyperParams:
@@ -34,7 +39,6 @@ class HyperParams:
     variant: RegularizerVariant = RegularizerVariant.EUCLIDEAN
     max_outer_iters: int = 200
     inner_gradient_steps: int = 5
-    step_init: float = 1.0
     tol: float = 1e-6
     clamp_item_params: bool = False  # freeze tau at 0 (Dawid-Skene reduction)
     exact_m_step: bool = False  # solve the M-step block to optimality via L-BFGS
@@ -60,7 +64,6 @@ class FitResult:
     objective_trace: list[float]
     converged: bool
     iterations: int
-    trace_phases: list[str] = field(default_factory=list)
     line_search_failures: int = 0
 
     @property
@@ -186,13 +189,7 @@ def m_step_gradients(labels: LabelMatrix, posterior, worker_params, item_params,
     if model is None:
         model = _log_model(labels, worker_params, item_params, hyper.mode)
     _, og, _, pg = _penalties(worker_params, item_params, hyper)
-    return _gradients(labels, posterior, model[0], og, pg, hyper)
-
-
-def _gradients(labels: LabelMatrix, posterior, log_full, og, pg, hyper: HyperParams):
-    """Gradients from one model pass and the penalty gradients og, pg."""
-    K = labels.num_classes
-    per_obs = np.exp(log_full)  # (L, K, K), turned in place into Q(c) * [I(x = k) - P]
+    per_obs = np.exp(model[0])  # (L, K, K), turned in place into Q(c) * [I(x = k) - P]
     np.negative(per_obs, out=per_obs)
     per_obs[np.arange(labels.num_labels), :, labels.labels] += 1.0
     per_obs *= np.take(posterior, labels.items, axis=0)[:, :, None]
@@ -219,27 +216,28 @@ def _value_and_grad(x, labels: LabelMatrix, posterior, hyper: HyperParams,
     """The L-BFGS objective: the negated penalized likelihood and its gradient
     at the flat scores x, both from a single model pass."""
     worker_params, item_params = _split(x, w_shape, i_shape)
-    log_full, log_obs = _log_model(labels, worker_params, item_params, hyper.mode)
-    ov, og, pv, pg = _penalties(worker_params, item_params, hyper)
-    gw, gi = _gradients(labels, posterior, log_full, og, pg, hyper)
-    value = _data_term(labels, posterior, log_obs) - ov - pv
+    model = []
+    value = penalized_likelihood(labels, posterior, worker_params, item_params, hyper,
+                                 model_out=model)
+    gw, gi = m_step_gradients(labels, posterior, worker_params, item_params, hyper,
+                              model[0])
     return -value, -np.concatenate([gw.ravel(), gi.ravel()])
 
 
 def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
-           hyper: HyperParams, max_halvings: int = 50, armijo: float = 1e-4):
+           hyper: HyperParams):
     """A few line-searched gradient-ascent steps on the penalized likelihood.
 
     Each step moves along the gradient g by the largest size
-    t = step_init * 2**-j, j = 0 .. max_halvings - 1, that passes the Armijo
-    test f(x + t g) >= f(x) + armijo * t * |g|^2. The first search starts at
-    step_init and halves. Each later search starts from the previous accepted
-    size: if that passes, it doubles while the doubled size is <= step_init
+    t = STEP_INIT * 2**-j, j = 0 .. MAX_HALVINGS - 1, that passes the Armijo
+    test f(x + t g) >= f(x) + ARMIJO * t * |g|^2. The first search starts at
+    STEP_INIT and halves. Each later search starts from the previous accepted
+    size: if that passes, it doubles while the doubled size is <= STEP_INIT
     and passes; otherwise it halves until a size passes. No size goes below
-    the floor step_init * 2**-(max_halvings - 1); when the floor fails too,
+    the floor STEP_INIT * 2**-(MAX_HALVINGS - 1); when the floor fails too,
     the line search has failed and the M-step stops. The objective is concave
     in the scores, so the passing sizes form an interval [0, t*] and the warm
-    start accepts the same size as a search from step_init, in fewer
+    start accepts the same size as a search from STEP_INIT, in fewer
     evaluations.
 
     Only improving steps are accepted, so the objective cannot decrease.
@@ -250,8 +248,8 @@ def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
     wp, ip = worker_params, item_params
     model = []  # out-channel: receives the model of each objective evaluation
     value = penalized_likelihood(labels, posterior, wp, ip, hyper, model_out=model)
-    floor = hyper.step_init * 0.5 ** (max_halvings - 1)
-    step = hyper.step_init
+    floor = STEP_INIT * 0.5 ** (MAX_HALVINGS - 1)
+    step = STEP_INIT
     failed = False
     for _ in range(hyper.inner_gradient_steps):
         gw, gi = m_step_gradients(labels, posterior, wp, ip, hyper, model.pop())
@@ -264,10 +262,10 @@ def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
             cand_w, cand_i = wp + step * gw, ip + step * gi
             cand_val = penalized_likelihood(labels, posterior, cand_w, cand_i, hyper,
                                             model_out=model)
-            if cand_val >= value + armijo * step * gnorm2:
+            if cand_val >= value + ARMIJO * step * gnorm2:
                 # keep log_full only: the gradient reads nothing else
                 best = (step, cand_w, cand_i, cand_val, model.pop()[0])
-                if not grow or 2 * step > hyper.step_init:
+                if not grow or 2 * step > STEP_INIT:
                     break
                 step *= 2
                 continue
@@ -285,7 +283,7 @@ def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
 
 
 def m_step_exact(labels: LabelMatrix, posterior, worker_params, item_params,
-                 hyper: HyperParams, gtol: float = 1e-10):
+                 hyper: HyperParams):
     """Solve the M-step block to optimality with L-BFGS.
 
     The block objective is smooth and concave in the scores, so a quasi-Newton
@@ -299,7 +297,7 @@ def m_step_exact(labels: LabelMatrix, posterior, worker_params, item_params,
     x0 = np.concatenate([worker_params.ravel(), item_params.ravel()])
     res = minimize(_value_and_grad, x0, args=(labels, posterior, hyper, *shapes),
                    jac=True, method="L-BFGS-B",
-                   options={"maxiter": 2000, "gtol": gtol, "ftol": 1e-15})
+                   options={"maxiter": 2000, "gtol": 1e-10, "ftol": 1e-15})
     wp, ip = _split(res.x, *shapes)
     if hyper.clamp_item_params:
         ip = item_params  # gradients were zeroed; keep the clamped block intact
@@ -315,7 +313,6 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
     ip = init_params(hyper.mode, labels.num_items, K)
     posterior = initialize_posterior(labels)
     trace = [dual_objective(labels, posterior, wp, ip, hyper)]
-    phases = ["init"]
     converged = False
     iterations = 0
     ls_failures = 0
@@ -329,10 +326,8 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
         # it is dropped before the next M-step so two models are never alive.
         model = _log_model(labels, wp, ip, hyper.mode)
         trace.append(dual_objective(labels, posterior, wp, ip, hyper, model))
-        phases.append("m")
         posterior = e_step(labels, wp, ip, hyper, model)
         trace.append(dual_objective(labels, posterior, wp, ip, hyper, model))
-        phases.append("e")
         del model
         if abs(trace[-1] - prev) < hyper.tol * max(abs(prev), PROB_FLOOR):
             converged = True
@@ -344,7 +339,6 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
         objective_trace=trace,
         converged=converged,
         iterations=iterations,
-        trace_phases=phases,
         line_search_failures=ls_failures,
     )
 
@@ -357,8 +351,7 @@ def round_posterior(posterior: np.ndarray) -> np.ndarray:
 
 
 def polish_stationary_point(labels: LabelMatrix, result: FitResult,
-                            hyper: HyperParams, rounds: int = 3,
-                            pin_threshold: float = 12.0) -> FitResult:
+                            hyper: HyperParams) -> FitResult:
     """Refine fitted scores to a stationary point at the rounded posterior.
 
     Used by the convergence-time KL identity diagnostic, which needs the
@@ -372,13 +365,13 @@ def polish_stationary_point(labels: LabelMatrix, result: FitResult,
     q = round_posterior(result.posterior)
     shapes = (result.worker_params.shape, result.item_params.shape)
     x = np.concatenate([result.worker_params.ravel(), result.item_params.ravel()])
-    for _ in range(rounds):
+    for _ in range(3):  # three solve-then-pin rounds
         res = minimize(_value_and_grad, x, args=(labels, q, hyper, *shapes),
                        jac=True, method="L-BFGS-B",
                        options={"maxiter": 20000, "maxfun": 50000,
                                 "gtol": 1e-14, "ftol": 0})
         x = res.x
-        sat = np.abs(x) > pin_threshold
+        sat = np.abs(x) > 12.0  # runaway: far past any interior optimum
         x[sat] = np.sign(x[sat]) * 600.0
     wp, ip = _split(x, *shapes)
     return FitResult(posterior=q, worker_params=wp, item_params=ip,
@@ -387,15 +380,9 @@ def polish_stationary_point(labels: LabelMatrix, result: FitResult,
 
 
 def _label_entropy(labels: LabelMatrix, posterior, log_full) -> float:
+    """H(observed labels | true labels) under the model log_full and posterior."""
     per_pair = -np.sum(np.exp(log_full) * log_full, axis=2)  # (L, K): row entropy per class
     return float(np.sum(np.take(posterior, labels.items, axis=0) * per_pair))
-
-
-def conditional_label_entropy(labels: LabelMatrix, posterior, worker_params,
-                              item_params, hyper: HyperParams) -> float:
-    """H(observed labels | true labels) under the fitted model and posterior."""
-    log_full, _ = _log_model(labels, worker_params, item_params, hyper.mode)
-    return _label_entropy(labels, posterior, log_full)
 
 
 def kl_identity_check(labels: LabelMatrix, result: FitResult,
@@ -412,5 +399,4 @@ def kl_identity_check(labels: LabelMatrix, result: FitResult,
     q = round_posterior(result.posterior)
     log_full, log_obs = _log_model(labels, result.worker_params, result.item_params,
                                    hyper.mode)
-    neg_loglik = -float(np.sum(np.take(q, labels.items, axis=0) * log_obs))
-    return abs(neg_loglik - _label_entropy(labels, q, log_full))
+    return abs(-_data_term(labels, q, log_obs) - _label_entropy(labels, q, log_full))

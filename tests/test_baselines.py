@@ -93,6 +93,19 @@ class TestDawidSkene:
         ll = ds_marginal_loglik(lm, DSParams(conf, prior))
         assert ll == pytest.approx(np.log(0.6 * 0.3 + 0.4 * 0.8))
 
+    def test_trace_is_the_marginal_loglik_of_the_returned_params(self):
+        # the E-step's log-normalizer sum is the marginal log-likelihood, exactly
+        for seed in range(10):
+            lm = synthetic.random_instance(seed)
+            for max_iters in (1, 3, 100):
+                _, params, trace = dawid_skene_em(lm, max_iters=max_iters)
+                assert trace[-1] == ds_marginal_loglik(lm, params)
+
+    def test_empty_label_matrix_rejected(self):
+        lm = from_triples([("w", "i", 0)], 2).subset(np.zeros(1, dtype=bool))
+        with pytest.raises(ValueError, match="empty"):
+            dawid_skene_em(lm)
+
     def test_negative_smoothing_rejected(self):
         lm = from_triples([("w", "i", 0)], 2)
         with pytest.raises(ValueError):

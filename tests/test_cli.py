@@ -5,8 +5,13 @@ from pathlib import Path
 
 import numpy as np
 
+import pytest
+
+from mmce import selection, solver
 from mmce.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
 from mmce.data import read_posterior
+from mmce.selection import CVConfig
+from mmce.solver import HyperParams
 
 from conftest import THREE_WORKER_ROWS, THREE_WORKER_TRUTH, write_csv
 
@@ -61,6 +66,28 @@ class TestAggregate:
         lines = trace.read_text().splitlines()
         assert lines[0] == "iter,phase,objective"
         assert len(lines) > 1
+
+    def test_dawid_skene_on_empty_file_is_usage_error(self, tmp_path, capsys):
+        empty = write_csv(tmp_path / "empty.csv", [], header="worker,item,label")
+        code = main(["aggregate", "--labels", str(empty), "--classes", "3",
+                     "--method", "ds", "--out", str(tmp_path / "post.tsv")])
+        assert code == EXIT_USAGE
+        assert "empty label matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["multiclass", "ordinal"])
+    def test_mmce_trace_phases(self, tmp_path, mode):
+        trace = tmp_path / "trace.csv"
+        code, _ = self.run(tmp_path, "--gamma", "1", "--mode", mode,
+                           "--trace", str(trace))
+        assert code == EXIT_OK
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "iter,phase,objective"
+        rows = [line.split(",")[:2] for line in lines[1:]]
+        assert len(rows) >= 3 and len(rows) % 2 == 1
+        expected = [["0", "init"]] + [[str(it), phase]
+                                      for it in range(1, len(rows) // 2 + 1)
+                                      for phase in ("m", "e")]
+        assert rows == expected
 
     def test_mmce_gamma_with_params_sidecar(self, tmp_path, capsys):
         params = tmp_path / "params.tsv"
@@ -123,6 +150,32 @@ class TestSelect:
         code = main(["select", "--labels", str(labels_csv(tmp_path)),
                      "--classes", "3", "--label-base", "1", "--grid", "abc"])
         assert code == EXIT_USAGE
+
+
+class Captured(Exception):
+    pass
+
+
+def test_parsed_defaults_are_the_library_defaults(tmp_path, monkeypatch):
+    # every solver and CV flag left out must give the HyperParams/CVConfig default
+    seen = {}
+
+    def capture(key):
+        def stop(_labels, settings):
+            seen[key] = settings
+            raise Captured
+        return stop
+
+    monkeypatch.setattr(solver, "fit", capture("hyper"))
+    monkeypatch.setattr(selection, "cross_validate", capture("config"))
+    common = ["--labels", str(labels_csv(tmp_path)), "--classes", "3", "--label-base", "1"]
+    with pytest.raises(Captured):
+        main(["aggregate", *common, "--alpha", "2", "--beta", "3",
+              "--out", str(tmp_path / "post.tsv")])
+    assert seen["hyper"] == HyperParams(alpha=2.0, beta=3.0)
+    with pytest.raises(Captured):
+        main(["select", *common])
+    assert seen["config"] == CVConfig()
 
 
 class TestEvaluate:

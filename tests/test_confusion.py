@@ -11,14 +11,14 @@ from mmce.confusion import (
     center,
     expand_ordinal,
     init_params,
-    label_distribution,
-    log_label_distribution,
     ordinal_basis,
     project_ordinal,
     read_params,
     regularizer_value_and_gradient,
     write_params,
 )
+from mmce.data import from_triples
+from mmce.solver import _log_model
 
 score_arrays = st.integers(0, 2 ** 31 - 1).map(
     lambda s: np.random.default_rng(s).normal(scale=2.0, size=(3, 3)))
@@ -58,6 +58,21 @@ class TestExpandOrdinal:
         lhs = np.sum(expand_ordinal(p, 4) * d)
         rhs = np.sum(p * project_ordinal(d, 4))
         assert lhs == pytest.approx(rhs)
+
+
+def log_label_distribution(sigma, tau):
+    """Row-wise log P(k | c) that `fit` uses, for one worker/item pair: the
+    labeling model of a one-observation matrix with sigma as the worker's
+    scores and tau as the item's."""
+    K = sigma.shape[-1]
+    labels = from_triples([("w", "i", 0)], K)
+    log_full, _ = _log_model(labels, sigma[None], tau[None], Mode.MULTICLASS)
+    return log_full[0]
+
+
+def label_distribution(sigma, tau, c):
+    """P(observed label | true class c) under the labeling model."""
+    return np.exp(log_label_distribution(sigma, tau)[c])
 
 
 class TestLabelDistribution:

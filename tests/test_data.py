@@ -4,7 +4,6 @@ import pytest
 from mmce.data import (
     GoldLabels,
     LabelFileError,
-    empirical_confusion,
     from_triples,
     load_gold,
     load_labels,
@@ -22,7 +21,9 @@ class TestLoadLabels:
         p = write_csv(tmp_path / "l.csv", [("w1", "i1", 0), ("w2", "i1", 1), ("w1", "i2", 1)])
         lm = load_labels(p, 2)
         assert (lm.num_workers, lm.num_items, lm.num_labels) == (2, 2, 3)
-        assert lm.observations == [(0, 0, 0), (1, 0, 1), (0, 1, 1)]
+        assert lm.workers.tolist() == [0, 1, 0]
+        assert lm.items.tolist() == [0, 0, 1]
+        assert lm.labels.tolist() == [0, 1, 1]
 
     def test_header_is_optional(self, tmp_path):
         p = write_csv(tmp_path / "l.csv", [("a", "b", 1)], header="worker,item,label")
@@ -109,7 +110,8 @@ class TestFromTriples:
         write_labels(lm, path)
         back = load_labels(path, 2)
         assert (back.worker_ids, back.item_ids) == (lm.worker_ids, lm.item_ids)
-        assert back.observations == lm.observations
+        for name in ("workers", "items", "labels"):
+            assert np.array_equal(getattr(back, name), getattr(lm, name))
 
 
 class TestSummarize:
@@ -139,31 +141,6 @@ class TestSummarize:
         s = summarize(three_worker_labels, three_worker_gold)
         # 7 of the 18 labels disagree with the planted truth
         assert s.avg_worker_error == pytest.approx(7 / 18)
-
-
-class TestEmpiricalConfusion:
-    def test_three_worker_matrices(self, three_worker_labels, three_worker_posterior):
-        worker, item = empirical_confusion(three_worker_labels, three_worker_posterior)
-        np.testing.assert_allclose(worker[0], [[1, 1, 0], [1, 1, 0], [0, 1, 1]])
-        np.testing.assert_allclose(worker[1], [[1, 1, 0], [0, 2, 0], [1, 0, 1]])
-        np.testing.assert_allclose(worker[2], [[2, 0, 0], [1, 1, 0], [0, 1, 1]])
-
-    def test_uniform_posterior_splits_mass(self):
-        lm = from_triples([("w", "i", 1)], 2)
-        worker, _ = empirical_confusion(lm, np.array([[0.5, 0.5]]))
-        np.testing.assert_allclose(worker[0], [[0, 0.5], [0, 0.5]])
-
-    def test_deterministic_totals_equal_label_counts(self, three_worker_labels,
-                                                     three_worker_posterior):
-        worker, item = empirical_confusion(three_worker_labels, three_worker_posterior)
-        np.testing.assert_allclose(worker.sum(axis=(1, 2)), [6, 6, 6])
-        assert worker.sum() == pytest.approx(item.sum())
-
-    def test_bad_posterior_rejected(self, three_worker_labels):
-        with pytest.raises(ValueError, match="sum to 1"):
-            empirical_confusion(three_worker_labels, np.full((6, 3), 0.5))
-        with pytest.raises(ValueError, match="shape"):
-            empirical_confusion(three_worker_labels, np.full((4, 3), 1 / 3))
 
 
 class TestPosteriorFile:

@@ -9,7 +9,6 @@ from mmce.evaluation import (
     error_rate,
     evaluate,
     mean_square_error,
-    posterior_mean_predictions,
 )
 
 
@@ -32,12 +31,6 @@ class TestPointMetrics:
     def test_no_overlap_rejected(self):
         with pytest.raises(ValueError):
             error_rate(np.array([0]), GoldLabels({5: 1}))
-
-    def test_posterior_mean_predictions_round(self):
-        post = np.array([[0.5, 0.5, 0.0],   # mean 0.5 rounds to even -> 0
-                         [0.0, 0.4, 0.6],   # mean 1.6 -> 2
-                         [1.0, 0.0, 0.0]])
-        np.testing.assert_array_equal(posterior_mean_predictions(post), [0, 2, 0])
 
 
 class TestCalibrationBins:

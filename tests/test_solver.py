@@ -155,7 +155,7 @@ class TestGradients:
 
 
 def halving_m_step(labels, posterior, wp, ip, hyper, max_halvings=50, armijo=1e-4):
-    """Reference line search: every step restarts at step_init and halves."""
+    """Reference line search: every step restarts at STEP_INIT and halves."""
     value = penalized_likelihood(labels, posterior, wp, ip, hyper)
     failed = False
     for _ in range(hyper.inner_gradient_steps):
@@ -163,7 +163,7 @@ def halving_m_step(labels, posterior, wp, ip, hyper, max_halvings=50, armijo=1e-
         gnorm2 = float(np.sum(gw ** 2) + np.sum(gi ** 2))
         if gnorm2 == 0.0:
             break
-        step = hyper.step_init
+        step = solver.STEP_INIT
         for _ in range(max_halvings):
             cand_w, cand_i = wp + step * gw, ip + step * gi
             cand_val = penalized_likelihood(labels, posterior, cand_w, cand_i, hyper)
@@ -199,7 +199,7 @@ class TestMStep:
         assert_same_steps(m_step(lm, q, wp, ip, h), halving_m_step(lm, q, wp, ip, h))
 
     def test_model_evaluations_per_outer_iteration(self, monkeypatch):
-        # A search restarted at step_init for every step costs about 39
+        # A search restarted at STEP_INIT for every step costs about 39
         # evaluations per outer iteration here; the warm start needs 23.
         conf = np.stack([synthetic.diagonal_confusion(3, 0.8)] * 30)
         lm, _ = synthetic.sample_labels(30, 200, 3, 10, conf, seed=0)
@@ -356,6 +356,19 @@ class TestSharedModel:
                                  m_step_gradients(lm, q, wp, ip, h)):
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_lbfgs_objective_is_the_m_step_pair(self, mode):
+        # the L-BFGS paths negate exactly what m_step ascends and follows
+        h = HyperParams(alpha=0.7, beta=1.3, mode=mode)
+        for seed in range(10):
+            lm = synthetic.random_instance(seed)
+            wp, ip, q = random_state(lm, seed + 60, mode=mode)
+            x = np.concatenate([wp.ravel(), ip.ravel()])
+            value, grad = solver._value_and_grad(x, lm, q, h, wp.shape, ip.shape)
+            gw, gi = m_step_gradients(lm, q, wp, ip, h)
+            assert value == -penalized_likelihood(lm, q, wp, ip, h)
+            assert np.array_equal(grad, -np.concatenate([gw.ravel(), gi.ravel()]))
+
 
 class TestDualObjective:
     def test_uniform_closed_form(self, three_worker_labels):
@@ -452,10 +465,9 @@ class TestKlIdentity:
 
     def test_conditional_entropy_two_ways(self):
         # definition (full expectation) vs direct summation over the table
-        from mmce.solver import _log_model, conditional_label_entropy
+        from mmce.solver import _label_entropy, _log_model
         lm = synthetic.random_instance(25)
         wp, ip, q = random_state(lm, 26)
-        h = HyperParams()
         log_full, _ = _log_model(lm, wp, ip, Mode.MULTICLASS)
         direct = 0.0
         for l in range(lm.num_labels):
@@ -463,4 +475,4 @@ class TestKlIdentity:
                 for k in range(lm.num_classes):
                     p = np.exp(log_full[l, c, k])
                     direct -= q[lm.items[l], c] * p * log_full[l, c, k]
-        assert conditional_label_entropy(lm, q, wp, ip, h) == pytest.approx(direct)
+        assert _label_entropy(lm, q, log_full) == pytest.approx(direct)

@@ -110,6 +110,8 @@ def heldout_loglik(train_fit: solver.FitResult, heldout: LabelMatrix,
 
 def cross_validate(labels: LabelMatrix, config: CVConfig) -> CVReport:
     """k-fold likelihood CV over the gamma grid; ties break toward smaller gamma."""
+    if config.folds > labels.num_labels:
+        raise ValueError(f"cannot split {labels.num_labels} labels into {config.folds} folds")
     assignment = partition_folds(labels.num_labels, config.folds, config.seed)
     per_fold: dict[float, list[float]] = {g: [] for g in config.gamma_grid}
     resolved = {g: resolve_hyperparams(g, labels) for g in config.gamma_grid}

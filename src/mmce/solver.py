@@ -1,9 +1,9 @@
 """Coordinate-ascent solver for the regularized minimax-entropy dual objective.
 
 Alternates an exact posterior update (Bayes rule with a uniform prior, the
-block maximizer in Q) with a few backtracking gradient-ascent steps on the
-worker/item confusion scores. Both blocks can only increase the objective,
-so the trace is non-decreasing up to floating-point slack.
+block maximizer in Q) with a few backtracking ascent steps on the worker/item
+scores along the gradient over a fixed curvature bound. Both blocks can only
+increase the objective, so the trace is non-decreasing up to float slack.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from .data import LabelMatrix
 
 PROB_FLOOR = 1e-300  # floor before logs; invisible at output precision
 
-# M-step line search: first trial size, trials per search, sufficient-increase factor
-STEP_INIT = 1.0
+# M-step line search: trials per search, sufficient-increase factor
 MAX_HALVINGS = 50
 ARMIJO = 1e-4
 
@@ -224,61 +223,60 @@ def _value_and_grad(x, labels: LabelMatrix, posterior, hyper: HyperParams,
     return -value, -np.concatenate([gw.ravel(), gi.ravel()])
 
 
+def _curvature_bound(labels: LabelMatrix, posterior, hyper: HyperParams):
+    """Per-score bounds (workers, items) on the penalized likelihood's curvature:
+    P(1 - P) <= 1/4 (Boehning's multinomial-logit bound, diagonal form) gives
+    1/4 sum_l Q_l(c) for each dense score (c, k) of an entity, pooled onto
+    ordinal scores, plus alpha or beta. No model pass is needed."""
+    K = labels.num_classes
+    mass = 0.25 * np.take(posterior, labels.items, axis=0)  # (L, K)
+    bounds = []
+    for index, size, ridge in ((labels.workers, labels.num_workers, hyper.alpha),
+                               (labels.items, labels.num_items, hyper.beta)):
+        dense = np.repeat(scatter_rows(index, mass, size)[:, :, None], K, axis=2)
+        bounds.append((project_ordinal(dense, K) if hyper.mode == Mode.ORDINAL
+                       else dense) + ridge)
+    return bounds
+
+
 def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
            hyper: HyperParams):
-    """A few line-searched gradient-ascent steps on the penalized likelihood.
+    """A few backtracking ascent steps on the penalized likelihood.
 
-    Each step moves along the gradient g by the largest size
-    t = STEP_INIT * 2**-j, j = 0 .. MAX_HALVINGS - 1, that passes the Armijo
-    test f(x + t g) >= f(x) + ARMIJO * t * |g|^2. The first search starts at
-    STEP_INIT and halves. Each later search starts from the previous accepted
-    size: if that passes, it doubles while the doubled size is <= STEP_INIT
-    and passes; otherwise it halves until a size passes. No size goes below
-    the floor STEP_INIT * 2**-(MAX_HALVINGS - 1); when the floor fails too,
-    the line search has failed and the M-step stops. The objective is concave
-    in the scores, so the passing sizes form an interval [0, t*] and the warm
-    start accepts the same size as a search from STEP_INIT, in fewer
-    evaluations.
-
-    Only improving steps are accepted, so the objective cannot decrease.
-    Each objective evaluation hands back its model, and the gradient at an
-    accepted point reuses it, so every point costs one model pass.
-    Returns (worker_params, item_params, line_search_failed).
+    Each step moves along d = g / b, with b from `_curvature_bound` and d = 0
+    where b = 0 (no mass and no penalty reach that score, so g = 0 there). It
+    takes the first size t = 2**-j, j = 0 .. MAX_HALVINGS - 1, usually t = 1,
+    that passes the Armijo test f(x + t d) >= f(x) + ARMIJO * t * g.d, so the
+    objective cannot decrease; when none does, the line search has failed and
+    the M-step stops. Each objective evaluation hands back its model, and the
+    gradient at an accepted point reuses it, so every point costs one model
+    pass. Returns (worker_params, item_params, line_search_failed).
     """
     wp, ip = worker_params, item_params
+    bw, bi = _curvature_bound(labels, posterior, hyper)
     model = []  # out-channel: receives the model of each objective evaluation
     value = penalized_likelihood(labels, posterior, wp, ip, hyper, model_out=model)
-    floor = STEP_INIT * 0.5 ** (MAX_HALVINGS - 1)
-    step = STEP_INIT
     failed = False
     for _ in range(hyper.inner_gradient_steps):
         gw, gi = m_step_gradients(labels, posterior, wp, ip, hyper, model.pop())
-        gnorm2 = float(np.sum(gw ** 2) + np.sum(gi ** 2))
-        if gnorm2 == 0.0:
+        dw = np.divide(gw, bw, out=np.zeros_like(gw), where=bw > 0)
+        di = np.divide(gi, bi, out=np.zeros_like(gi), where=bi > 0)
+        slope = float(np.sum(gw * dw) + np.sum(gi * di))
+        if slope == 0.0:
             break
-        best = None  # (step, wp, ip, value, log_full) of the largest passing size tried
-        grow = True  # only while no size of this search has failed
-        while True:
-            cand_w, cand_i = wp + step * gw, ip + step * gi
+        step = 1.0
+        for _ in range(MAX_HALVINGS):
+            cand_w, cand_i = wp + step * dw, ip + step * di
             cand_val = penalized_likelihood(labels, posterior, cand_w, cand_i, hyper,
                                             model_out=model)
-            if cand_val >= value + ARMIJO * step * gnorm2:
-                # keep log_full only: the gradient reads nothing else
-                best = (step, cand_w, cand_i, cand_val, model.pop()[0])
-                if not grow or 2 * step > STEP_INIT:
-                    break
-                step *= 2
-                continue
-            model.clear()  # free a failed size's model before the next evaluation
-            if best is not None or step <= floor:
+            if cand_val >= value + ARMIJO * step * slope:
+                wp, ip, value = cand_w, cand_i, cand_val
                 break
+            model.clear()  # free a failed size's model before the next evaluation
             step *= 0.5
-            grow = False
-        if best is None:
+        else:
             failed = True
             break
-        step, wp, ip, value = best[:4]
-        model.append((best[4], None))
     return wp, ip, failed
 
 

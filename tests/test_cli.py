@@ -146,6 +146,17 @@ class TestSelect:
         assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
         assert (tmp_path / "val.csv.posterior.tsv").exists()
 
+    def test_more_folds_than_labels_rejected(self, tmp_path, capsys):
+        labels = write_csv(tmp_path / "three.csv", [("a", "i", 1), ("b", "i", 2),
+                                                    ("a", "j", 2)])
+        report = tmp_path / "cv.csv"
+        code = main(["select", "--labels", str(labels), "--classes", "2",
+                     "--label-base", "1", "--folds", "5", "--grid", "0.5,4",
+                     "--out", str(report)])
+        assert code == EXIT_USAGE
+        assert "3 labels into 5 folds" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_bad_grid_rejected(self, tmp_path, capsys):
         code = main(["select", "--labels", str(labels_csv(tmp_path)),
                      "--classes", "3", "--label-base", "1", "--grid", "abc"])

@@ -142,6 +142,12 @@ class TestCrossValidate:
         assert len(lines) == 1 + 2 + 1  # header, 1 gamma x 2 folds, trailer
         assert lines[-1].startswith("# selected gamma=1.0")
 
+    def test_more_folds_than_labels_rejected(self):
+        # an empty held-out fold has no score; averaging in 0.0 would favor it
+        lm = from_triples([("a", "i", 0), ("b", "i", 1), ("a", "j", 1)], 2)
+        with pytest.raises(ValueError, match="3 labels into 5 folds"):
+            cross_validate(lm, CVConfig(folds=5, gamma_grid=(0.5, 4.0)))
+
     def test_picks_sane_gamma_on_planted_data(self):
         conf = np.stack([synthetic.diagonal_confusion(2, 0.8)] * 10)
         lm, gold = synthetic.sample_labels(10, 60, 2, 4, conf, seed=3)

@@ -1,9 +1,11 @@
-"""Sparse (worker, item, label) observation store and dataset statistics."""
+"""Sparse (worker, item, label) observation store, dataset statistics, and the
+labels, gold and posterior file formats, read and written in fixed-size chunks."""
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import compress, count, repeat
 
 import numpy as np
 
@@ -65,64 +67,147 @@ class LabelMatrix:
         )
 
 
-def _intern(rows, num_classes, label_base, worker_ids=None, item_ids=None) -> LabelMatrix:
-    """Validate (line_no, (worker_id, item_id, label)) rows into a LabelMatrix.
+# Characters read per chunk before the chunk is completed to a line end. The
+# readers hold one chunk's lines and columns at a time, so a parse's transient
+# memory does not grow with file length. Larger chunks bought no speed on a
+# 500k-line file, and they raise the process's peak and retained memory.
+_CHUNK_CHARS = 1 << 12
+# Rows formatted per block when writing, for the same reason.
+_WRITE_ROWS = 1 << 12
+
+_LABEL_FAULTS = ("label {!r} is not an integer",
+                 "label {} out of range (valid labels are {}..{})")
+_GOLD_FAULTS = ("gold label {!r} is not an integer", "gold label {} out of range")
+
+
+class _LabelCodes(dict):
+    """Cache from a label as read to its 0-based class, or to the message of
+    the fault it raises, so each distinct label is validated once.
+
+    A label is an integer in label_base..num_classes-1+label_base. `messages`
+    holds the formats of the two faults (not an integer, out of range); `bad`
+    collects the labels that fault.
+    """
+
+    def __init__(self, num_classes, label_base, messages):
+        super().__init__()
+        self.base, self.top, self.messages = label_base, num_classes - 1 + label_base, messages
+        self.bad = set()
+
+    def __missing__(self, lab):
+        try:
+            value = int(lab)
+        except ValueError:
+            code = self.messages[0].format(lab)
+            self.bad.add(lab)
+        else:
+            if self.base <= value <= self.top:
+                code = value - self.base
+            else:
+                code = self.messages[1].format(value, self.base, self.top)
+                self.bad.add(lab)
+        self[lab] = code
+        return code
+
+    def column(self, labels):
+        """The classes of a column of labels, and the index of its first
+        faulting label (None if there is none)."""
+        classes = list(map(self.__getitem__, labels))
+        if not self.bad:
+            return classes, None
+        return classes, next((k for k, lab in enumerate(labels) if lab in self.bad), None)
+
+
+def _intern(chunks, num_classes, label_base, worker_ids=None, item_ids=None) -> LabelMatrix:
+    """Validate column chunks (line_nos, worker_ids, item_ids, labels) into a LabelMatrix.
 
     Every rule for one observation lives here: ids are non-empty, the label is
     an integer in label_base..num_classes-1+label_base, and a worker labels an
-    item at most once. Errors name the row's line number. IDs are interned in
-    first-appearance order, after the pre-registered worker_ids/item_ids.
+    item at most once. The first fault in file order is raised, naming its
+    line: the earliest faulting row of a chunk, or a repeated pair on an
+    earlier row. IDs are interned in first-appearance order, after the
+    pre-registered worker_ids/item_ids.
     """
-    w_map = {wid: n for n, wid in enumerate(dict.fromkeys(map(str, worker_ids or ())))}
-    i_map = {iid: n for n, iid in enumerate(dict.fromkeys(map(str, item_ids or ())))}
+    # id -> row of its first appearance; pre-registered ids take rows 0..n-1
+    w_first = {wid: n for n, wid in enumerate(dict.fromkeys(map(str, worker_ids or ())))}
+    i_first = {iid: n for n, iid in enumerate(dict.fromkeys(map(str, item_ids or ())))}
+    w_base, i_base = len(w_first), len(i_first)
+    codes = _LabelCodes(num_classes, label_base, _LABEL_FAULTS)
     ws, its, ls, lines = array("q"), array("q"), array("q"), array("q")
-    top = num_classes - 1 + label_base
+
+    def matrix():
+        w_tuple, i_tuple = tuple(w_first), tuple(i_first)
+        workers = _dense_codes(w_first, ws, w_base)
+        items = _dense_codes(i_first, its, i_base)
+        _check_duplicates(workers, items, lines, w_tuple, i_tuple)
+        return LabelMatrix(
+            num_workers=len(w_tuple),
+            num_items=len(i_tuple),
+            num_classes=int(num_classes),
+            workers=workers,
+            items=items,
+            labels=np.frombuffer(ls, dtype=np.int64),
+            worker_ids=w_tuple,
+            item_ids=i_tuple,
+        )
+
     try:
-        for n, (wid, iid, lab) in rows:
-            if not wid or not iid:
-                raise LabelFileError("empty worker or item id", n)
-            try:
-                value = int(lab)
-            except ValueError:
-                raise LabelFileError(f"label {lab!r} is not an integer", n) from None
-            if not label_base <= value <= top:
-                raise LabelFileError(
-                    f"label {value} out of range (valid labels are {label_base}..{top})", n)
-            ws.append(w_map.setdefault(wid, len(w_map)))
-            its.append(i_map.setdefault(iid, len(i_map)))
-            ls.append(value - label_base)
-            lines.append(n)
+        for line_nos, wids, iids, labs in chunks:
+            classes, bad_label = codes.column(labs)
+            faults = [col.index("") for col in (wids, iids) if "" in col]
+            if bad_label is not None:
+                faults.append(bad_label)
+            fault = None
+            if faults:
+                r = min(faults)
+                message = (codes[labs[r]] if wids[r] and iids[r]
+                           else "empty worker or item id")
+                fault = LabelFileError(message, line_nos[r])
+                line_nos, wids, iids, classes = line_nos[:r], wids[:r], iids[:r], classes[:r]
+            ws.extend(map(w_first.setdefault, wids, count(w_base + len(ws))))
+            its.extend(map(i_first.setdefault, iids, count(i_base + len(its))))
+            ls.extend(classes)
+            lines.extend(line_nos)
+            if fault is not None:
+                raise fault
     except Exception:
         # a repeated pair before the failing row is the first fault in file order
-        _check_duplicates(ws, its, lines, w_map, i_map)
+        matrix()
         raise
-    _check_duplicates(ws, its, lines, w_map, i_map)
-    return LabelMatrix(
-        num_workers=len(w_map),
-        num_items=len(i_map),
-        num_classes=int(num_classes),
-        workers=np.frombuffer(ws, dtype=np.int64),
-        items=np.frombuffer(its, dtype=np.int64),
-        labels=np.frombuffer(ls, dtype=np.int64),
-        worker_ids=tuple(w_map),
-        item_ids=tuple(i_map),
-    )
+    return matrix()
 
 
-def _check_duplicates(ws, its, lines, w_map, i_map) -> None:
+def _dense_codes(first, rows, base) -> np.ndarray:
+    """Turn, in place, ids given by the row of their first appearance into
+    dense indices in first-appearance order (rows below `base` belong to
+    pre-registered ids); returns a view of `rows`."""
+    lut = np.empty(base + len(rows), dtype=np.int64)
+    lut[np.fromiter(first.values(), dtype=np.int64, count=len(first))] = np.arange(len(first))
+    codes = np.frombuffer(rows, dtype=np.int64)
+    codes[:] = lut[codes]
+    return codes
+
+
+def _check_duplicates(workers, items, lines, worker_ids, item_ids) -> None:
     """Raise on the first row, in file order, that repeats a worker-item pair.
 
     Pairs are compared as one int64 key, exact below 2**31 workers and 2**32
     items; flat arrays and one sort keep this far smaller than a set of pairs.
     """
-    pairs = np.frombuffer(ws, dtype=np.int64) << 32 | np.frombuffer(its, dtype=np.int64)
+    pairs = workers << 32
+    pairs |= items
     order = np.argsort(pairs, kind="stable")
-    repeats = order[1:][pairs[order[1:]] == pairs[order[:-1]]]
+    ranked = pairs[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
     if len(repeats):
         r = int(repeats.min())
-        wid, iid = tuple(w_map)[ws[r]], tuple(i_map)[its[r]]
-        raise LabelFileError(f"duplicate observation for worker {wid!r}, item {iid!r}",
-                             lines[r])
+        raise LabelFileError(f"duplicate observation for worker {worker_ids[workers[r]]!r}, "
+                             f"item {item_ids[items[r]]!r}", lines[r])
+
+
+def _unwritable(x) -> bool:
+    """Whether an id cannot be held by a labels file field."""
+    return x != x.strip() or any(ch in x for ch in ",\r\n")
 
 
 def from_triples(triples, num_classes, worker_ids=None, item_ids=None) -> LabelMatrix:
@@ -134,33 +219,69 @@ def from_triples(triples, num_classes, worker_ids=None, item_ids=None) -> LabelM
     comma, a line break, or leading or trailing whitespace) is rejected, so
     write_labels output always loads back.
     """
-    def rows():
-        for n, (wid, iid, lab) in enumerate(triples, start=1):
-            wid, iid = str(wid), str(iid)
-            for x in (wid, iid):
-                if x != x.strip() or any(ch in x for ch in ",\r\n"):
-                    raise LabelFileError(
-                        f"id {x!r} in triple {(wid, iid, lab)!r} has a comma, a line "
-                        "break or surrounding whitespace, which a labels file cannot hold", n)
-            yield n, (wid, iid, lab)
+    rows = [(str(wid), str(iid), lab) for wid, iid, lab in triples]
+    end = next((k for k, (wid, iid, _) in enumerate(rows)
+                if _unwritable(wid) or _unwritable(iid)), len(rows))
 
-    return _intern(rows(), num_classes, 0, worker_ids, item_ids)
+    def chunks():
+        yield range(1, end + 1), *(zip(*rows[:end]) if end else ((), (), ()))
+        if end < len(rows):
+            wid, iid, lab = rows[end]
+            bad = wid if _unwritable(wid) else iid
+            raise LabelFileError(
+                f"id {bad!r} in triple {(wid, iid, lab)!r} has a comma, a line "
+                "break or surrounding whitespace, which a labels file cannot hold", end + 1)
+
+    return _intern(chunks(), num_classes, 0, worker_ids, item_ids)
 
 
-def _parse_rows(path, expected_fields):
-    """Yield (line_no, stripped fields) per non-blank line, skipping a header."""
+def _line_chunks(fh, first_line_no):
+    """Yield (line number of the first line, lines) per chunk of a text file.
+
+    Each chunk is _CHUNK_CHARS characters completed to a line end, split once
+    into lines; line ends are already translated to "\\n" by the text layer.
+    """
+    n = first_line_no
+    while chunk := fh.read(_CHUNK_CHARS):
+        if not chunk.endswith("\n"):
+            chunk += fh.readline()
+        lines = chunk.split("\n")
+        if chunk.endswith("\n"):
+            lines.pop()
+        yield n, lines
+        n += len(lines)
+
+
+def _first_ragged(lines, sep, width) -> int:
+    """Index of the first line without exactly `width` sep-separated fields,
+    or len(lines)."""
+    counts = list(map(str.count, lines, repeat(sep)))
+    if counts.count(width - 1) == len(counts):
+        return len(lines)
+    return next(k for k, c in enumerate(counts) if c != width - 1)
+
+
+def _columns(path, fields):
+    """Yield (line_nos, *columns) per chunk of a comma-separated file.
+
+    Blank lines are skipped and a line-1 header equal to `fields` (case and
+    padding aside) is dropped; fields are stripped of surrounding whitespace.
+    Line numbers count every line. A line with the wrong field count raises
+    after the rows before it are yielded, so callers see faults in file order.
+    """
+    width = len(fields)
     with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split(",")
-            if n == 1 and [p.strip().lower() for p in parts] == expected_fields:
-                continue  # optional header
-            if len(parts) != len(expected_fields):
-                raise LabelFileError(
-                    f"expected {len(expected_fields)} comma-separated fields, got {len(parts)}", n)
-            yield n, [p.strip() for p in parts]
+        for start, lines in _line_chunks(fh, 1):
+            if start == 1 and [p.strip().lower() for p in lines[0].split(",")] == fields:
+                lines[0] = ""  # optional header, skipped like a blank line
+            line_nos = list(compress(range(start, start + len(lines)), lines))
+            lines = list(filter(None, lines))
+            r = _first_ragged(lines, ",", width)
+            flat = list(map(str.strip, ",".join(lines[:r]).split(","))) if r else []
+            yield (line_nos[:r], *(flat[k::width] for k in range(width)))
+            if r < len(lines):
+                raise LabelFileError(f"expected {width} comma-separated fields, "
+                                     f"got {lines[r].count(',') + 1}", line_nos[r])
 
 
 def load_labels(path, num_classes, label_base=0) -> LabelMatrix:
@@ -170,15 +291,25 @@ def load_labels(path, num_classes, label_base=0) -> LabelMatrix:
     """
     if label_base not in (0, 1):
         raise ValueError("label_base must be 0 or 1")
-    return _intern(_parse_rows(path, ["worker", "item", "label"]), num_classes, label_base)
+    return _intern(_columns(path, ["worker", "item", "label"]), num_classes, label_base)
+
+
+def _write_rows(path, header, row_format, columns) -> None:
+    """Write a header line, then one `row_format % row` line per row of the
+    equal-length array columns, formatting _WRITE_ROWS rows at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header)
+        for lo in range(0, len(columns[0]), _WRITE_ROWS):
+            block = (col[lo:lo + _WRITE_ROWS].tolist() for col in columns)
+            fh.writelines(map(row_format.__mod__, zip(*block)))
 
 
 def write_labels(labels: LabelMatrix, path, label_base=0) -> None:
     """Write the canonical labels file (inverse of load_labels)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("worker,item,label\n")
-        for w, i, lab in zip(labels.workers, labels.items, labels.labels):
-            fh.write(f"{labels.worker_ids[w]},{labels.item_ids[i]},{lab + label_base}\n")
+    _write_rows(path, "worker,item,label\n", "%s,%s,%s\n", (
+        np.asarray(labels.worker_ids, dtype=object)[labels.workers],
+        np.asarray(labels.item_ids, dtype=object)[labels.items],
+        labels.labels + label_base))
 
 
 @dataclass(frozen=True)
@@ -191,22 +322,42 @@ class GoldLabels:
         return len(self.by_item)
 
 
+def _first_repeat(values, seen) -> int:
+    """Index of the first value that is in `seen` or earlier in `values`."""
+    seen = set(seen)
+    for k, value in enumerate(values):
+        if value in seen:
+            return k
+        seen.add(value)
+    return len(values)
+
+
 def load_gold(path, item_ids, num_classes, label_base=0) -> GoldLabels:
-    """Load an `item_id,label` CSV keyed against a known item-ID order."""
+    """Load an `item_id,label` CSV keyed against a known item-ID order.
+
+    Per row, in order: the item is known, the label passes the labels-file
+    rule, and the item has no gold label on an earlier row.
+    """
     by_item: dict[int, int] = {}
     item_index = {iid: i for i, iid in enumerate(item_ids)}
-    for n, (iid, lab) in _parse_rows(path, ["item", "label"]):
-        if iid not in item_index:
-            raise LabelFileError(f"unknown item id {iid!r}", n)
-        try:
-            lab = int(lab) - label_base
-        except ValueError:
-            raise LabelFileError(f"gold label {lab!r} is not an integer", n) from None
-        if not 0 <= lab < num_classes:
-            raise LabelFileError(f"gold label {lab + label_base} out of range", n)
-        if item_index[iid] in by_item:
-            raise LabelFileError(f"second gold label for item {iid!r}", n)
-        by_item[item_index[iid]] = lab
+    codes = _LabelCodes(num_classes, label_base, _GOLD_FAULTS)
+    for line_nos, iids, labs in _columns(path, ["item", "label"]):
+        index = list(map(item_index.get, iids))
+        classes, bad_label = codes.column(labs)
+        chunk = dict(zip(index, classes))
+        faults = [index.index(None)] if None in index else []
+        if bad_label is not None:
+            faults.append(bad_label)
+        if len(chunk) < len(index) or not by_item.keys().isdisjoint(chunk):
+            faults.append(_first_repeat(index, by_item))
+        if faults:
+            r = min(faults)
+            if index[r] is None:
+                raise LabelFileError(f"unknown item id {iids[r]!r}", line_nos[r])
+            if labs[r] in codes.bad:
+                raise LabelFileError(codes[labs[r]], line_nos[r])
+            raise LabelFileError(f"second gold label for item {iids[r]!r}", line_nos[r])
+        by_item.update(chunk)
     return GoldLabels(by_item)
 
 
@@ -250,36 +401,55 @@ def write_posterior(path, labels: LabelMatrix, posterior: np.ndarray,
                     predicted: np.ndarray) -> None:
     """Write the posterior TSV: item, argmax label, then 6-decimal probabilities."""
     K = labels.num_classes
-    header = "item\tpredicted\t" + "\t".join(f"p{k}" for k in range(K))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for j in range(labels.num_items):
-            probs = "\t".join(f"{p:.6f}" for p in posterior[j])
-            fh.write(f"{labels.item_ids[j]}\t{predicted[j]}\t{probs}\n")
+    header = "item\tpredicted\t" + "\t".join(f"p{k}" for k in range(K)) + "\n"
+    row_format = "%s\t%s" + "\t%.6f" * posterior.shape[1] + "\n"
+    _write_rows(path, header, row_format, (np.asarray(labels.item_ids, dtype=object),
+                                           np.asarray(predicted), *posterior.T))
+
+
+def _raise_posterior_fault(line_nos, preds, probs, K) -> None:
+    """Raise the first row fault of a posterior chunk whose conversion failed:
+    per row, the predicted label is an integer, then each probability a number."""
+    for k, pred in enumerate(preds):
+        try:
+            array("q", [int(pred)])
+        except ValueError:
+            raise LabelFileError(f"predicted label {pred!r} is not an integer",
+                                 line_nos[k]) from None
+        try:
+            array("d", map(float, probs[k * K:(k + 1) * K]))
+        except ValueError as exc:
+            raise LabelFileError(f"probability is not a number ({exc})", line_nos[k]) from None
 
 
 def read_posterior(path):
-    """Read a posterior TSV back as (item_ids, predicted, posterior)."""
+    """Read a posterior TSV back as (item_ids, predicted, posterior).
+
+    Fields are tab-separated and not stripped; whitespace-only lines are
+    skipped. The file is read in chunks like the labels file.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header[:2]) != POSTERIOR_HEADER_PREFIX:
             raise LabelFileError("not a posterior file: bad header", 1)
-        K = len(header) - 2
+        width = len(header)
         ids, preds, probs = [], array("q"), array("d")  # flat buffers, no per-row objects
-        for n, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != K + 2:
-                raise LabelFileError("wrong number of columns", n)
+        for start, lines in _line_chunks(fh, 2):
+            keep = list(map(str.strip, lines))
+            line_nos = list(compress(range(start, start + len(lines)), keep))
+            lines = list(compress(lines, keep))
+            r = _first_ragged(lines, "\t", width)
+            flat = "\t".join(lines[:r]).split("\t") if r else []
+            ids += flat[0::width]
+            del flat[0::width]
+            pred_texts = flat[0::width - 1]
+            del flat[0::width - 1]  # leaves the probabilities, row by row
             try:
-                preds.append(int(parts[1]))
-            except ValueError:
-                raise LabelFileError(f"predicted label {parts[1]!r} is not an integer",
-                                     n) from None
-            try:
-                probs.extend(map(float, parts[2:]))
-            except ValueError as exc:
-                raise LabelFileError(f"probability is not a number ({exc})", n) from None
-            ids.append(parts[0])
-    return ids, np.array(preds, dtype=np.int64), np.array(probs).reshape(len(ids), K)
+                preds += array("q", map(int, pred_texts))
+                probs += array("d", map(float, flat))
+            except (ValueError, OverflowError):
+                _raise_posterior_fault(line_nos, pred_texts, flat, width - 2)
+                raise
+            if r < len(lines):
+                raise LabelFileError("wrong number of columns", line_nos[r])
+    return ids, np.array(preds, dtype=np.int64), np.array(probs).reshape(len(ids), width - 2)

@@ -57,25 +57,34 @@ class EvalReport:
 
 
 def _gold_arrays(predictions, gold: GoldLabels):
-    items = np.asarray(sorted(i for i in gold.by_item if i < len(predictions)),
-                       dtype=np.int64)
+    """Gold items that have a prediction, in index order, and their true classes."""
+    n = len(gold.by_item)
+    items = np.fromiter(gold.by_item.keys(), dtype=np.int64, count=n)
+    truth = np.fromiter(gold.by_item.values(), dtype=np.int64, count=n)
+    keep = items < len(predictions)
+    order = np.argsort(items[keep], kind="stable")
+    items, truth = items[keep][order], truth[keep][order]
     if len(items) == 0:
         raise ValueError("no gold items have predictions")
-    truth = np.asarray([gold.by_item[i] for i in items], dtype=np.int64)
     return items, truth
+
+
+def _error_rate(preds, truth) -> float:
+    return float(np.mean(preds != truth))
+
+
+def _mean_square_error(preds, truth) -> float:
+    return float(np.mean((preds.astype(float) - truth) ** 2))
 
 
 def error_rate(predictions: np.ndarray, gold: GoldLabels) -> float:
     """Fraction of gold items whose predicted label differs from the truth."""
-    items, truth = _gold_arrays(predictions, gold)
-    return float(np.mean(np.asarray(predictions)[items] != truth))
+    return evaluate(predictions, gold).error_rate
 
 
 def mean_square_error(predictions: np.ndarray, gold: GoldLabels) -> float:
     """Mean squared gap between predicted and true labels as integers."""
-    items, truth = _gold_arrays(predictions, gold)
-    diff = np.asarray(predictions)[items].astype(float) - truth
-    return float(np.mean(diff ** 2))
+    return evaluate(predictions, gold, ordinal=True).mse
 
 
 def calibration_bins(posterior: np.ndarray, gold: GoldLabels,
@@ -83,31 +92,31 @@ def calibration_bins(posterior: np.ndarray, gold: GoldLabels,
     """Bucket gold items by maximum posterior probability and score each bucket."""
     if predictions is None:
         predictions = np.argmax(posterior, axis=1)
-    items, truth = _gold_arrays(predictions, gold)
-    max_prob = np.max(posterior[items], axis=1)
-    preds = np.asarray(predictions)[items]
-    bins = []
-    for lo, hi in zip(BIN_EDGES[:-1], BIN_EDGES[1:]):
-        in_bin = (max_prob > lo) & (max_prob <= hi)
-        count = int(in_bin.sum())
-        if count:
-            err = float(np.mean(preds[in_bin] != truth[in_bin]))
-            mse = float(np.mean((preds[in_bin].astype(float) - truth[in_bin]) ** 2))
-        else:
-            err = mse = None
-        bins.append(CalibrationBin(lo, hi, count, err, mse))
-    return tuple(bins)
+    return evaluate(predictions, gold, posterior=posterior, with_bins=True).calibration
 
 
 def evaluate(predictions: np.ndarray, gold: GoldLabels, ordinal: bool = False,
              posterior: np.ndarray | None = None,
              with_bins: bool = False) -> EvalReport:
-    items, _ = _gold_arrays(predictions, gold)
-    report = EvalReport(
-        error_rate=error_rate(predictions, gold),
+    """Score the gold items that have a prediction: error rate, the squared
+    label gap if ordinal, and calibration bins if asked for with a posterior."""
+    items, truth = _gold_arrays(predictions, gold)
+    preds = np.asarray(predictions)[items]
+    bins = []
+    if with_bins and posterior is not None:
+        max_prob = np.max(posterior[items], axis=1)
+        for lo, hi in zip(BIN_EDGES[:-1], BIN_EDGES[1:]):
+            in_bin = (max_prob > lo) & (max_prob <= hi)
+            count = int(in_bin.sum())
+            if count:
+                err = _error_rate(preds[in_bin], truth[in_bin])
+                mse = _mean_square_error(preds[in_bin], truth[in_bin])
+            else:
+                err = mse = None
+            bins.append(CalibrationBin(lo, hi, count, err, mse))
+    return EvalReport(
+        error_rate=_error_rate(preds, truth),
         n_scored=len(items),
-        mse=mean_square_error(predictions, gold) if ordinal else None,
-        calibration=(calibration_bins(posterior, gold, predictions)
-                     if with_bins and posterior is not None else ()),
+        mse=_mean_square_error(preds, truth) if ordinal else None,
+        calibration=tuple(bins),
     )
-    return report

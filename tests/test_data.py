@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mmce import data
 from mmce.data import (
     GoldLabels,
     LabelFileError,
@@ -186,3 +191,257 @@ class TestGold:
                            match="^line 3: second gold label for item 'i1'$") as err:
             load_gold(p, three_worker_labels.item_ids, 3)
         assert err.value.line_no == 3
+
+
+# Row-at-a-time reference readers: the rules of the chunked readers, one line
+# at a time. The chunked readers must give the same arrays and ids, or raise
+# the same message on the same line.
+
+def _reference_rows(path, expected_fields):
+    """Yield (line_no, stripped fields) per non-blank line, skipping a header."""
+    with open(path, encoding="utf-8") as fh:
+        for n, line in enumerate(fh, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            parts = line.split(",")
+            if n == 1 and [p.strip().lower() for p in parts] == expected_fields:
+                continue
+            if len(parts) != len(expected_fields):
+                raise LabelFileError(
+                    f"expected {len(expected_fields)} comma-separated fields, got {len(parts)}", n)
+            yield n, [p.strip() for p in parts]
+
+
+def _reference_intern(rows, num_classes, label_base, worker_ids=None, item_ids=None):
+    """(workers, items, labels, worker_ids, item_ids) of validated rows."""
+    w_map = {wid: n for n, wid in enumerate(dict.fromkeys(map(str, worker_ids or ())))}
+    i_map = {iid: n for n, iid in enumerate(dict.fromkeys(map(str, item_ids or ())))}
+    ws, its, ls, lines = [], [], [], []
+    top = num_classes - 1 + label_base
+
+    def check_duplicates():
+        seen = set()
+        for w, i, n in zip(ws, its, lines):
+            if (w, i) in seen:
+                raise LabelFileError(f"duplicate observation for worker {tuple(w_map)[w]!r}, "
+                                     f"item {tuple(i_map)[i]!r}", n)
+            seen.add((w, i))
+
+    try:
+        for n, (wid, iid, lab) in rows:
+            if not wid or not iid:
+                raise LabelFileError("empty worker or item id", n)
+            try:
+                value = int(lab)
+            except ValueError:
+                raise LabelFileError(f"label {lab!r} is not an integer", n) from None
+            if not label_base <= value <= top:
+                raise LabelFileError(
+                    f"label {value} out of range (valid labels are {label_base}..{top})", n)
+            ws.append(w_map.setdefault(wid, len(w_map)))
+            its.append(i_map.setdefault(iid, len(i_map)))
+            ls.append(value - label_base)
+            lines.append(n)
+    except Exception:
+        check_duplicates()
+        raise
+    check_duplicates()
+    return ws, its, ls, tuple(w_map), tuple(i_map)
+
+
+def _reference_from_triples(triples, num_classes, worker_ids=None, item_ids=None):
+    def rows():
+        for n, (wid, iid, lab) in enumerate(triples, start=1):
+            wid, iid = str(wid), str(iid)
+            for x in (wid, iid):
+                if x != x.strip() or any(ch in x for ch in ",\r\n"):
+                    raise LabelFileError(
+                        f"id {x!r} in triple {(wid, iid, lab)!r} has a comma, a line "
+                        "break or surrounding whitespace, which a labels file cannot hold", n)
+            yield n, (wid, iid, lab)
+
+    return _reference_intern(rows(), num_classes, 0, worker_ids, item_ids)
+
+
+def _reference_gold(path, item_ids, num_classes, label_base=0):
+    by_item = {}
+    item_index = {iid: i for i, iid in enumerate(item_ids)}
+    for n, (iid, lab) in _reference_rows(path, ["item", "label"]):
+        if iid not in item_index:
+            raise LabelFileError(f"unknown item id {iid!r}", n)
+        try:
+            lab = int(lab) - label_base
+        except ValueError:
+            raise LabelFileError(f"gold label {lab!r} is not an integer", n) from None
+        if not 0 <= lab < num_classes:
+            raise LabelFileError(f"gold label {lab + label_base} out of range", n)
+        if item_index[iid] in by_item:
+            raise LabelFileError(f"second gold label for item {iid!r}", n)
+        by_item[item_index[iid]] = lab
+    return by_item
+
+
+def _reference_posterior(path):
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split("\t")
+        if tuple(header[:2]) != ("item", "predicted"):
+            raise LabelFileError("not a posterior file: bad header", 1)
+        K = len(header) - 2
+        ids, preds, probs = [], [], []
+        for n, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != K + 2:
+                raise LabelFileError("wrong number of columns", n)
+            try:
+                preds.append(int(parts[1]))
+            except ValueError:
+                raise LabelFileError(f"predicted label {parts[1]!r} is not an integer",
+                                     n) from None
+            try:
+                probs.extend(map(float, parts[2:]))
+            except ValueError as exc:
+                raise LabelFileError(f"probability is not a number ({exc})", n) from None
+            ids.append(parts[0])
+    return ids, preds, probs
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type, message and line of the error it raised."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # compared, not handled
+        return "error", (type(exc), str(exc), getattr(exc, "line_no", None))
+
+
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+BLANKS = st.sampled_from(["", " ", "\t", "  \t "])
+# repeated entries weight the draw toward the ids and labels that collide
+IDS = st.sampled_from(["w1", "w1", "w2", "w2", "i1", " w1", "w2 ", "", "é", "a b"])
+LABELS = st.sampled_from(["0", "1"] * 3 + ["2", "+1", " 1", "01", "1_0", "x", "-1", "9", "", "1.0"])
+
+
+def _mostly(row, odd):
+    """A row, or one time in eight an odd row or a blank line."""
+    return st.tuples(st.integers(0, 7), row, odd, BLANKS).map(
+        lambda t: t[1] if t[0] < 6 else t[2] if t[0] == 6 else t[3])
+
+
+def _rows_of(fields, header):
+    """Rows of a CSV file; odd rows are ragged or repeat the header below line 1."""
+    return _mostly(fields.map(",".join), st.one_of(
+        st.lists(IDS, min_size=1, max_size=4).map(",".join), st.just(header)))
+
+
+def _join_lines(lines, ends, trailing):
+    """Lines joined with the given line ends in turn, with or without a trailing one."""
+    out = []
+    for k, line in enumerate(lines):
+        out.append(line)
+        if k < len(lines) - 1 or trailing:
+            out.append(ends[k % len(ends)] if ends else "\n")
+    return "".join(out)
+
+
+def _file_text(first_lines, rows):
+    return st.tuples(first_lines, st.lists(rows, max_size=25), st.lists(LINE_ENDS),
+                     st.booleans()).map(lambda t: _join_lines([*t[0], *t[1]], t[2], t[3]))
+
+
+# the header, when present, is line 1
+LABEL_FILES = _file_text(st.sampled_from([[], ["worker,item,label"], [" Worker , ITEM,label"]]),
+                         _rows_of(st.tuples(IDS, IDS, LABELS), "worker,item,label"))
+GOLD_FILES = _file_text(st.sampled_from([[], ["item,label"], ["ITEM , label"]]),
+                        _rows_of(st.tuples(IDS, LABELS), "item,label"))
+PROBS = st.sampled_from(["0.5", "0.25", " 1", "1e-3", "nan", "inf", "x", "", "0x1"])
+POSTERIOR_ROWS = _mostly(st.tuples(IDS, LABELS, PROBS, PROBS).map("\t".join), st.one_of(
+    st.lists(PROBS, max_size=5).map("\t".join), st.just("item\tpredicted\tp0\tp1")))
+POSTERIOR_FILES = _file_text(
+    st.sampled_from([["item\tpredicted\tp0\tp1"]] * 3 + [["item\tpredicted"], ["item\tpred"]]),
+    POSTERIOR_ROWS)
+CHUNKS = st.sampled_from([7, 64, data._CHUNK_CHARS])
+
+
+def _write_text(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "generated.txt"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+class TestReferenceEquivalence:
+    @given(LABEL_FILES, st.sampled_from([(2, 0), (3, 1)]), CHUNKS)
+    @settings(max_examples=300, deadline=None)
+    def test_load_labels(self, tmp_path_factory, text, classes_base, chunk):
+        path = _write_text(tmp_path_factory, text)
+        expected = _outcome(_reference_intern,
+                            _reference_rows(path, ["worker", "item", "label"]), *classes_base)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_CHUNK_CHARS", chunk)
+            got = _outcome(load_labels, path, *classes_base)
+        if got[0] == "ok":
+            lm = got[1]
+            got = "ok", (lm.workers.tolist(), lm.items.tolist(), lm.labels.tolist(),
+                         lm.worker_ids, lm.item_ids)
+        assert got == expected
+
+    @given(GOLD_FILES, st.sampled_from([(2, 0), (3, 1)]), CHUNKS)
+    @settings(max_examples=200, deadline=None)
+    def test_load_gold(self, tmp_path_factory, text, classes_base, chunk):
+        path = _write_text(tmp_path_factory, text)
+        item_ids = ["i1", "w1", "w2", " w1", "é", "a b"]
+        expected = _outcome(_reference_gold, path, item_ids, *classes_base)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_CHUNK_CHARS", chunk)
+            got = _outcome(load_gold, path, item_ids, *classes_base)
+        if got[0] == "ok":
+            got = "ok", got[1].by_item
+            assert list(got[1].items()) == list(expected[1].items())
+        assert got == expected
+
+    @given(POSTERIOR_FILES, CHUNKS)
+    @settings(max_examples=200, deadline=None)
+    def test_read_posterior(self, tmp_path_factory, text, chunk):
+        path = _write_text(tmp_path_factory, text)
+        expected = _outcome(_reference_posterior, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_CHUNK_CHARS", chunk)
+            got = _outcome(read_posterior, path)
+        if got[0] == "ok":
+            ids, preds, post = got[1]
+            assert preds.dtype == np.int64 and post.shape[0] == len(ids)
+            # nan != nan, so compare the probabilities by their text
+            got = "ok", (ids, preds.tolist(), [repr(p) for p in post.ravel().tolist()])
+            expected = "ok", (expected[1][0], expected[1][1], [repr(p) for p in expected[1][2]])
+        assert got == expected
+
+    @given(st.lists(st.tuples(IDS, IDS, st.sampled_from([0, 1, 2, -1, "1", "x", 1.0, True])),
+                    max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_from_triples(self, triples):
+        expected = _outcome(_reference_from_triples, triples, 2, ["w0"], ["i0"])
+        got = _outcome(from_triples, triples, 2, ["w0"], ["i0"])
+        if got[0] == "ok":
+            lm = got[1]
+            got = "ok", (lm.workers.tolist(), lm.items.tolist(), lm.labels.tolist(),
+                         lm.worker_ids, lm.item_ids)
+        assert got == expected
+
+
+def test_chunked_load_peak_memory_is_bounded(tmp_path):
+    # 200k lines over 2000 workers and 40k items, five labels per item
+    path = tmp_path / "big.csv"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("worker,item,label\n")
+        fh.write("".join(f"w{(j * 7 + r * 401) % 2000},i{j},{(j + r) % 3}\n"
+                         for j in range(40000) for r in range(5)))
+    tracemalloc.start()
+    try:
+        lm = load_labels(path, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lm.num_labels == 200000
+    assert peak <= 30e6, f"peak {peak / 1e6:.1f} MB"

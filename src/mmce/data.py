@@ -217,14 +217,17 @@ def from_triples(triples, num_classes, worker_ids=None, item_ids=None) -> LabelM
     passed to register workers/items that have no observations. Errors name
     the triple's 1-based position. An id that a labels file cannot carry (a
     comma, a line break, or leading or trailing whitespace) is rejected, so
-    write_labels output always loads back.
+    write_labels output always loads back. A label is a string, read as a
+    labels file field is, or an integral number; anything else is not an
+    integer.
     """
     rows = [(str(wid), str(iid), lab) for wid, iid, lab in triples]
     end = next((k for k, (wid, iid, _) in enumerate(rows)
                 if _unwritable(wid) or _unwritable(iid)), len(rows))
 
     def chunks():
-        yield range(1, end + 1), *(zip(*rows[:end]) if end else ((), (), ()))
+        wids, iids, labs = zip(*rows[:end]) if end else ((), (), ())
+        yield range(1, end + 1), wids, iids, list(map(_triple_label, labs))
         if end < len(rows):
             wid, iid, lab = rows[end]
             bad = wid if _unwritable(wid) else iid
@@ -233,6 +236,19 @@ def from_triples(triples, num_classes, worker_ids=None, item_ids=None) -> LabelM
                 "break or surrounding whitespace, which a labels file cannot hold", end + 1)
 
     return _intern(chunks(), num_classes, 0, worker_ids, item_ids)
+
+
+def _triple_label(lab):
+    """A triple's label as the label rule reads it: a string as it is, an
+    integral number as its int, anything else (None, 1.5, a list) as the text
+    of its repr, which is not an integer."""
+    if isinstance(lab, str):
+        return lab
+    try:
+        value = int(lab)
+    except (TypeError, ValueError, OverflowError):
+        return repr(lab)
+    return value if value == lab else repr(lab)
 
 
 def _line_chunks(fh, first_line_no):
@@ -270,7 +286,7 @@ def _columns(path, fields):
     after the rows before it are yielded, so callers see faults in file order.
     """
     width = len(fields)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not data
         for start, lines in _line_chunks(fh, 1):
             if start == 1 and [p.strip().lower() for p in lines[0].split(",")] == fields:
                 lines[0] = ""  # optional header, skipped like a blank line

@@ -240,7 +240,7 @@ def _curvature_bound(labels: LabelMatrix, posterior, hyper: HyperParams):
 
 
 def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
-           hyper: HyperParams):
+           hyper: HyperParams, models=None):
     """A few backtracking ascent steps on the penalized likelihood.
 
     Each step moves along d = g / b, with b from `_curvature_bound` and d = 0
@@ -250,29 +250,39 @@ def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
     objective cannot decrease; when none does, the line search has failed and
     the M-step stops. Each objective evaluation hands back its model, and the
     gradient at an accepted point reuses it, so every point costs one model
-    pass. Returns (worker_params, item_params, line_search_failed).
+    pass.
+
+    `models` is a list that carries the (log_full, log_obs) model at the
+    current scores between calls. The starting model is popped from it, if
+    one is there, instead of being computed again; on return it holds the
+    model of the last accepted point, or nothing when the last line search
+    failed: a point's model is dropped before its trials, so no two models
+    are alive at once.
+    Returns (worker_params, item_params, line_search_failed).
     """
     wp, ip = worker_params, item_params
     bw, bi = _curvature_bound(labels, posterior, hyper)
-    model = []  # out-channel: receives the model of each objective evaluation
-    value = penalized_likelihood(labels, posterior, wp, ip, hyper, model_out=model)
+    models = [] if models is None else models  # receives each evaluation's model
+    value = penalized_likelihood(labels, posterior, wp, ip, hyper,
+                                 models.pop() if models else None, model_out=models)
     failed = False
     for _ in range(hyper.inner_gradient_steps):
-        gw, gi = m_step_gradients(labels, posterior, wp, ip, hyper, model.pop())
+        gw, gi = m_step_gradients(labels, posterior, wp, ip, hyper, models[0])
         dw = np.divide(gw, bw, out=np.zeros_like(gw), where=bw > 0)
         di = np.divide(gi, bi, out=np.zeros_like(gi), where=bi > 0)
         slope = float(np.sum(gw * dw) + np.sum(gi * di))
         if slope == 0.0:
             break
+        models.clear()  # one model at a time: drop this point's before the trials
         step = 1.0
         for _ in range(MAX_HALVINGS):
             cand_w, cand_i = wp + step * dw, ip + step * di
             cand_val = penalized_likelihood(labels, posterior, cand_w, cand_i, hyper,
-                                            model_out=model)
+                                            model_out=models)
             if cand_val >= value + ARMIJO * step * slope:
                 wp, ip, value = cand_w, cand_i, cand_val
                 break
-            model.clear()  # free a failed size's model before the next evaluation
+            models.clear()  # free a failed size's model before the next evaluation
             step *= 0.5
         else:
             failed = True
@@ -310,23 +320,29 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
     wp = init_params(hyper.mode, labels.num_workers, K)
     ip = init_params(hyper.mode, labels.num_items, K)
     posterior = initialize_posterior(labels)
-    trace = [dual_objective(labels, posterior, wp, ip, hyper)]
+    # The model at the current scores. It serves both traces and the E-step,
+    # and m_step takes it as its starting model and hands back the one at its
+    # last accepted point; fit keeps no other reference, so a line search
+    # never holds two models.
+    models = [_log_model(labels, wp, ip, hyper.mode)]
+    trace = [dual_objective(labels, posterior, wp, ip, hyper, models[0])]
     converged = False
     iterations = 0
     ls_failures = 0
     for it in range(1, hyper.max_outer_iters + 1):
         iterations = it
         prev = trace[-1]
-        step_fn = m_step_exact if hyper.exact_m_step else m_step
-        wp, ip, failed = step_fn(labels, posterior, wp, ip, hyper)
+        if hyper.exact_m_step:
+            models.clear()  # L-BFGS evaluates its own points
+            wp, ip, failed = m_step_exact(labels, posterior, wp, ip, hyper)
+        else:
+            wp, ip, failed = m_step(labels, posterior, wp, ip, hyper, models)
         ls_failures += failed
-        # One model pass at the new scores serves both traces and the E-step;
-        # it is dropped before the next M-step so two models are never alive.
-        model = _log_model(labels, wp, ip, hyper.mode)
-        trace.append(dual_objective(labels, posterior, wp, ip, hyper, model))
-        posterior = e_step(labels, wp, ip, hyper, model)
-        trace.append(dual_objective(labels, posterior, wp, ip, hyper, model))
-        del model
+        if not models:
+            models.append(_log_model(labels, wp, ip, hyper.mode))
+        trace.append(dual_objective(labels, posterior, wp, ip, hyper, models[0]))
+        posterior = e_step(labels, wp, ip, hyper, models[0])
+        trace.append(dual_objective(labels, posterior, wp, ip, hyper, models[0]))
         if abs(trace[-1] - prev) < hyper.tol * max(abs(prev), PROB_FLOOR):
             converged = True
             break

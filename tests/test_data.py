@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -90,6 +91,13 @@ class TestLoadLabels:
         assert lm.worker_ids == ("z", "a")
         assert lm.item_ids == ("q", "b")
 
+    @pytest.mark.parametrize("header", ["worker,item,label\n", ""])
+    def test_byte_order_mark_is_not_data(self, tmp_path, header):
+        p = tmp_path / "l.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + f"{header}w,i,1\nv,i,0\n".encode())
+        lm = load_labels(p, 2)
+        assert (lm.worker_ids, lm.item_ids, lm.labels.tolist()) == (("w", "v"), ("i",), [1, 0])
+
     def test_round_trip_is_byte_identical(self, tmp_path):
         p = write_csv(tmp_path / "l.csv", [("w1", "i1", 0), ("w2", "i1", 1), ("w1", "i2", 1)],
                       header="worker,item,label")
@@ -107,6 +115,31 @@ class TestFromTriples:
         assert repr(bad) in str(err.value)
         with pytest.raises(LabelFileError, match="^line 1: "):
             from_triples([(bad, "i", 0)], 2)
+
+    @pytest.mark.parametrize("label", [None, [1], 1.5, 2.9, float("inf"), np.float64(0.5)])
+    def test_label_that_is_not_an_integer_is_rejected(self, label):
+        # read as the text of its repr, as a labels file would hold it
+        message = f"line 2: label {repr(label)!r} is not an integer"
+        with pytest.raises(LabelFileError, match=f"^{re.escape(message)}$") as err:
+            from_triples([("w", "i", 0), ("w", "j", label), ("w", "k", 1)], 3)
+        assert err.value.line_no == 2
+
+    def test_integral_labels_load(self):
+        triples = [("a", "i", np.int64(2)), ("b", "i", 2.0), ("c", "i", "1"), ("d", "i", True),
+                   ("e", "i", np.float32(0.0)), ("f", "i", np.uint8(1)), ("g", "i", " 0")]
+        assert from_triples(triples, 3).labels.tolist() == [2, 2, 1, 1, 0, 1, 0]
+
+    @pytest.mark.parametrize("triples, message", [
+        ([("w", "i", 9), ("w", "j", None)], "line 1: label 9 out of range"),
+        ([("w", "i", None), ("w", "j", 9)], "line 1: label 'None' is not an integer"),
+        ([("w", "i", 0), ("w", "i", 1.5)], "line 2: label '1.5' is not an integer"),
+        ([("w", "i", 0), ("w", "i", 1), ("v", "j", [0])], "line 2: duplicate observation"),
+        ([("w", "i", [0]), ("w", "a,b", 0)], "line 1: label '\\[0\\]' is not an integer"),
+        ([("", "i", None)], "line 1: empty worker or item id"),
+    ])
+    def test_first_fault_in_triple_order_is_reported(self, triples, message):
+        with pytest.raises(LabelFileError, match=f"^{message}"):
+            from_triples(triples, 3)
 
     def test_write_labels_round_trip(self, tmp_path):
         triples = [("a b", "i;1", 0), ("c", "i;1", 1), ("\u00e9", "j k", 1), (7, 8, 0)]
@@ -184,6 +217,11 @@ class TestGold:
         bad = write_csv(tmp_path / "b.csv", [("nope", 0)])
         with pytest.raises(LabelFileError, match="unknown item"):
             load_gold(bad, three_worker_labels.item_ids, 3)
+
+    def test_byte_order_mark_is_not_data(self, tmp_path, three_worker_labels):
+        p = tmp_path / "g.csv"
+        p.write_bytes(b"\xef\xbb\xbfitem,label\ni3,2\ni1,0\n")
+        assert load_gold(p, three_worker_labels.item_ids, 3).by_item == {2: 2, 0: 0}
 
     def test_second_gold_label_for_an_item_rejected(self, tmp_path, three_worker_labels):
         p = write_csv(tmp_path / "g.csv", [("i1", 0), ("i3", 1), ("i1", 1)])

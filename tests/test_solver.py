@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -176,13 +177,19 @@ class TestCurvatureBound:
                     assert np.all(d2 >= -b - 1e-5 * (1 + b))
 
 
+def planted_gamma_one(mode=Mode.MULTICLASS):
+    """A planted 30 x 200, K = 3 instance and its gamma = 1 hyperparameters."""
+    conf = np.stack([synthetic.diagonal_confusion(3, 0.8)] * 30)
+    lm, _ = synthetic.sample_labels(30, 200, 3, 10, conf, seed=0)
+    alpha, beta = resolve_hyperparams(1.0, lm)
+    return lm, HyperParams(alpha=alpha, beta=beta, mode=mode)
+
+
 class TestMStep:
     @staticmethod
     def count_model_passes(monkeypatch):
         """_log_model calls and the FitResult of one planted gamma = 1 fit."""
-        conf = np.stack([synthetic.diagonal_confusion(3, 0.8)] * 30)
-        lm, _ = synthetic.sample_labels(30, 200, 3, 10, conf, seed=0)
-        alpha, beta = resolve_hyperparams(1.0, lm)
+        lm, h = planted_gamma_one()
         calls = []
         model = solver._log_model
 
@@ -191,7 +198,7 @@ class TestMStep:
             return model(*args)
 
         monkeypatch.setattr(solver, "_log_model", counted)
-        r = fit(lm, HyperParams(alpha=alpha, beta=beta))
+        r = fit(lm, h)
         assert r.line_search_failures == 0
         return len(calls), r
 
@@ -213,6 +220,56 @@ class TestMStep:
         # steps need 16, because most of their sizes are found by halving.
         calls, r = self.count_model_passes(monkeypatch)
         assert calls <= 8 * r.iterations
+
+    def test_model_handed_between_fit_and_m_step(self, monkeypatch):
+        # fit's model at the new scores is m_step's last accepted one, and it is
+        # the next m_step's starting model; recomputing them costs two more
+        # passes per outer iteration, about 7 in all here.
+        calls, r = self.count_model_passes(monkeypatch)
+        assert calls <= 6 * r.iterations
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_one_model_pass_per_line_search_trial(self, monkeypatch, mode):
+        # Across a whole fit, the only model pass outside a line-search trial
+        # is the one at the starting scores.
+        stack, counts = [], {"model": 0, "objective": 0, "m_step": 0}
+
+        def probe(name, fn):
+            def wrapped(*args, **kwargs):
+                if name != "objective" or "m_step" in stack:
+                    counts[name] += 1
+                stack.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stack.pop()
+            return wrapped
+
+        for attr, name in (("penalized_likelihood", "objective"), ("m_step", "m_step"),
+                           ("_log_model", "model")):
+            monkeypatch.setattr(solver, attr, probe(name, getattr(solver, attr)))
+        lm, h = planted_gamma_one(mode)
+        r = fit(lm, h)
+        assert r.line_search_failures == 0
+        assert counts["m_step"] == r.iterations
+        trials = counts["objective"] - counts["m_step"]
+        assert counts["model"] == 1 + trials
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_fit_peak_memory_is_bounded_by_the_model_size(self, mode):
+        # A fit holds one (L, K, K) model and the gradient's table of that size
+        # at a time: the peak is about 3.9 model sizes here. A fit that kept its
+        # own reference to the model while m_step runs reaches about 5.2.
+        lm, h = planted_gamma_one(mode)
+        fit(lm, h)  # fills caches that would otherwise count toward the peak
+        tracemalloc.start()
+        try:
+            fit(lm, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        model_size = lm.num_labels * lm.num_classes ** 2 * 8
+        assert peak <= 4.5 * model_size, f"peak {peak / model_size:.2f} model sizes"
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_model_passes_run_inside_objective_or_gradient(self, monkeypatch, mode):
@@ -302,9 +359,10 @@ def reference_fit(labels, hyper):
     ip = init_params(hyper.mode, labels.num_items, K)
     posterior = initialize_posterior(labels)
     trace = [dual_objective(labels, posterior, wp, ip, hyper)]
+    step_fn = solver.m_step_exact if hyper.exact_m_step else m_step
     for _ in range(hyper.max_outer_iters):
         prev = trace[-1]
-        wp, ip, _ = m_step(labels, posterior, wp, ip, hyper)
+        wp, ip, _ = step_fn(labels, posterior, wp, ip, hyper)
         trace.append(dual_objective(labels, posterior, wp, ip, hyper))
         posterior = e_step(labels, wp, ip, hyper)
         trace.append(dual_objective(labels, posterior, wp, ip, hyper))
@@ -336,6 +394,13 @@ class TestSharedModel:
         alpha, beta = resolve_hyperparams(1.0, lm)
         assert_fit_equals_reference(
             lm, HyperParams(alpha=alpha, beta=beta, mode=mode, max_outer_iters=40))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_exact_m_step_fit_equals_reference_loop(self, mode):
+        h = HyperParams(alpha=0.5, beta=0.5, mode=mode, max_outer_iters=10,
+                        exact_m_step=True)
+        for seed in range(5):
+            assert_fit_equals_reference(synthetic.random_instance(seed), h)
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_precomputed_model_gives_same_values(self, mode):

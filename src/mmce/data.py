@@ -444,7 +444,7 @@ def read_posterior(path):
     Fields are tab-separated and not stripped; whitespace-only lines are
     skipped. The file is read in chunks like the labels file.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not data
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header[:2]) != POSTERIOR_HEADER_PREFIX:
             raise LabelFileError("not a posterior file: bad header", 1)

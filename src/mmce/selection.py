@@ -3,6 +3,7 @@ validation-set selection against known labels."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,8 @@ class CVConfig:
             raise ValueError("folds must be >= 2")
         if not self.gamma_grid:
             raise ValueError("gamma grid must be non-empty")
+        if len(set(self.gamma_grid)) < len(self.gamma_grid):
+            raise ValueError("gamma grid must not repeat a value")
         if self.heldout_scoring not in ("marginal", "hard"):
             raise ValueError("heldout_scoring must be 'marginal' or 'hard'")
 
@@ -67,8 +70,8 @@ class CVReport:
 def resolve_hyperparams(gamma: float, labels: LabelMatrix) -> tuple[float, float]:
     """Map a single knob to (alpha, beta): alpha scales with the squared class
     count, beta with the ratio of labels-per-worker to labels-per-item."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     if labels.num_labels == 0 or labels.num_workers == 0 or labels.num_items == 0:
         raise ValueError("cannot resolve hyperparameters on an empty dataset")
     alpha = gamma * labels.num_classes ** 2

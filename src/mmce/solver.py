@@ -8,6 +8,7 @@ increase the objective, so the trace is non-decreasing up to float slack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +46,10 @@ class HyperParams:
     def __post_init__(self):
         self.mode = Mode(self.mode)
         self.variant = RegularizerVariant(self.variant)
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise ValueError("alpha and beta must be finite and >= 0")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_outer_iters < 1 or self.inner_gradient_steps < 1:
             raise ValueError("iteration counts must be >= 1")
         if self.variant == RegularizerVariant.CENTERED and self.mode == Mode.ORDINAL:
@@ -87,6 +88,30 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     return log_full, log_obs
 
 
+# The last model pass: (labels, mode, worker copy, item copy, (log_full, log_obs)).
+_memo = [None]
+
+
+def _model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
+    """`_log_model` behind a one-slot memo, so each score point costs one pass.
+
+    The objective, the E-step and the gradient all read the model here. The
+    stored model is returned again when `labels` is the same object, the mode
+    is equal and both score arrays equal the stored copies by value. Otherwise
+    the slot is emptied before one new pass fills it, so at most one model is
+    alive at a time.
+    """
+    entry = _memo[0]
+    if (entry is not None and entry[0] is labels and entry[1] == mode
+            and np.array_equal(entry[2], worker_params)
+            and np.array_equal(entry[3], item_params)):
+        return entry[4]
+    entry = _memo[0] = None
+    model = _log_model(labels, worker_params, item_params, mode)
+    _memo[0] = (labels, mode, np.array(worker_params), np.array(item_params), model)
+    return model
+
+
 def scatter_rows(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """Sum the rows of `values` into `size` slots: out[index[l]] += values[l].
 
@@ -122,29 +147,18 @@ def _data_term(labels, posterior, log_obs) -> float:
 
 
 def penalized_likelihood(labels, posterior, worker_params, item_params,
-                         hyper: HyperParams, model=None, model_out=None) -> float:
-    """The objective the M-step ascends: expected log-likelihood minus penalties.
-
-    `model` is the (log_full, log_obs) pair of `_log_model` at these scores,
-    computed here when omitted. A list passed as `model_out` receives the
-    model used, so a caller can reuse it at the same scores.
-    """
-    if model is None:
-        model = _log_model(labels, worker_params, item_params, hyper.mode)
-    if model_out is not None:
-        model_out.append(model)
+                         hyper: HyperParams) -> float:
+    """The objective the M-step ascends: expected log-likelihood minus penalties."""
+    _, log_obs = _model(labels, worker_params, item_params, hyper.mode)
     ov, _, pv, _ = _penalties(worker_params, item_params, hyper)
-    return _data_term(labels, posterior, model[1]) - ov - pv
+    return _data_term(labels, posterior, log_obs) - ov - pv
 
 
 def dual_objective(labels, posterior, worker_params, item_params,
-                   hyper: HyperParams, model=None) -> float:
-    """Regularized dual: expected log-likelihood + label entropy - penalties.
-
-    `model` is the (log_full, log_obs) pair at these scores, if already computed.
-    """
+                   hyper: HyperParams) -> float:
+    """Regularized dual: expected log-likelihood + label entropy - penalties."""
     return penalized_likelihood(labels, posterior, worker_params, item_params,
-                                hyper, model) + entropy(posterior)
+                                hyper) + entropy(posterior)
 
 
 def initialize_posterior(labels: LabelMatrix) -> np.ndarray:
@@ -160,35 +174,28 @@ def initialize_posterior(labels: LabelMatrix) -> np.ndarray:
 
 
 def e_step(labels: LabelMatrix, worker_params, item_params,
-           hyper: HyperParams, model=None) -> np.ndarray:
-    """Exact posterior block update: Bayes rule with a uniform prior, in log space.
-
-    `model` is the (log_full, log_obs) pair at these scores, if already computed.
-    """
-    if model is None:
-        model = _log_model(labels, worker_params, item_params, hyper.mode)
-    log_q = scatter_rows(labels.items, model[1], labels.num_items)
+           hyper: HyperParams) -> np.ndarray:
+    """Exact posterior block update: Bayes rule with a uniform prior, in log space."""
+    _, log_obs = _model(labels, worker_params, item_params, hyper.mode)
+    log_q = scatter_rows(labels.items, log_obs, labels.num_items)
     log_q -= logsumexp(log_q, axis=1, keepdims=True)
     return np.exp(log_q)
 
 
 def m_step_gradients(labels: LabelMatrix, posterior, worker_params, item_params,
-                     hyper: HyperParams, model=None):
+                     hyper: HyperParams):
     """Analytic gradients of the penalized likelihood w.r.t. both score tensors.
 
     The data part per observation is Q(c) * [I(x = k) - P(k | c)], accumulated
     into the observation's worker and item slots in observation order (a fixed
-    reduction order, so results are reproducible). `model` is the
-    (log_full, log_obs) pair at these scores, if already computed; only
-    log_full is read.
+    reduction order, so results are reproducible).
     """
     K = labels.num_classes
     if posterior.shape != (labels.num_items, K):
         raise ValueError("posterior shape does not match the label matrix")
-    if model is None:
-        model = _log_model(labels, worker_params, item_params, hyper.mode)
+    log_full, _ = _model(labels, worker_params, item_params, hyper.mode)
     _, og, _, pg = _penalties(worker_params, item_params, hyper)
-    per_obs = np.exp(model[0])  # (L, K, K), turned in place into Q(c) * [I(x = k) - P]
+    per_obs = np.exp(log_full)  # (L, K, K), turned in place into Q(c) * [I(x = k) - P]
     np.negative(per_obs, out=per_obs)
     per_obs[np.arange(labels.num_labels), :, labels.labels] += 1.0
     per_obs *= np.take(posterior, labels.items, axis=0)[:, :, None]
@@ -215,12 +222,22 @@ def _value_and_grad(x, labels: LabelMatrix, posterior, hyper: HyperParams,
     """The L-BFGS objective: the negated penalized likelihood and its gradient
     at the flat scores x, both from a single model pass."""
     worker_params, item_params = _split(x, w_shape, i_shape)
-    model = []
-    value = penalized_likelihood(labels, posterior, worker_params, item_params, hyper,
-                                 model_out=model)
-    gw, gi = m_step_gradients(labels, posterior, worker_params, item_params, hyper,
-                              model[0])
+    value = penalized_likelihood(labels, posterior, worker_params, item_params, hyper)
+    gw, gi = m_step_gradients(labels, posterior, worker_params, item_params, hyper)
     return -value, -np.concatenate([gw.ravel(), gi.ravel()])
+
+
+def _lbfgs(labels: LabelMatrix, posterior, worker_params, item_params,
+           hyper: HyperParams, options):
+    """Maximize the penalized likelihood from the given scores with L-BFGS-B
+    under the given solver options; returns (worker_params, item_params)."""
+    from scipy.optimize import minimize
+
+    shapes = (worker_params.shape, item_params.shape)
+    x0 = np.concatenate([worker_params.ravel(), item_params.ravel()])
+    res = minimize(_value_and_grad, x0, args=(labels, posterior, hyper, *shapes),
+                   jac=True, method="L-BFGS-B", options=options)
+    return _split(res.x, *shapes)
 
 
 def _curvature_bound(labels: LabelMatrix, posterior, hyper: HyperParams):
@@ -240,7 +257,7 @@ def _curvature_bound(labels: LabelMatrix, posterior, hyper: HyperParams):
 
 
 def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
-           hyper: HyperParams, models=None):
+           hyper: HyperParams):
     """A few backtracking ascent steps on the penalized likelihood.
 
     Each step moves along d = g / b, with b from `_curvature_bound` and d = 0
@@ -248,41 +265,28 @@ def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
     takes the first size t = 2**-j, j = 0 .. MAX_HALVINGS - 1, usually t = 1,
     that passes the Armijo test f(x + t d) >= f(x) + ARMIJO * t * g.d, so the
     objective cannot decrease; when none does, the line search has failed and
-    the M-step stops. Each objective evaluation hands back its model, and the
-    gradient at an accepted point reuses it, so every point costs one model
-    pass.
-
-    `models` is a list that carries the (log_full, log_obs) model at the
-    current scores between calls. The starting model is popped from it, if
-    one is there, instead of being computed again; on return it holds the
-    model of the last accepted point, or nothing when the last line search
-    failed: a point's model is dropped before its trials, so no two models
-    are alive at once.
+    the M-step stops. Through `_model`, the starting point, each trial and the
+    gradient at an accepted trial cost one model pass per point.
     Returns (worker_params, item_params, line_search_failed).
     """
     wp, ip = worker_params, item_params
     bw, bi = _curvature_bound(labels, posterior, hyper)
-    models = [] if models is None else models  # receives each evaluation's model
-    value = penalized_likelihood(labels, posterior, wp, ip, hyper,
-                                 models.pop() if models else None, model_out=models)
+    value = penalized_likelihood(labels, posterior, wp, ip, hyper)
     failed = False
     for _ in range(hyper.inner_gradient_steps):
-        gw, gi = m_step_gradients(labels, posterior, wp, ip, hyper, models[0])
+        gw, gi = m_step_gradients(labels, posterior, wp, ip, hyper)
         dw = np.divide(gw, bw, out=np.zeros_like(gw), where=bw > 0)
         di = np.divide(gi, bi, out=np.zeros_like(gi), where=bi > 0)
         slope = float(np.sum(gw * dw) + np.sum(gi * di))
         if slope == 0.0:
             break
-        models.clear()  # one model at a time: drop this point's before the trials
         step = 1.0
         for _ in range(MAX_HALVINGS):
             cand_w, cand_i = wp + step * dw, ip + step * di
-            cand_val = penalized_likelihood(labels, posterior, cand_w, cand_i, hyper,
-                                            model_out=models)
+            cand_val = penalized_likelihood(labels, posterior, cand_w, cand_i, hyper)
             if cand_val >= value + ARMIJO * step * slope:
                 wp, ip, value = cand_w, cand_i, cand_val
                 break
-            models.clear()  # free a failed size's model before the next evaluation
             step *= 0.5
         else:
             failed = True
@@ -299,14 +303,8 @@ def m_step_exact(labels: LabelMatrix, posterior, worker_params, item_params,
     handles directions where the unregularized optimum runs off to infinity
     far faster than plain gradient ascent.
     """
-    from scipy.optimize import minimize
-
-    shapes = (worker_params.shape, item_params.shape)
-    x0 = np.concatenate([worker_params.ravel(), item_params.ravel()])
-    res = minimize(_value_and_grad, x0, args=(labels, posterior, hyper, *shapes),
-                   jac=True, method="L-BFGS-B",
-                   options={"maxiter": 2000, "gtol": 1e-10, "ftol": 1e-15})
-    wp, ip = _split(res.x, *shapes)
+    wp, ip = _lbfgs(labels, posterior, worker_params, item_params, hyper,
+                    {"maxiter": 2000, "gtol": 1e-10, "ftol": 1e-15})
     if hyper.clamp_item_params:
         ip = item_params  # gradients were zeroed; keep the clamped block intact
     return wp, ip, False
@@ -320,32 +318,25 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
     wp = init_params(hyper.mode, labels.num_workers, K)
     ip = init_params(hyper.mode, labels.num_items, K)
     posterior = initialize_posterior(labels)
-    # The model at the current scores. It serves both traces and the E-step,
-    # and m_step takes it as its starting model and hands back the one at its
-    # last accepted point; fit keeps no other reference, so a line search
-    # never holds two models.
-    models = [_log_model(labels, wp, ip, hyper.mode)]
-    trace = [dual_objective(labels, posterior, wp, ip, hyper, models[0])]
+    # Both traces, the E-step and the next M-step's start all read the model at
+    # the current scores from `_model`'s slot, so it is computed once per point.
+    trace = [dual_objective(labels, posterior, wp, ip, hyper)]
     converged = False
     iterations = 0
     ls_failures = 0
+    step_fn = m_step_exact if hyper.exact_m_step else m_step
     for it in range(1, hyper.max_outer_iters + 1):
         iterations = it
         prev = trace[-1]
-        if hyper.exact_m_step:
-            models.clear()  # L-BFGS evaluates its own points
-            wp, ip, failed = m_step_exact(labels, posterior, wp, ip, hyper)
-        else:
-            wp, ip, failed = m_step(labels, posterior, wp, ip, hyper, models)
+        wp, ip, failed = step_fn(labels, posterior, wp, ip, hyper)
         ls_failures += failed
-        if not models:
-            models.append(_log_model(labels, wp, ip, hyper.mode))
-        trace.append(dual_objective(labels, posterior, wp, ip, hyper, models[0]))
-        posterior = e_step(labels, wp, ip, hyper, models[0])
-        trace.append(dual_objective(labels, posterior, wp, ip, hyper, models[0]))
+        trace.append(dual_objective(labels, posterior, wp, ip, hyper))
+        posterior = e_step(labels, wp, ip, hyper)
+        trace.append(dual_objective(labels, posterior, wp, ip, hyper))
         if abs(trace[-1] - prev) < hyper.tol * max(abs(prev), PROB_FLOOR):
             converged = True
             break
+    _memo[0] = None  # keep no model past the fit
     return FitResult(
         posterior=posterior,
         worker_params=wp,
@@ -374,20 +365,14 @@ def polish_stationary_point(labels: LabelMatrix, result: FitResult,
     optima lie at infinity and their gradients vanish there), which lets the
     interior scores be resolved to near machine precision.
     """
-    from scipy.optimize import minimize
-
     q = round_posterior(result.posterior)
-    shapes = (result.worker_params.shape, result.item_params.shape)
-    x = np.concatenate([result.worker_params.ravel(), result.item_params.ravel()])
+    wp, ip = result.worker_params, result.item_params
     for _ in range(3):  # three solve-then-pin rounds
-        res = minimize(_value_and_grad, x, args=(labels, q, hyper, *shapes),
-                       jac=True, method="L-BFGS-B",
-                       options={"maxiter": 20000, "maxfun": 50000,
-                                "gtol": 1e-14, "ftol": 0})
-        x = res.x
-        sat = np.abs(x) > 12.0  # runaway: far past any interior optimum
-        x[sat] = np.sign(x[sat]) * 600.0
-    wp, ip = _split(x, *shapes)
+        wp, ip = _lbfgs(labels, q, wp, ip, hyper,
+                        {"maxiter": 20000, "maxfun": 50000, "gtol": 1e-14, "ftol": 0})
+        for scores in (wp, ip):
+            sat = np.abs(scores) > 12.0  # runaway: far past any interior optimum
+            scores[sat] = np.sign(scores[sat]) * 600.0
     return FitResult(posterior=q, worker_params=wp, item_params=ip,
                      objective_trace=list(result.objective_trace),
                      converged=result.converged, iterations=result.iterations)

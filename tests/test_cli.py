@@ -110,6 +110,19 @@ class TestAggregate:
                            "--variant", "centered")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--gamma", "nan"), "gamma must be positive and finite"),
+        (("--gamma", "inf"), "gamma must be positive and finite"),
+        (("--alpha", "nan", "--beta", "1"), "alpha and beta must be finite"),
+        (("--alpha", "1", "--beta", "inf"), "alpha and beta must be finite"),
+        (("--gamma", "1", "--tol", "nan"), "tol must be positive and finite"),
+    ])
+    def test_non_finite_hyperparameters_rejected(self, tmp_path, capsys, flags, message):
+        code, out = self.run(tmp_path, *flags)
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonconvergence_exit_code(self, tmp_path):
         code, out = self.run(tmp_path, "--alpha", "0.5", "--beta", "0.5",
                              "--max-iters", "1", "--tol", "1e-15")
@@ -155,6 +168,15 @@ class TestSelect:
                      "--out", str(report)])
         assert code == EXIT_USAGE
         assert "3 labels into 5 folds" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_repeated_grid_value_rejected(self, tmp_path, capsys):
+        report = tmp_path / "cv.csv"
+        code = main(["select", "--labels", str(labels_csv(tmp_path)),
+                     "--classes", "3", "--label-base", "1", "--grid", "1,1.0",
+                     "--out", str(report)])
+        assert code == EXIT_USAGE
+        assert "must not repeat" in capsys.readouterr().err
         assert not report.exists()
 
     def test_bad_grid_rejected(self, tmp_path, capsys):
@@ -204,6 +226,14 @@ class TestEvaluate:
         assert code == EXIT_OK
         assert "error rate" in out
         assert report.read_text().startswith("metric,value\n")
+
+    def test_posterior_with_byte_order_mark(self, tmp_path, capsys):
+        post = tmp_path / "p.tsv"
+        post.write_bytes(b"\xef\xbb\xbfitem\tpredicted\tp0\tp1\na\t0\t0.9\t0.1\n")
+        gold = write_csv(tmp_path / "g.csv", [("a", 0)])
+        code = main(["evaluate", "--predictions", str(post), "--gold", str(gold)])
+        assert code == EXIT_OK
+        assert "error rate" in capsys.readouterr().out
 
     def test_unknown_gold_item_is_usage_error(self, tmp_path, capsys):
         post = tmp_path / "post.tsv"

@@ -191,6 +191,12 @@ class TestPosteriorFile:
         assert list(ids) == list(three_worker_labels.item_ids)
         np.testing.assert_allclose(post, q, atol=1e-6)
 
+    def test_byte_order_mark_is_not_data(self, tmp_path):
+        p = tmp_path / "post.tsv"
+        p.write_bytes(b"\xef\xbb\xbfitem\tpredicted\tp0\tp1\na\t0\t0.9\t0.1\n")
+        ids, preds, post = read_posterior(p)
+        assert (ids, preds.tolist(), post.tolist()) == (["a"], [0], [[0.9, 0.1]])
+
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "x.tsv"
         p.write_text("foo\tbar\n")

@@ -57,6 +57,9 @@ class TestResolveHyperparams:
             resolve_hyperparams(0.0, lm)
         with pytest.raises(ValueError):
             resolve_hyperparams(-1.0, lm)
+        for gamma in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                resolve_hyperparams(gamma, lm)
 
 
 class TestPartitionFolds:
@@ -199,3 +202,7 @@ class TestCVConfigValidation:
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             CVConfig(gamma_grid=())
+
+    def test_repeated_grid_value(self):
+        with pytest.raises(ValueError, match="must not repeat"):
+            CVConfig(gamma_grid=(0.5, 1, 1.0))

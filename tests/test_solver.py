@@ -1,5 +1,7 @@
 import tracemalloc
 import warnings
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,6 +56,22 @@ def fd_derivatives(lm, q, wp, ip, hyper, eps=1e-5):
         first.append(d1)
         second.append(d2)
     return first, second
+
+
+class TestHyperParams:
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha", -1.0, "alpha and beta"),
+        ("alpha", float("nan"), "alpha and beta"),
+        ("alpha", float("inf"), "alpha and beta"),
+        ("beta", float("nan"), "alpha and beta"),
+        ("beta", float("inf"), "alpha and beta"),
+        ("tol", 0.0, "tol"),
+        ("tol", float("nan"), "tol"),
+        ("tol", float("inf"), "tol"),
+    ])
+    def test_out_of_range_values_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            HyperParams(**{field: value})
 
 
 class TestInitializePosterior:
@@ -185,19 +203,25 @@ def planted_gamma_one(mode=Mode.MULTICLASS):
     return lm, HyperParams(alpha=alpha, beta=beta, mode=mode)
 
 
+def counted_model_passes(monkeypatch):
+    """A list that gains one entry per `_log_model` call from now on."""
+    calls = []
+    model = solver._log_model
+
+    def counted(*args):
+        calls.append(1)
+        return model(*args)
+
+    monkeypatch.setattr(solver, "_log_model", counted)
+    return calls
+
+
 class TestMStep:
     @staticmethod
     def count_model_passes(monkeypatch):
         """_log_model calls and the FitResult of one planted gamma = 1 fit."""
         lm, h = planted_gamma_one()
-        calls = []
-        model = solver._log_model
-
-        def counted(*args):
-            calls.append(1)
-            return model(*args)
-
-        monkeypatch.setattr(solver, "_log_model", counted)
+        calls = counted_model_passes(monkeypatch)
         r = fit(lm, h)
         assert r.line_search_failures == 0
         return len(calls), r
@@ -258,7 +282,7 @@ class TestMStep:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_fit_peak_memory_is_bounded_by_the_model_size(self, mode):
         # A fit holds one (L, K, K) model and the gradient's table of that size
-        # at a time: the peak is about 3.9 model sizes here. A fit that kept its
+        # at a time: the peak is about 4.0 model sizes here. A fit that kept its
         # own reference to the model while m_step runs reaches about 5.2.
         lm, h = planted_gamma_one(mode)
         fit(lm, h)  # fills caches that would otherwise count toward the peak
@@ -352,8 +376,13 @@ class TestMStep:
             assert after >= before - 1e-9
 
 
+LOG_MODEL = solver._log_model  # the model pass itself, never memoized or counted
+
+
+@mock.patch.object(solver, "_model", LOG_MODEL)
 def reference_fit(labels, hyper):
-    """The fit loop with every trace and E-step making its own model pass."""
+    """The fit loop with every trace, E-step and M-step evaluation making its
+    own model pass."""
     K = labels.num_classes
     wp = init_params(hyper.mode, labels.num_workers, K)
     ip = init_params(hyper.mode, labels.num_items, K)
@@ -380,6 +409,81 @@ def assert_fit_equals_reference(labels, hyper):
     assert np.array_equal(r.objective_trace, trace)
 
 
+class TestModelMemo:
+    @staticmethod
+    def assert_fresh(got, labels, wp, ip, mode):
+        want = LOG_MODEL(labels, wp, ip, mode)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_same_labels_and_scores_make_one_pass(self, monkeypatch):
+        calls = counted_model_passes(monkeypatch)
+        lm = synthetic.random_instance(3)
+        wp, ip, q = random_state(lm, 4)
+        h = HyperParams(alpha=0.7, beta=1.3)
+        value = penalized_likelihood(lm, q, wp, ip, h)
+        grads = m_step_gradients(lm, q, wp, ip, h)
+        posterior = e_step(lm, wp.copy(), ip.copy(), h)  # equal by value is enough
+        dual_objective(lm, q, wp, ip, h)
+        assert len(calls) == 1
+        with mock.patch.object(solver, "_model", LOG_MODEL):
+            assert value == penalized_likelihood(lm, q, wp, ip, h)
+            for got, want in zip(grads, m_step_gradients(lm, q, wp, ip, h)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(posterior, e_step(lm, wp, ip, h))
+
+    def test_scores_changed_in_place_make_a_fresh_pass(self, monkeypatch):
+        calls = counted_model_passes(monkeypatch)
+        lm = synthetic.random_instance(5)
+        wp, ip, q = random_state(lm, 6)
+        h = HyperParams(alpha=0.7, beta=1.3)
+        before = penalized_likelihood(lm, q, wp, ip, h)
+        wp[0, 0, 0] += 1.0
+        changed_w = solver._model(lm, wp, ip, h.mode)
+        self.assert_fresh(changed_w, lm, wp, ip, h.mode)
+        ip[-1, 1, 0] -= 1.0
+        changed_i = solver._model(lm, wp, ip, h.mode)
+        self.assert_fresh(changed_i, lm, wp, ip, h.mode)
+        assert len(calls) == 3
+        ip[-1, 1, 0] += 1.0
+        wp[0, 0, 0] -= 1.0
+        assert penalized_likelihood(lm, q, wp, ip, h) == before
+        assert len(calls) == 4
+
+    def test_other_labels_or_mode_make_a_fresh_pass(self, monkeypatch):
+        calls = counted_model_passes(monkeypatch)
+        lm = synthetic.random_instance(7)
+        fold = lm.subset(np.arange(lm.num_labels) % 2 == 0)  # same ids, fewer labels
+        wp, ip, _ = random_state(lm, 8)
+        solver._model(lm, wp, ip, Mode.MULTICLASS)
+        self.assert_fresh(solver._model(fold, wp, ip, Mode.MULTICLASS),
+                          fold, wp, ip, Mode.MULTICLASS)
+        assert len(calls) == 2
+        wo, io, _ = random_state(fold, 8, mode=Mode.ORDINAL)
+        self.assert_fresh(solver._model(fold, wo, io, Mode.ORDINAL),
+                          fold, wo, io, Mode.ORDINAL)
+        assert len(calls) == 3
+
+    def test_old_model_is_dropped_before_a_new_pass(self, monkeypatch):
+        lm = synthetic.random_instance(9)
+        wp, ip, _ = random_state(lm, 10)
+        old = weakref.ref(solver._model(lm, wp, ip, Mode.MULTICLASS)[0])
+        alive = []
+
+        def probed(*args):
+            alive.append(old() is not None)
+            return LOG_MODEL(*args)
+
+        monkeypatch.setattr(solver, "_log_model", probed)
+        solver._model(lm, wp + 1.0, ip, Mode.MULTICLASS)
+        assert alive == [False]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_slot_is_empty_after_fit(self, mode):
+        lm, h = planted_gamma_one(mode)
+        fit(lm, h)
+        assert solver._memo == [None]
+
+
 class TestSharedModel:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_fit_equals_reference_loop(self, mode):
@@ -401,23 +505,6 @@ class TestSharedModel:
                         exact_m_step=True)
         for seed in range(5):
             assert_fit_equals_reference(synthetic.random_instance(seed), h)
-
-    @pytest.mark.parametrize("mode", list(Mode))
-    def test_precomputed_model_gives_same_values(self, mode):
-        h = HyperParams(alpha=0.7, beta=1.3, mode=mode)
-        for seed in range(10):
-            lm = synthetic.random_instance(seed)
-            wp, ip, q = random_state(lm, seed + 50, mode=mode)
-            model = solver._log_model(lm, wp, ip, mode)
-            out = []
-            value = penalized_likelihood(lm, q, wp, ip, h, model_out=out)
-            assert len(out) == 1
-            assert value == penalized_likelihood(lm, q, wp, ip, h, model)
-            assert dual_objective(lm, q, wp, ip, h) == dual_objective(lm, q, wp, ip, h, model)
-            assert np.array_equal(e_step(lm, wp, ip, h), e_step(lm, wp, ip, h, model))
-            for got, want in zip(m_step_gradients(lm, q, wp, ip, h, model),
-                                 m_step_gradients(lm, q, wp, ip, h)):
-                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_lbfgs_objective_is_the_m_step_pair(self, mode):

@@ -8,7 +8,7 @@ import numpy as np
 
 from .confusion import logsumexp
 from .data import LabelMatrix
-from .solver import PROB_FLOOR, initialize_posterior, scatter_rows
+from .solver import PROB_FLOOR, gather_rows, initialize_posterior, scatter_rows
 
 
 @dataclass
@@ -32,7 +32,7 @@ def _ds_m_step(labels: LabelMatrix, posterior, smoothing: float, uniform_prior: 
     m, K = labels.num_workers, labels.num_classes
     # counts[i, c, k]: posterior mass of class c where worker i answered k
     counts = scatter_rows(labels.workers * K + labels.labels,
-                          posterior[labels.items], m * K).reshape(m, K, K)
+                          gather_rows(labels.items, posterior), m * K).reshape(m, K, K)
     counts = counts.transpose(0, 2, 1) + smoothing
     totals = counts.sum(axis=2, keepdims=True)
     confusion = np.where(totals > 0, counts / np.maximum(totals, PROB_FLOOR), 1.0 / K)
@@ -46,8 +46,11 @@ def _ds_m_step(labels: LabelMatrix, posterior, smoothing: float, uniform_prior: 
 
 def _ds_log_joint(labels: LabelMatrix, confusion, prior) -> np.ndarray:
     """Per-item log joint (n, K): log prior(c) + sum of log p(x_l | c) over its labels."""
-    log_p = np.log(np.maximum(confusion, PROB_FLOOR))
-    acc = scatter_rows(labels.items, log_p[labels.workers, :, labels.labels],
+    m, K = labels.num_workers, labels.num_classes
+    # log_p[c, i * K + k] = log confusion[i, c, k]
+    log_p = np.log(np.maximum(confusion, PROB_FLOOR)).transpose(1, 0, 2).reshape(K, m * K)
+    acc = scatter_rows(labels.items,
+                       np.take(log_p, labels.workers * K + labels.labels, axis=1),
                        labels.num_items)
     acc += np.log(np.maximum(prior, PROB_FLOOR))
     return acc

@@ -69,7 +69,8 @@ class CVReport:
 
 def resolve_hyperparams(gamma: float, labels: LabelMatrix) -> tuple[float, float]:
     """Map a single knob to (alpha, beta): alpha scales with the squared class
-    count, beta with the ratio of labels-per-worker to labels-per-item."""
+    count, beta with the ratio of labels-per-worker to labels-per-item.
+    Raises ValueError when gamma, or the alpha or beta it gives, is not finite."""
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
     if labels.num_labels == 0 or labels.num_workers == 0 or labels.num_items == 0:
@@ -77,7 +78,11 @@ def resolve_hyperparams(gamma: float, labels: LabelMatrix) -> tuple[float, float
     alpha = gamma * labels.num_classes ** 2
     per_worker = labels.num_labels / labels.num_workers
     per_item = labels.num_labels / labels.num_items
-    return alpha, (per_worker / per_item) * alpha
+    beta = (per_worker / per_item) * alpha
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(f"gamma={gamma:g} is too large: it gives alpha={alpha:g} "
+                         f"beta={beta:g} on this dataset, and both must be finite")
+    return alpha, beta
 
 
 def partition_folds(num_labels: int, folds: int, seed: int) -> np.ndarray:
@@ -101,13 +106,13 @@ def heldout_loglik(train_fit: solver.FitResult, heldout: LabelMatrix,
     if heldout.num_labels == 0:
         return 0.0
     _, log_obs = solver._log_model(heldout, train_fit.worker_params,
-                                   train_fit.item_params, hyper.mode)  # (L, K)
-    q = train_fit.posterior
+                                   train_fit.item_params, hyper.mode)  # (K, L)
     if scoring == "hard":
-        ll = log_obs[np.arange(heldout.num_labels), train_fit.predicted[heldout.items]]
+        ll = log_obs[train_fit.predicted[heldout.items], np.arange(heldout.num_labels)]
     else:
-        log_q = np.log(np.maximum(q[heldout.items], PROB_FLOOR))
-        ll = logsumexp(log_obs + log_q, axis=1)
+        log_q = np.log(np.maximum(solver.gather_rows(heldout.items, train_fit.posterior),
+                                  PROB_FLOOR))
+        ll = logsumexp(log_obs + log_q, axis=0)
     return float(np.mean(ll))
 
 

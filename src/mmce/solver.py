@@ -73,22 +73,41 @@ class FitResult:
 
 
 def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
-    """Per-observation log-probability tables, expanding ordinal scores first.
+    """The labeling model at every observation, stored class-major.
 
-    Returns (log_full, log_obs): log_full[l, c, k] = log P(k | c) for the
-    (worker, item) pair of observation l; log_obs[l, c] = log P(x_l | c).
+    Returns (prob, log_obs), both C-contiguous with the observation axis last:
+    prob[c, k, l] = P(k | c), shape (K, K, L), and log_obs[c, l] = log P(x_l | c),
+    shape (K, L), for the (worker, item) pair of observation l. Ordinal scores
+    are expanded first. Each (c, k) row is one contiguous run over the
+    observations, so the normalizer works on whole (K, L) slices and P comes
+    from the one exp pass the normalizer needs. log_obs is z[x_l] - (log(sum_k
+    exp(z_k - top)) + top) of the logits z and their max, summed in class order.
+    The score tensors themselves keep their (entity, c, k) layout.
     """
+    K, L = labels.num_classes, labels.num_labels
     if mode == Mode.ORDINAL:
-        worker_params = expand_ordinal(worker_params, labels.num_classes)
-        item_params = expand_ordinal(item_params, labels.num_classes)
-    log_full = np.take(worker_params, labels.workers, axis=0)  # (L, K, K)
-    log_full += np.take(item_params, labels.items, axis=0)
-    log_full -= logsumexp(log_full, axis=2, keepdims=True)
-    log_obs = log_full[np.arange(labels.num_labels), :, labels.labels]
-    return log_full, log_obs
+        worker_params = expand_ordinal(worker_params, K)
+        item_params = expand_ordinal(item_params, K)
+    # the logits z[c, k, l], turned into P in place below
+    prob = gather_rows(labels.workers, worker_params)
+    prob += gather_rows(labels.items, item_params)
+    top = prob[:, 0].copy()
+    for k in range(1, K):
+        np.maximum(top, prob[:, k], out=top)
+    log_obs = np.take(prob.reshape(K, K * L), labels.labels * L + np.arange(L), axis=1)
+    prob -= top[:, None, :]
+    np.exp(prob, out=prob)
+    total = prob[:, 0].copy()
+    for k in range(1, K):
+        total += prob[:, k]
+    prob /= total[:, None, :]
+    np.log(total, out=total)
+    total += top
+    log_obs -= total
+    return prob, log_obs
 
 
-# The last model pass: (labels, mode, worker copy, item copy, (log_full, log_obs)).
+# The last model pass: (labels, key of mode and score bytes, (prob, log_obs)).
 _memo = [None]
 
 
@@ -97,33 +116,46 @@ def _model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
 
     The objective, the E-step and the gradient all read the model here. The
     stored model is returned again when `labels` is the same object, the mode
-    is equal and both score arrays equal the stored copies by value. Otherwise
-    the slot is emptied before one new pass fills it, so at most one model is
-    alive at a time.
+    is equal and both score arrays have the dtype, shape and bytes of the
+    stored ones. Otherwise the slot is emptied before one new pass fills it,
+    so at most one model is alive at a time; the new key is built after the
+    pass, so no copy of the scores is alive during it either.
     """
     entry = _memo[0]
-    if (entry is not None and entry[0] is labels and entry[1] == mode
-            and np.array_equal(entry[2], worker_params)
-            and np.array_equal(entry[3], item_params)):
-        return entry[4]
+    if (entry is not None and entry[0] is labels
+            and entry[1] == _key(mode, worker_params, item_params)):
+        return entry[2]
     entry = _memo[0] = None
     model = _log_model(labels, worker_params, item_params, mode)
-    _memo[0] = (labels, mode, np.array(worker_params), np.array(item_params), model)
+    _memo[0] = (labels, _key(mode, worker_params, item_params), model)
     return model
 
 
-def scatter_rows(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Sum the rows of `values` into `size` slots: out[index[l]] += values[l].
+def _key(mode: Mode, worker_params, item_params) -> tuple:
+    """The mode, and the dtype, shape and bytes of both score arrays."""
+    w, i = np.asarray(worker_params), np.asarray(item_params)
+    return mode, w.dtype, w.shape, w.tobytes(), i.dtype, i.shape, i.tobytes()
 
-    One np.bincount per column, each adding in row order, so the result equals
-    np.add.at on zeros exactly.
+
+def gather_rows(index: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """An (entity, ...) table read at each observation, class-major:
+    out[..., l] = table[index[l]], with every row contiguous."""
+    rows = np.ascontiguousarray(table.reshape(len(table), -1).T)
+    return np.take(rows, index, axis=1).reshape(*table.shape[1:], len(index))
+
+
+def scatter_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """Sum class-major rows into `size` entity slots: out[index[l], ...] +=
+    rows[..., l], the adjoint of `gather_rows`.
+
+    One np.bincount per contiguous row, each adding in observation order, so
+    the result equals np.add.at on zeros exactly.
     """
-    tail = values.shape[1:]
-    columns = values.reshape(len(values), int(np.prod(tail)))
-    out = np.empty((size, columns.shape[1]))
-    for j in range(columns.shape[1]):
-        out[:, j] = np.bincount(index, weights=columns[:, j], minlength=size)
-    return out.reshape((size, *tail))
+    flat = rows.reshape(-1, rows.shape[-1])
+    out = np.empty((size, len(flat)))
+    for r, row in enumerate(flat):
+        out[:, r] = np.bincount(index, weights=row, minlength=size)
+    return out.reshape((size, *rows.shape[:-1]))
 
 
 def _penalties(worker_params, item_params, hyper: HyperParams):
@@ -141,7 +173,7 @@ def entropy(posterior: np.ndarray) -> float:
 
 
 def _data_term(labels, posterior, log_obs) -> float:
-    weighted = np.take(posterior, labels.items, axis=0)
+    weighted = gather_rows(labels.items, posterior)
     weighted *= log_obs
     return float(np.sum(weighted))
 
@@ -193,12 +225,11 @@ def m_step_gradients(labels: LabelMatrix, posterior, worker_params, item_params,
     K = labels.num_classes
     if posterior.shape != (labels.num_items, K):
         raise ValueError("posterior shape does not match the label matrix")
-    log_full, _ = _model(labels, worker_params, item_params, hyper.mode)
+    prob, _ = _model(labels, worker_params, item_params, hyper.mode)
     _, og, _, pg = _penalties(worker_params, item_params, hyper)
-    per_obs = np.exp(log_full)  # (L, K, K), turned in place into Q(c) * [I(x = k) - P]
-    np.negative(per_obs, out=per_obs)
-    per_obs[np.arange(labels.num_labels), :, labels.labels] += 1.0
-    per_obs *= np.take(posterior, labels.items, axis=0)[:, :, None]
+    # (K, K, L): I(x_l = k) - P(k | c), then times Q(c) in place
+    per_obs = np.subtract((labels.labels == np.arange(K)[:, None]).astype(float), prob)
+    per_obs *= gather_rows(labels.items, posterior)[:, None, :]
     gw = scatter_rows(labels.workers, per_obs, labels.num_workers)
     gi = scatter_rows(labels.items, per_obs, labels.num_items)
     if hyper.mode == Mode.ORDINAL:
@@ -246,7 +277,7 @@ def _curvature_bound(labels: LabelMatrix, posterior, hyper: HyperParams):
     1/4 sum_l Q_l(c) for each dense score (c, k) of an entity, pooled onto
     ordinal scores, plus alpha or beta. No model pass is needed."""
     K = labels.num_classes
-    mass = 0.25 * np.take(posterior, labels.items, axis=0)  # (L, K)
+    mass = 0.25 * gather_rows(labels.items, posterior)  # (K, L)
     bounds = []
     for index, size, ridge in ((labels.workers, labels.num_workers, hyper.alpha),
                                (labels.items, labels.num_items, hyper.beta)):
@@ -373,15 +404,17 @@ def polish_stationary_point(labels: LabelMatrix, result: FitResult,
         for scores in (wp, ip):
             sat = np.abs(scores) > 12.0  # runaway: far past any interior optimum
             scores[sat] = np.sign(scores[sat]) * 600.0
+    _memo[0] = None  # keep no model past the polish
     return FitResult(posterior=q, worker_params=wp, item_params=ip,
                      objective_trace=list(result.objective_trace),
                      converged=result.converged, iterations=result.iterations)
 
 
-def _label_entropy(labels: LabelMatrix, posterior, log_full) -> float:
-    """H(observed labels | true labels) under the model log_full and posterior."""
-    per_pair = -np.sum(np.exp(log_full) * log_full, axis=2)  # (L, K): row entropy per class
-    return float(np.sum(np.take(posterior, labels.items, axis=0) * per_pair))
+def _label_entropy(labels: LabelMatrix, posterior, prob) -> float:
+    """H(observed labels | true labels) under the model prob and posterior,
+    with 0 * log 0 = 0."""
+    per_pair = -np.sum(prob * np.log(np.maximum(prob, PROB_FLOOR)), axis=1)  # (K, L)
+    return float(np.sum(gather_rows(labels.items, posterior) * per_pair))
 
 
 def kl_identity_check(labels: LabelMatrix, result: FitResult,
@@ -396,6 +429,6 @@ def kl_identity_check(labels: LabelMatrix, result: FitResult,
     n*log K terms cancel and the residual is |-sum log P(x_l | y*) - H(X|Y)|.
     """
     q = round_posterior(result.posterior)
-    log_full, log_obs = _log_model(labels, result.worker_params, result.item_params,
-                                   hyper.mode)
-    return abs(-_data_term(labels, q, log_obs) - _label_entropy(labels, q, log_full))
+    prob, log_obs = _log_model(labels, result.worker_params, result.item_params,
+                               hyper.mode)
+    return abs(-_data_term(labels, q, log_obs) - _label_entropy(labels, q, prob))

@@ -123,6 +123,14 @@ class TestAggregate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_gamma_names_gamma(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, "--gamma", "1e308")
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "gamma=1e+308 is too large" in captured.err
+        assert "resolved" not in captured.out
+        assert not out.exists()
+
     def test_nonconvergence_exit_code(self, tmp_path):
         code, out = self.run(tmp_path, "--alpha", "0.5", "--beta", "0.5",
                              "--max-iters", "1", "--tol", "1e-15")
@@ -177,6 +185,15 @@ class TestSelect:
                      "--out", str(report)])
         assert code == EXIT_USAGE
         assert "must not repeat" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_overflowing_grid_value_rejected(self, tmp_path, capsys):
+        report = tmp_path / "cv.csv"
+        code = main(["select", "--labels", str(labels_csv(tmp_path)),
+                     "--classes", "3", "--label-base", "1", "--grid", "1,1e308",
+                     "--out", str(report)])
+        assert code == EXIT_USAGE
+        assert "gamma=1e+308 is too large" in capsys.readouterr().err
         assert not report.exists()
 
     def test_bad_grid_rejected(self, tmp_path, capsys):

@@ -61,13 +61,14 @@ class TestExpandOrdinal:
 
 
 def log_label_distribution(sigma, tau):
-    """Row-wise log P(k | c) that `fit` uses, for one worker/item pair: the
-    labeling model of a one-observation matrix with sigma as the worker's
-    scores and tau as the item's."""
+    """Row-wise log P(k | c) that `fit` uses, for one worker/item pair: column k
+    is the log_obs of a one-observation matrix labeled k, with sigma as the
+    worker's scores and tau as the item's."""
     K = sigma.shape[-1]
-    labels = from_triples([("w", "i", 0)], K)
-    log_full, _ = _log_model(labels, sigma[None], tau[None], Mode.MULTICLASS)
-    return log_full[0]
+    return np.column_stack([
+        _log_model(from_triples([("w", "i", k)], K), sigma[None], tau[None],
+                   Mode.MULTICLASS)[1][:, 0]
+        for k in range(K)])
 
 
 def label_distribution(sigma, tau, c):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,14 @@ class TestResolveHyperparams:
             resolve_hyperparams(-1.0, lm)
         for gamma in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="positive and finite"):
+                resolve_hyperparams(gamma, lm)
+
+    def test_overflowing_alpha_or_beta_names_gamma(self):
+        lm = grid_instance(num_classes=3, m=9, n=40, labels=200)
+        alpha, beta = resolve_hyperparams(1e306, lm)  # beta = (40 / 9) * alpha
+        assert alpha == pytest.approx(9e306) and beta == pytest.approx(4e307)
+        for gamma in (1e308, 1e307):  # both overflow, then beta alone
+            with pytest.raises(ValueError, match=re.escape(f"gamma={gamma:g} is too large")):
                 resolve_hyperparams(gamma, lm)
 
 

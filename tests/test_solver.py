@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from mmce import solver, synthetic
-from mmce.confusion import Mode, RegularizerVariant, init_params
+from mmce.baselines import _ds_log_joint, _ds_m_step
+from mmce.confusion import (
+    Mode,
+    RegularizerVariant,
+    expand_ordinal,
+    init_params,
+    logsumexp,
+    project_ordinal,
+)
 from mmce.data import from_triples
 from mmce.selection import resolve_hyperparams
 from mmce.solver import (
@@ -483,6 +491,140 @@ class TestModelMemo:
         fit(lm, h)
         assert solver._memo == [None]
 
+    def test_slot_is_empty_after_polish(self):
+        conf = np.array([synthetic.diagonal_confusion(2, 0.7)] * 4)
+        lm, _ = synthetic.sample_labels(4, 8, 2, 4, conf, 0)
+        h = HyperParams(alpha=0.0, beta=0.0, max_outer_iters=20)
+        polish_stationary_point(lm, fit(lm, h), h)
+        assert solver._memo == [None]
+
+
+def entity_log_model(labels, worker_params, item_params, mode):
+    """The entity-major (L, K, K) model that the class-major kernel replaced:
+    (log_full, log_obs) with log_full[l, c, k] = log P(k | c) and
+    log_obs[l, c] = log P(x_l | c)."""
+    if mode == Mode.ORDINAL:
+        worker_params = expand_ordinal(worker_params, labels.num_classes)
+        item_params = expand_ordinal(item_params, labels.num_classes)
+    log_full = np.take(worker_params, labels.workers, axis=0)
+    log_full += np.take(item_params, labels.items, axis=0)
+    log_full -= logsumexp(log_full, axis=2, keepdims=True)
+    return log_full, log_full[np.arange(labels.num_labels), :, labels.labels]
+
+
+def column_scatter(index, values, size):
+    """The per-column scatter that the class-major `scatter_rows` replaced:
+    out[index[l]] += values[l], one np.bincount per column of (L, ...) values."""
+    tail = values.shape[1:]
+    columns = values.reshape(len(values), int(np.prod(tail)))
+    out = np.empty((size, columns.shape[1]))
+    for j in range(columns.shape[1]):
+        out[:, j] = np.bincount(index, weights=columns[:, j], minlength=size)
+    return out.reshape((size, *tail))
+
+
+def kernel_cases(scale):
+    """Random instances with scores for both modes: normal with the given
+    scale, or (scale=None) +-800 with a little noise, far past exp's range."""
+    for seed in range(12):
+        lm = synthetic.random_instance(seed, max_workers=6, max_items=9)
+        for mode in Mode:
+            rng = np.random.default_rng(seed + 100)
+            shapes = [init_params(mode, n, lm.num_classes).shape
+                      for n in (lm.num_workers, lm.num_items)]
+            if scale is None:
+                wp, ip = (800.0 * rng.choice([-1.0, 1.0], size=s) + rng.normal(size=s)
+                          for s in shapes)
+            else:
+                wp, ip = (rng.normal(scale=scale, size=s) for s in shapes)
+            q = rng.random((lm.num_items, lm.num_classes))
+            q /= q.sum(axis=1, keepdims=True)
+            yield lm, mode, wp, ip, q
+
+
+class TestClassMajorKernel:
+    @pytest.mark.parametrize("scale", [2.0, None])
+    def test_log_model_is_the_log_space_softmax(self, scale):
+        for lm, mode, wp, ip, _ in kernel_cases(scale):
+            K, L = lm.num_classes, lm.num_labels
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                prob, log_obs = LOG_MODEL(lm, wp, ip, mode)
+            assert prob.shape == (K, K, L) and log_obs.shape == (K, L)
+            assert prob.flags.c_contiguous and log_obs.flags.c_contiguous
+            dense_w, dense_i = ((expand_ordinal(p, K) if mode == Mode.ORDINAL else p)
+                                for p in (wp, ip))
+            for l in range(L):
+                for c in range(K):
+                    z = dense_w[lm.workers[l], c] + dense_i[lm.items[l], c]
+                    lse = z.max() + np.log(np.sum(np.exp(z - z.max())))
+                    np.testing.assert_allclose(prob[c, :, l], np.exp(z - lse),
+                                               rtol=1e-12, atol=1e-300)
+                    assert log_obs[c, l] == pytest.approx(z[lm.labels[l]] - lse,
+                                                          rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(prob.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [2.0, None])
+    def test_log_obs_is_bit_equal_to_the_entity_major_model(self, scale):
+        for lm, mode, wp, ip, _ in kernel_cases(scale):
+            _, log_obs = LOG_MODEL(lm, wp, ip, mode)
+            _, want = entity_log_model(lm, wp, ip, mode)
+            assert np.array_equal(log_obs, want.T)
+
+    def test_gradient_matches_the_entity_major_formula(self):
+        for lm, mode, wp, ip, q in kernel_cases(1.0):
+            h = HyperParams(alpha=0.7, beta=1.3, mode=mode)
+            log_full, _ = entity_log_model(lm, wp, ip, mode)
+            per_obs = -np.exp(log_full)
+            per_obs[np.arange(lm.num_labels), :, lm.labels] += 1.0
+            per_obs *= q[lm.items][:, :, None]
+            want = [column_scatter(index, per_obs, size) for index, size in
+                    ((lm.workers, lm.num_workers), (lm.items, lm.num_items))]
+            if mode == Mode.ORDINAL:
+                want = [project_ordinal(g, lm.num_classes) for g in want]
+            want[0] -= 0.7 * wp
+            want[1] -= 1.3 * ip
+            for got, w in zip(m_step_gradients(lm, q, wp, ip, h), want):
+                assert got.shape == w.shape and got.flags.c_contiguous
+                np.testing.assert_allclose(got, w, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [2.0, None])
+    def test_e_step_is_bit_identical_to_column_scatter(self, scale):
+        for lm, mode, wp, ip, _ in kernel_cases(scale):
+            _, log_obs = entity_log_model(lm, wp, ip, mode)
+            log_q = column_scatter(lm.items, log_obs, lm.num_items)
+            log_q -= logsumexp(log_q, axis=1, keepdims=True)
+            got = e_step(lm, wp, ip, HyperParams(mode=mode))
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, np.exp(log_q))
+
+    def test_curvature_bound_is_bit_identical_to_column_scatter(self):
+        for lm, mode, _, _, q in kernel_cases(1.0):
+            h = HyperParams(alpha=0.7, beta=1.3, mode=mode)
+            K = lm.num_classes
+            mass = 0.25 * np.take(q, lm.items, axis=0)
+            for got, index, size, ridge in zip(
+                    solver._curvature_bound(lm, q, h),
+                    (lm.workers, lm.items), (lm.num_workers, lm.num_items), (0.7, 1.3)):
+                dense = np.repeat(column_scatter(index, mass, size)[:, :, None], K, axis=2)
+                want = (project_ordinal(dense, K) if mode == Mode.ORDINAL else dense) + ridge
+                assert np.array_equal(got, want)
+
+    def test_dawid_skene_is_bit_identical_to_column_scatter(self):
+        for lm, _, _, _, q in kernel_cases(1.0):
+            m, K = lm.num_workers, lm.num_classes
+            counts = column_scatter(lm.workers * K + lm.labels, q[lm.items], m * K)
+            counts = counts.reshape(m, K, K).transpose(0, 2, 1) + 0.01
+            confusion, prior = _ds_m_step(lm, q, 0.01, uniform_prior=False)
+            totals = counts.sum(axis=2, keepdims=True)
+            assert np.array_equal(confusion, counts / totals)
+            log_p = np.log(np.maximum(confusion, solver.PROB_FLOOR))
+            acc = column_scatter(lm.items, log_p[lm.workers, :, lm.labels], lm.num_items)
+            acc += np.log(np.maximum(prior, solver.PROB_FLOOR))
+            got = _ds_log_joint(lm, confusion, prior)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, acc)
+
 
 class TestSharedModel:
     @pytest.mark.parametrize("mode", list(Mode))
@@ -539,7 +681,7 @@ class TestDualObjective:
         from mmce.solver import _log_model
         _, log_obs = _log_model(lm, wp, ip, Mode.MULTICLASS)
         truth = np.argmax(three_worker_posterior, axis=1)
-        expected = sum(log_obs[l, truth[lm.items[l]]] for l in range(lm.num_labels))
+        expected = sum(log_obs[truth[lm.items[l]], l] for l in range(lm.num_labels))
         assert val == pytest.approx(expected)
 
     def test_matches_term_by_term_summation(self):
@@ -551,7 +693,7 @@ class TestDualObjective:
         data = 0.0
         for l in range(lm.num_labels):
             for c in range(lm.num_classes):
-                data += q[lm.items[l], c] * log_obs[l, c]
+                data += q[lm.items[l], c] * log_obs[c, l]
         hy = -sum(q[j, c] * np.log(q[j, c]) for j in range(lm.num_items)
                   for c in range(lm.num_classes) if q[j, c] > 0)
         pen = 0.35 * np.sum(wp ** 2) + 0.65 * np.sum(ip ** 2)
@@ -618,11 +760,11 @@ class TestKlIdentity:
         from mmce.solver import _label_entropy, _log_model
         lm = synthetic.random_instance(25)
         wp, ip, q = random_state(lm, 26)
-        log_full, _ = _log_model(lm, wp, ip, Mode.MULTICLASS)
+        prob, _ = _log_model(lm, wp, ip, Mode.MULTICLASS)
         direct = 0.0
         for l in range(lm.num_labels):
             for c in range(lm.num_classes):
                 for k in range(lm.num_classes):
-                    p = np.exp(log_full[l, c, k])
-                    direct -= q[lm.items[l], c] * p * log_full[l, c, k]
-        assert _label_entropy(lm, q, log_full) == pytest.approx(direct)
+                    p = prob[c, k, l]
+                    direct -= q[lm.items[l], c] * p * np.log(p)
+        assert _label_entropy(lm, q, prob) == pytest.approx(direct)

@@ -138,6 +138,10 @@ def cmd_select(args) -> int:
         report = selection.validation_select(labels, gold, config)
     else:
         report = selection.cross_validate(labels, config)
+    if report.at_edge:
+        log.warning("selected gamma=%g is at the edge of the grid %g..%g; a better "
+                    "value may lie beyond it", report.selected_gamma,
+                    min(grid), max(grid))
     if args.out:
         report.write_csv(args.out)
     print(f"selected gamma={report.selected_gamma:g} "

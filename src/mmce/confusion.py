@@ -75,12 +75,22 @@ def expand_ordinal(params: np.ndarray, K: int) -> np.ndarray:
     params = np.asarray(params)
     if params.shape[-2:] != (K - 1, len(REL_PAIRS)):
         raise ValueError(f"ordinal params must have trailing shape ({K - 1}, 4)")
-    return np.einsum("...sr,srck->...ck", params, ordinal_basis(K))
+    lead = params.shape[:-2]
+    return (params.reshape(*lead, (K - 1) * len(REL_PAIRS)) @ _flat_basis(K)
+            ).reshape(*lead, K, K)
 
 
 def project_ordinal(dense_grad: np.ndarray, K: int) -> np.ndarray:
     """Adjoint of expand_ordinal: pool a dense (c, k) gradient onto ordinal scores."""
-    return np.einsum("...ck,srck->...sr", dense_grad, ordinal_basis(K))
+    dense_grad = np.asarray(dense_grad)
+    lead = dense_grad.shape[:-2]
+    return (dense_grad.reshape(*lead, K * K) @ _flat_basis(K).T
+            ).reshape(*lead, K - 1, len(REL_PAIRS))
+
+
+def _flat_basis(K: int) -> np.ndarray:
+    """ordinal_basis(K) as a (4(K-1), K*K) matrix: row (s, r), column (c, k)."""
+    return ordinal_basis(K).reshape((K - 1) * len(REL_PAIRS), K * K)
 
 
 def center(params: np.ndarray) -> np.ndarray:
@@ -98,24 +108,34 @@ def center(params: np.ndarray) -> np.ndarray:
     return out
 
 
-def regularizer_value_and_gradient(params: np.ndarray, variant: RegularizerVariant,
-                                   weight: float):
-    """Quadratic penalty value and gradient for either parameterization.
-
-    Euclidean: (weight/2) * sum of squares. Centered: squares of deviations
-    from the per-entity diagonal and off-diagonal means (dense multiclass only).
-    """
+def _penalized(params: np.ndarray, variant: RegularizerVariant, weight: float):
+    """The part of the scores a quadratic penalty acts on: the scores themselves
+    (Euclidean), or their deviations from the per-entity diagonal and
+    off-diagonal means (centered, dense multiclass only)."""
     if weight < 0:
         raise ValueError("regularizer weight must be >= 0")
     params = np.asarray(params, dtype=float)
     if variant == RegularizerVariant.EUCLIDEAN:
-        return 0.5 * weight * float(np.sum(params ** 2)), weight * params
+        return params
     if variant == RegularizerVariant.CENTERED:
         if params.ndim != 3 or params.shape[1] != params.shape[2]:
             raise ValueError("centered variant applies to multiclass (dense) mode only")
-        centered = center(params)
-        return 0.5 * weight * float(np.sum(centered ** 2)), weight * centered
+        return center(params)
     raise ValueError(f"unknown variant {variant!r}")
+
+
+def regularizer_value(params: np.ndarray, variant: RegularizerVariant,
+                      weight: float) -> float:
+    """Quadratic penalty value for either parameterization: (weight/2) times the
+    sum of squares of the scores (Euclidean) or of their deviations from the
+    per-entity diagonal and off-diagonal means (centered)."""
+    return 0.5 * weight * float((_penalized(params, variant, weight) ** 2).sum())
+
+
+def regularizer_gradient(params: np.ndarray, variant: RegularizerVariant,
+                         weight: float) -> np.ndarray:
+    """Gradient of `regularizer_value` with respect to the scores."""
+    return weight * _penalized(params, variant, weight)
 
 
 def init_params(mode: Mode, num_entities: int, K: int) -> np.ndarray:

@@ -126,8 +126,11 @@ def _intern(chunks, num_classes, label_base, worker_ids=None, item_ids=None) -> 
     item at most once. The first fault in file order is raised, naming its
     line: the earliest faulting row of a chunk, or a repeated pair on an
     earlier row. IDs are interned in first-appearance order, after the
-    pre-registered worker_ids/item_ids.
+    pre-registered worker_ids/item_ids. Fewer than 2 classes is rejected
+    before any row is read.
     """
+    if num_classes < 2:
+        raise ValueError(f"need at least 2 classes, got {num_classes}")
     # id -> row of its first appearance; pre-registered ids take rows 0..n-1
     w_first = {wid: n for n, wid in enumerate(dict.fromkeys(map(str, worker_ids or ())))}
     i_first = {iid: n for n, iid in enumerate(dict.fromkeys(map(str, item_ids or ())))}
@@ -219,7 +222,7 @@ def from_triples(triples, num_classes, worker_ids=None, item_ids=None) -> LabelM
     comma, a line break, or leading or trailing whitespace) is rejected, so
     write_labels output always loads back. A label is a string, read as a
     labels file field is, or an integral number; anything else is not an
-    integer.
+    integer. num_classes must be at least 2.
     """
     rows = [(str(wid), str(iid), lab) for wid, iid, lab in triples]
     end = next((k for k, (wid, iid, _) in enumerate(rows)
@@ -303,7 +306,8 @@ def _columns(path, fields):
 def load_labels(path, num_classes, label_base=0) -> LabelMatrix:
     """Load a `worker_id,item_id,label` CSV file into a LabelMatrix.
 
-    label_base 1 shifts incoming labels down by one for datasets encoded 1..K.
+    label_base 1 shifts incoming labels down by one for datasets encoded 1..K;
+    num_classes K must be at least 2.
     """
     if label_base not in (0, 1):
         raise ValueError("label_base must be 0 or 1")

@@ -57,6 +57,13 @@ class CVReport:
     beta: float
     metric: str = "heldout_loglik"
 
+    @property
+    def at_edge(self) -> bool:
+        """Whether the selected gamma is the smallest or the largest value of a
+        grid of two or more values, so a better one may lie beyond the grid."""
+        grid = self.gamma_grid
+        return len(grid) >= 2 and self.selected_gamma in (min(grid), max(grid))
+
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"gamma,fold,{self.metric}\n")

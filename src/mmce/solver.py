@@ -20,7 +20,8 @@ from .confusion import (
     init_params,
     logsumexp,
     project_ordinal,
-    regularizer_value_and_gradient,
+    regularizer_gradient,
+    regularizer_value,
 )
 from .data import LabelMatrix
 
@@ -72,7 +73,8 @@ class FitResult:
         return np.argmax(self.posterior, axis=1)
 
 
-def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
+def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode,
+               obs_index=None):
     """The labeling model at every observation, stored class-major.
 
     Returns (prob, log_obs), both C-contiguous with the observation axis last:
@@ -82,9 +84,12 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     observations, so the normalizer works on whole (K, L) slices and P comes
     from the one exp pass the normalizer needs. log_obs is z[x_l] - (log(sum_k
     exp(z_k - top)) + top) of the logits z and their max, summed in class order.
-    The score tensors themselves keep their (entity, c, k) layout.
+    The score tensors themselves keep their (entity, c, k) layout. obs_index is
+    `_label_constants`' x_l * L + l, built here when not given.
     """
     K, L = labels.num_classes, labels.num_labels
+    if obs_index is None:
+        obs_index = _label_constants(labels)[1]
     if mode == Mode.ORDINAL:
         worker_params = expand_ordinal(worker_params, K)
         item_params = expand_ordinal(item_params, K)
@@ -94,7 +99,7 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     top = prob[:, 0].copy()
     for k in range(1, K):
         np.maximum(top, prob[:, k], out=top)
-    log_obs = np.take(prob.reshape(K, K * L), labels.labels * L + np.arange(L), axis=1)
+    log_obs = np.take(prob.reshape(K, K * L), obs_index, axis=1)
     prob -= top[:, None, :]
     np.exp(prob, out=prob)
     total = prob[:, 0].copy()
@@ -107,28 +112,79 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     return prob, log_obs
 
 
-# The last model pass: (labels, key of mode and score bytes, (prob, log_obs)).
+# The fixed inputs of one LabelMatrix and the last values read from them, as
+# {"labels", "one_hot", "obs_index", "rows": (posterior key, rows),
+#  "model": (score key, (prob, log_obs))}, or None.
 _memo = [None]
 
 
+def _entry(labels: LabelMatrix) -> dict:
+    """The slot's entry for `labels`, the same object as the stored one.
+
+    For any other LabelMatrix the slot is emptied first, so nothing of the old
+    one is alive while `_label_constants` builds the new entry.
+    """
+    entry = _memo[0]
+    if entry is None or entry["labels"] is not labels:
+        entry = _memo[0] = None
+        one_hot, obs_index = _label_constants(labels)
+        entry = _memo[0] = {"labels": labels, "one_hot": one_hot,
+                            "obs_index": obs_index, "rows": None, "model": None}
+    return entry
+
+
+def _label_constants(labels: LabelMatrix):
+    """What the model and the gradient read of the observed labels, both
+    read-only: the (K, L) bool one-hot I(x_l = k), and x_l * L + l, the index of
+    each observed label's logit in a class-major (K, K * L) table."""
+    L = labels.num_labels
+    one_hot = labels.labels == np.arange(labels.num_classes)[:, None]
+    obs_index = labels.labels * L + np.arange(L)
+    one_hot.setflags(write=False)
+    obs_index.setflags(write=False)
+    return one_hot, obs_index
+
+
 def _model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
-    """`_log_model` behind a one-slot memo, so each score point costs one pass.
+    """`_log_model` behind the slot, so each score point costs one pass.
 
     The objective, the E-step and the gradient all read the model here. The
     stored model is returned again when `labels` is the same object, the mode
     is equal and both score arrays have the dtype, shape and bytes of the
-    stored ones. Otherwise the slot is emptied before one new pass fills it,
-    so at most one model is alive at a time; the new key is built after the
-    pass, so no copy of the scores is alive during it either.
+    stored ones. Otherwise the stored model, and only it, is dropped before one
+    new pass fills its place, so at most one model is alive at a time; the new
+    key is built after the pass, so no copy of the scores is alive during it
+    either.
     """
-    entry = _memo[0]
-    if (entry is not None and entry[0] is labels
-            and entry[1] == _key(mode, worker_params, item_params)):
-        return entry[2]
-    entry = _memo[0] = None
-    model = _log_model(labels, worker_params, item_params, mode)
-    _memo[0] = (labels, _key(mode, worker_params, item_params), model)
+    entry = _entry(labels)
+    stored = entry["model"]
+    if stored is not None and stored[0] == _key(mode, worker_params, item_params):
+        return stored[1]
+    stored = entry["model"] = None
+    model = _log_model(labels, worker_params, item_params, mode, entry["obs_index"])
+    entry["model"] = (_key(mode, worker_params, item_params), model)
     return model
+
+
+def _posterior_rows(labels: LabelMatrix, posterior) -> np.ndarray:
+    """gather_rows(labels.items, posterior), read-only, behind the slot.
+
+    The M-step holds the posterior fixed, so the rows are gathered once per
+    posterior: they are returned again while `labels` is the same object and
+    the posterior has the dtype, shape and bytes of the one they came from,
+    and a new score point keeps them.
+    """
+    entry = _entry(labels)
+    q = np.asarray(posterior)
+    key = (q.dtype, q.shape, q.tobytes())
+    stored = entry["rows"]
+    if stored is not None and stored[0] == key:
+        return stored[1]
+    stored = entry["rows"] = None
+    rows = gather_rows(labels.items, q)
+    rows.setflags(write=False)
+    entry["rows"] = (key, rows)
+    return rows
 
 
 def _key(mode: Mode, worker_params, item_params) -> tuple:
@@ -158,32 +214,25 @@ def scatter_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
     return out.reshape((size, *rows.shape[:-1]))
 
 
-def _penalties(worker_params, item_params, hyper: HyperParams):
-    """Regularizer values and gradients; centered applies to worker scores only."""
-    ov, og = regularizer_value_and_gradient(worker_params, hyper.variant, hyper.alpha)
-    pv, pg = regularizer_value_and_gradient(
-        item_params, RegularizerVariant.EUCLIDEAN, hyper.beta)
-    return ov, og, pv, pg
-
-
 def entropy(posterior: np.ndarray) -> float:
     """Shannon entropy of the posterior rows, with 0 * log 0 = 0."""
     q = np.asarray(posterior)
     return float(-np.sum(np.where(q > 0, q * np.log(np.maximum(q, PROB_FLOOR)), 0.0)))
 
 
-def _data_term(labels, posterior, log_obs) -> float:
-    weighted = gather_rows(labels.items, posterior)
-    weighted *= log_obs
-    return float(np.sum(weighted))
+def _data_term(rows, log_obs) -> float:
+    """sum_l sum_c Q_l(c) log P(x_l | c), from the posterior rows Q_l(c)."""
+    return float((rows * log_obs).sum())
 
 
 def penalized_likelihood(labels, posterior, worker_params, item_params,
                          hyper: HyperParams) -> float:
     """The objective the M-step ascends: expected log-likelihood minus penalties."""
     _, log_obs = _model(labels, worker_params, item_params, hyper.mode)
-    ov, _, pv, _ = _penalties(worker_params, item_params, hyper)
-    return _data_term(labels, posterior, log_obs) - ov - pv
+    data = _data_term(_posterior_rows(labels, posterior), log_obs)
+    # the centered variant applies to worker scores only
+    return (data - regularizer_value(worker_params, hyper.variant, hyper.alpha)
+            - regularizer_value(item_params, RegularizerVariant.EUCLIDEAN, hyper.beta))
 
 
 def dual_objective(labels, posterior, worker_params, item_params,
@@ -226,17 +275,16 @@ def m_step_gradients(labels: LabelMatrix, posterior, worker_params, item_params,
     if posterior.shape != (labels.num_items, K):
         raise ValueError("posterior shape does not match the label matrix")
     prob, _ = _model(labels, worker_params, item_params, hyper.mode)
-    _, og, _, pg = _penalties(worker_params, item_params, hyper)
     # (K, K, L): I(x_l = k) - P(k | c), then times Q(c) in place
-    per_obs = np.subtract((labels.labels == np.arange(K)[:, None]).astype(float), prob)
-    per_obs *= gather_rows(labels.items, posterior)[:, None, :]
+    per_obs = np.subtract(_entry(labels)["one_hot"], prob)
+    per_obs *= _posterior_rows(labels, posterior)[:, None, :]
     gw = scatter_rows(labels.workers, per_obs, labels.num_workers)
     gi = scatter_rows(labels.items, per_obs, labels.num_items)
     if hyper.mode == Mode.ORDINAL:
         gw = project_ordinal(gw, K)
         gi = project_ordinal(gi, K)
-    gw -= og
-    gi -= pg
+    gw -= regularizer_gradient(worker_params, hyper.variant, hyper.alpha)
+    gi -= regularizer_gradient(item_params, RegularizerVariant.EUCLIDEAN, hyper.beta)
     if hyper.clamp_item_params:
         gi = np.zeros_like(gi)
     return gw, gi
@@ -277,7 +325,7 @@ def _curvature_bound(labels: LabelMatrix, posterior, hyper: HyperParams):
     1/4 sum_l Q_l(c) for each dense score (c, k) of an entity, pooled onto
     ordinal scores, plus alpha or beta. No model pass is needed."""
     K = labels.num_classes
-    mass = 0.25 * gather_rows(labels.items, posterior)  # (K, L)
+    mass = 0.25 * _posterior_rows(labels, posterior)  # (K, L)
     bounds = []
     for index, size, ridge in ((labels.workers, labels.num_workers, hyper.alpha),
                                (labels.items, labels.num_items, hyper.beta)):
@@ -302,13 +350,14 @@ def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
     """
     wp, ip = worker_params, item_params
     bw, bi = _curvature_bound(labels, posterior, hyper)
+    mw, mi = bw > 0, bi > 0
     value = penalized_likelihood(labels, posterior, wp, ip, hyper)
     failed = False
     for _ in range(hyper.inner_gradient_steps):
         gw, gi = m_step_gradients(labels, posterior, wp, ip, hyper)
-        dw = np.divide(gw, bw, out=np.zeros_like(gw), where=bw > 0)
-        di = np.divide(gi, bi, out=np.zeros_like(gi), where=bi > 0)
-        slope = float(np.sum(gw * dw) + np.sum(gi * di))
+        dw = np.divide(gw, bw, out=np.zeros_like(gw), where=mw)
+        di = np.divide(gi, bi, out=np.zeros_like(gi), where=mi)
+        slope = float((gw * dw).sum() + (gi * di).sum())
         if slope == 0.0:
             break
         step = 1.0
@@ -350,7 +399,9 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
     ip = init_params(hyper.mode, labels.num_items, K)
     posterior = initialize_posterior(labels)
     # Both traces, the E-step and the next M-step's start all read the model at
-    # the current scores from `_model`'s slot, so it is computed once per point.
+    # the current scores from `_model`'s slot, so it is computed once per point;
+    # the label constants are built once per fit and the posterior rows once
+    # per posterior.
     trace = [dual_objective(labels, posterior, wp, ip, hyper)]
     converged = False
     iterations = 0
@@ -367,7 +418,7 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
         if abs(trace[-1] - prev) < hyper.tol * max(abs(prev), PROB_FLOOR):
             converged = True
             break
-    _memo[0] = None  # keep no model past the fit
+    _memo[0] = None  # keep nothing past the fit
     return FitResult(
         posterior=posterior,
         worker_params=wp,
@@ -404,7 +455,7 @@ def polish_stationary_point(labels: LabelMatrix, result: FitResult,
         for scores in (wp, ip):
             sat = np.abs(scores) > 12.0  # runaway: far past any interior optimum
             scores[sat] = np.sign(scores[sat]) * 600.0
-    _memo[0] = None  # keep no model past the polish
+    _memo[0] = None  # keep nothing past the polish
     return FitResult(posterior=q, worker_params=wp, item_params=ip,
                      objective_trace=list(result.objective_trace),
                      converged=result.converged, iterations=result.iterations)
@@ -431,4 +482,5 @@ def kl_identity_check(labels: LabelMatrix, result: FitResult,
     q = round_posterior(result.posterior)
     prob, log_obs = _log_model(labels, result.worker_params, result.item_params,
                                hyper.mode)
-    return abs(-_data_term(labels, q, log_obs) - _label_entropy(labels, q, prob))
+    data = _data_term(gather_rows(labels.items, q), log_obs)
+    return abs(-data - _label_entropy(labels, q, prob))

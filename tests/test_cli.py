@@ -202,6 +202,61 @@ class TestSelect:
         assert code == EXIT_USAGE
 
 
+class TestSelectEdgeWarning:
+    @staticmethod
+    def report(grid, selected):
+        return selection.CVReport(gamma_grid=grid, per_fold={g: [0.0] for g in grid},
+                                  mean_scores={g: 0.0 for g in grid},
+                                  selected_gamma=selected, alpha=1.0, beta=2.0)
+
+    @pytest.mark.parametrize("gold", [False, True])
+    @pytest.mark.parametrize("grid,selected,warned", [
+        ("0.25,1,4", 0.25, True), ("0.25,1,4", 4.0, True), ("0.25,1,4", 1.0, False),
+        ("2", 2.0, False)])
+    def test_one_warning_at_either_edge(self, tmp_path, monkeypatch, caplog, capsys,
+                                        gold, grid, selected, warned):
+        report = self.report(tuple(float(g) for g in grid.split(",")), selected)
+        name = "validation_select" if gold else "cross_validate"
+        monkeypatch.setattr(selection, name, lambda *args: report)
+        extra = ["--gold", str(gold_csv(tmp_path))] if gold else []
+        code = main(["select", "--labels", str(labels_csv(tmp_path)), "--classes", "3",
+                     "--label-base", "1", "--grid", grid, *extra])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == f"selected gamma={selected:g} alpha=1 beta=2\n"
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ([f"selected gamma={selected:g} is at the edge of the grid "
+                             "0.25..4; a better value may lie beyond it"] if warned else [])
+
+    def test_warning_is_one_stderr_line(self, tmp_path):
+        # any pick from a two-value grid is at an edge
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmce.cli", "select", "--labels", str(labels_csv(tmp_path)),
+             "--classes", "3", "--label-base", "1", "--grid", "0.5,2", "--folds", "2",
+             "--max-iters", "20"], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("WARNING selected gamma=")
+        assert lines[0].endswith("is at the edge of the grid 0.5..2; a better value "
+                                 "may lie beyond it")
+        assert proc.stdout.startswith("selected gamma=")
+
+
+@pytest.mark.parametrize("command", ["stats", "aggregate", "select"])
+@pytest.mark.parametrize("classes", ["0", "1", "-3"])
+def test_fewer_than_two_classes_is_usage_error(tmp_path, capsys, command, classes):
+    extra = ["--gamma", "1", "--out", str(tmp_path / "post.tsv")] if command == "aggregate" else []
+    code = main([command, "--labels", str(labels_csv(tmp_path)), "--classes", classes,
+                 *extra])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need at least 2 classes, got {classes}\n"
+    assert not (tmp_path / "post.tsv").exists()
+
+
 class Captured(Exception):
     pass
 

@@ -14,7 +14,8 @@ from mmce.confusion import (
     ordinal_basis,
     project_ordinal,
     read_params,
-    regularizer_value_and_gradient,
+    regularizer_gradient,
+    regularizer_value,
     write_params,
 )
 from mmce.data import from_triples
@@ -58,6 +59,33 @@ class TestExpandOrdinal:
         lhs = np.sum(expand_ordinal(p, 4) * d)
         rhs = np.sum(p * project_ordinal(d, 4))
         assert lhs == pytest.approx(rhs)
+
+    @pytest.mark.parametrize("K", range(2, 7))
+    @pytest.mark.parametrize("scale", [1.0, 800.0])
+    def test_matmul_forms_match_the_einsum_reference(self, K, scale):
+        # Both maps are one matmul against the flattened basis; the einsum forms
+        # sum the same terms in another order. Tolerance: 1e-12 of the largest
+        # magnitude, fixed before the matmul forms were written.
+        rng = np.random.default_rng(K)
+        for _ in range(5):
+            p = rng.uniform(-scale, scale, size=(7, K - 1, 4))
+            d = rng.uniform(-scale, scale, size=(7, K, K))
+            for got, want in ((expand_ordinal(p, K), einsum_expand(p, K)),
+                              (project_ordinal(d, K), einsum_project(d, K))):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert expand_ordinal(np.zeros((0, K - 1, 4)), K).shape == (0, K, K)
+        assert project_ordinal(np.zeros((0, K, K)), K).shape == (0, K - 1, 4)
+
+
+def einsum_expand(params, K):
+    """expand_ordinal as one einsum against the 4-d basis."""
+    return np.einsum("...sr,srck->...ck", params, ordinal_basis(K))
+
+
+def einsum_project(dense_grad, K):
+    """project_ordinal as one einsum against the 4-d basis."""
+    return np.einsum("...ck,srck->...sr", dense_grad, ordinal_basis(K))
 
 
 def log_label_distribution(sigma, tau):
@@ -153,47 +181,75 @@ def centered_value_oracle(params, weight):
     return 0.5 * weight * total
 
 
+def regularizer_value_and_gradient(params, variant, weight):
+    """The penalty value and gradient computed together, as one function."""
+    if weight < 0:
+        raise ValueError("regularizer weight must be >= 0")
+    params = np.asarray(params, dtype=float)
+    if variant == RegularizerVariant.EUCLIDEAN:
+        return 0.5 * weight * float(np.sum(params ** 2)), weight * params
+    centered = center(params)
+    return 0.5 * weight * float(np.sum(centered ** 2)), weight * centered
+
+
 class TestRegularizers:
     def test_zero_params(self):
         for variant in RegularizerVariant:
-            v, g = regularizer_value_and_gradient(np.zeros((2, 3, 3)), variant, 1.5)
-            assert v == 0.0 and not g.any()
+            assert regularizer_value(np.zeros((2, 3, 3)), variant, 1.5) == 0.0
+            assert not regularizer_gradient(np.zeros((2, 3, 3)), variant, 1.5).any()
+
+    @pytest.mark.parametrize("variant", list(RegularizerVariant))
+    def test_halves_equal_the_combined_reference(self, variant):
+        rng = np.random.default_rng(13)
+        for weight in (0.0, 0.3, 7.5):
+            for shape in ((1, 2, 2), (4, 3, 3), (3, 5, 5)):
+                p = rng.normal(scale=3.0, size=shape)
+                v, g = regularizer_value_and_gradient(p, variant, weight)
+                assert regularizer_value(p, variant, weight) == v
+                assert np.array_equal(regularizer_gradient(p, variant, weight), g)
+
+    def test_negative_weight_rejected(self):
+        for half in (regularizer_value, regularizer_gradient):
+            with pytest.raises(ValueError, match="weight"):
+                half(np.zeros((1, 2, 2)), RegularizerVariant.EUCLIDEAN, -1.0)
 
     def test_euclidean_value_and_gradient(self):
         p = np.array([[[1.0, -2.0], [0.5, 0.0]]])
-        v, g = regularizer_value_and_gradient(p, RegularizerVariant.EUCLIDEAN, 2.0)
+        v = regularizer_value(p, RegularizerVariant.EUCLIDEAN, 2.0)
+        g = regularizer_gradient(p, RegularizerVariant.EUCLIDEAN, 2.0)
         assert v == pytest.approx(1.0 * (1 + 4 + 0.25))
         np.testing.assert_allclose(g, 2.0 * p)
 
     def test_centered_vanishes_on_scaled_identity(self):
         p = 3.7 * np.eye(3)[None]
-        v, _ = regularizer_value_and_gradient(p, RegularizerVariant.CENTERED, 1.0)
+        v = regularizer_value(p, RegularizerVariant.CENTERED, 1.0)
         assert v == pytest.approx(0.0)
 
     def test_centered_matches_oracle(self):
         rng = np.random.default_rng(7)
         p = rng.normal(size=(2, 3, 3))
-        v, _ = regularizer_value_and_gradient(p, RegularizerVariant.CENTERED, 0.8)
+        v = regularizer_value(p, RegularizerVariant.CENTERED, 0.8)
         assert v == pytest.approx(centered_value_oracle(p, 0.8), rel=1e-12)
 
     def test_centered_rejected_for_ordinal_shape(self):
-        with pytest.raises(ValueError, match="multiclass"):
-            regularizer_value_and_gradient(np.zeros((2, 2, 4)), RegularizerVariant.CENTERED, 1.0)
+        for half in (regularizer_value, regularizer_gradient):
+            with pytest.raises(ValueError, match="multiclass"):
+                half(np.zeros((2, 2, 4)), RegularizerVariant.CENTERED, 1.0)
 
     @pytest.mark.parametrize("variant", list(RegularizerVariant))
     def test_gradient_matches_finite_differences(self, variant):
         rng = np.random.default_rng(11)
         p = rng.normal(size=(2, 3, 3))
-        _, g = regularizer_value_and_gradient(p, variant, 1.3)
+        g = regularizer_gradient(p, variant, 1.3)
         eps = 1e-5
         it = np.nditer(p, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
             orig = p[idx]
             p[idx] = orig + eps
-            vp, _ = regularizer_value_and_gradient(p, variant, 1.3)
+            vp = regularizer_value(p, variant, 1.3)
             p[idx] = orig - eps
-            vm, _ = regularizer_value_and_gradient(p, variant, 1.3)
+            vm = regularizer_value(p, variant, 1.3)
             p[idx] = orig
             fd = (vp - vm) / (2 * eps)
             assert g[idx] == pytest.approx(fd, rel=1e-6, abs=1e-8)

@@ -40,6 +40,12 @@ class TestLoadLabels:
         with pytest.raises(LabelFileError, match="0..6"):
             load_labels(p, 7)
 
+    @pytest.mark.parametrize("classes", [1, 0, -3])
+    def test_fewer_than_two_classes_rejected(self, tmp_path, classes):
+        p = write_csv(tmp_path / "l.csv", [("w", "i", 0)])
+        with pytest.raises(ValueError, match=f"^need at least 2 classes, got {classes}$"):
+            load_labels(p, classes)
+
     def test_duplicate_pair_rejected(self, tmp_path):
         p = write_csv(tmp_path / "l.csv", [("w", "i", 0), ("w", "i", 1)])
         with pytest.raises(LabelFileError, match="duplicate"):
@@ -108,6 +114,12 @@ class TestLoadLabels:
 
 
 class TestFromTriples:
+    @pytest.mark.parametrize("classes", [1, 0, -3])
+    def test_fewer_than_two_classes_rejected(self, classes):
+        for triples in ([("w", "i", 0)], []):
+            with pytest.raises(ValueError, match=f"^need at least 2 classes, got {classes}$"):
+                from_triples(triples, classes)
+
     @pytest.mark.parametrize("bad", ["a,b", " a", "a ", "a\nb", "a\r", "\tz"])
     def test_rejects_ids_a_labels_file_cannot_hold(self, bad):
         with pytest.raises(LabelFileError, match=r"^line 2: id .* in triple \(") as err:

@@ -4,9 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
+@pytest.mark.bench
 def test_benchmark_selftest():
     proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=600)

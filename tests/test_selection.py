@@ -10,6 +10,7 @@ from mmce.data import GoldLabels, from_triples
 from mmce.evaluation import error_rate
 from mmce.selection import (
     CVConfig,
+    CVReport,
     cross_validate,
     heldout_loglik,
     partition_folds,
@@ -154,6 +155,17 @@ class TestCrossValidate:
         assert lines[0] == "gamma,fold,heldout_loglik"
         assert len(lines) == 1 + 2 + 1  # header, 1 gamma x 2 folds, trailer
         assert lines[-1].startswith("# selected gamma=1.0")
+
+    @pytest.mark.parametrize("grid,selected,edge", [
+        ((0.25, 0.5, 1.0), 0.25, True), ((0.25, 0.5, 1.0), 1.0, True),
+        ((4.0, 0.5, 1.0), 4.0, True), ((4.0, 0.5, 1.0), 0.5, True),
+        ((0.25, 0.5, 1.0), 0.5, False), ((4.0, 0.5, 1.0), 1.0, False),
+        ((1.0,), 1.0, False), ((0.5, 2.0), 2.0, True)])
+    def test_at_edge(self, grid, selected, edge):
+        report = CVReport(gamma_grid=grid, per_fold={g: [0.0] for g in grid},
+                          mean_scores={g: 0.0 for g in grid}, selected_gamma=selected,
+                          alpha=1.0, beta=1.0)
+        assert report.at_edge is edge
 
     def test_more_folds_than_labels_rejected(self):
         # an empty held-out fold has no score; averaging in 0.0 would favor it

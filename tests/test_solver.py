@@ -499,6 +499,113 @@ class TestModelMemo:
         assert solver._memo == [None]
 
 
+def counted_row_gathers(monkeypatch):
+    """A list that gains one entry per posterior gather from now on (score
+    tables are 3-d, posteriors 2-d)."""
+    calls = []
+    gather = solver.gather_rows
+
+    def counted(index, table):
+        if table.ndim == 2:
+            calls.append(1)
+        return gather(index, table)
+
+    monkeypatch.setattr(solver, "gather_rows", counted)
+    return calls
+
+
+class TestFixedInputs:
+    """The posterior rows and the label constants in `_model`'s slot."""
+
+    @staticmethod
+    def fresh_value(lm, q, wp, ip, h):
+        solver._memo[0] = None
+        return penalized_likelihood(lm, q, wp, ip, h)
+
+    def test_rows_are_kept_across_score_points(self, monkeypatch):
+        calls = counted_row_gathers(monkeypatch)
+        lm = synthetic.random_instance(11)
+        wp, ip, q = random_state(lm, 12)
+        h = HyperParams(alpha=0.7, beta=1.3)
+        penalized_likelihood(lm, q, wp, ip, h)
+        grads = m_step_gradients(lm, q, wp + 1.0, ip, h)
+        value = penalized_likelihood(lm, q.copy(), wp, ip - 1.0, h)  # equal bytes
+        solver._curvature_bound(lm, q, h)
+        assert len(calls) == 1
+        assert not solver._posterior_rows(lm, q).flags.writeable
+        with mock.patch.object(solver, "_model", LOG_MODEL):
+            solver._memo[0] = None
+            for got, want in zip(grads, m_step_gradients(lm, q, wp + 1.0, ip, h)):
+                assert np.array_equal(got, want)
+        assert value == self.fresh_value(lm, q, wp, ip - 1.0, h)
+
+    def test_posterior_changed_in_place_gets_fresh_rows(self, monkeypatch):
+        calls = counted_row_gathers(monkeypatch)
+        lm = synthetic.random_instance(13)
+        wp, ip, q = random_state(lm, 14)
+        h = HyperParams(alpha=0.7, beta=1.3)
+        before = penalized_likelihood(lm, q, wp, ip, h)
+        q[0] = q[0, ::-1].copy()
+        after = penalized_likelihood(lm, q, wp, ip, h)
+        assert len(calls) == 2
+        assert after != before
+        assert after == self.fresh_value(lm, q, wp, ip, h)
+        assert np.array_equal(solver._posterior_rows(lm, q), solver.gather_rows(lm.items, q))
+
+    def test_other_labels_get_fresh_rows_and_constants(self, monkeypatch):
+        calls = counted_row_gathers(monkeypatch)
+        lm = synthetic.random_instance(15)
+        fold = lm.subset(np.arange(lm.num_labels) % 2 == 0)  # same ids, fewer labels
+        wp, ip, q = random_state(lm, 16)
+        h = HyperParams(alpha=0.7, beta=1.3)
+        penalized_likelihood(lm, q, wp, ip, h)
+        value = penalized_likelihood(fold, q, wp, ip, h)
+        assert len(calls) == 2
+        assert solver._memo[0]["labels"] is fold
+        assert value == self.fresh_value(fold, q, wp, ip, h)
+        one_hot, obs_index = solver._label_constants(fold)
+        assert np.array_equal(solver._memo[0]["one_hot"], one_hot)
+        assert np.array_equal(solver._memo[0]["obs_index"], obs_index)
+
+    def test_constants_are_the_observed_labels(self):
+        lm = synthetic.random_instance(17)
+        one_hot, obs_index = solver._label_constants(lm)
+        L = lm.num_labels
+        assert one_hot.dtype == bool and one_hot.shape == (lm.num_classes, L)
+        assert np.array_equal(np.argmax(one_hot, axis=0), lm.labels)
+        assert np.array_equal(one_hot.sum(axis=0), np.ones(L))
+        assert np.array_equal(obs_index, lm.labels * L + np.arange(L))
+        assert not one_hot.flags.writeable and not obs_index.flags.writeable
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_one_row_gather_per_posterior_in_a_fit(self, monkeypatch, mode, exact):
+        # a fit evaluates its starting posterior and one more per E-step
+        calls = counted_row_gathers(monkeypatch)
+        lm, h = planted_gamma_one(mode)
+        if exact:
+            h.exact_m_step, h.max_outer_iters = True, 6  # L-BFGS M-steps are slow
+        r = fit(lm, h)
+        assert len(calls) == r.iterations + 1
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_one_constant_build_per_fit(self, monkeypatch, mode):
+        builds = []
+        build = solver._label_constants
+
+        def counted(labels):
+            builds.append(labels)
+            return build(labels)
+
+        monkeypatch.setattr(solver, "_label_constants", counted)
+        lm, h = planted_gamma_one(mode)
+        fold = lm.subset(np.arange(lm.num_labels) % 3 != 0)
+        for labels in (lm, fold, lm):
+            fit(labels, h)
+        assert [b is want for b, want in zip(builds, (lm, fold, lm))] == [True] * 3
+        assert len(builds) == 3
+
+
 def entity_log_model(labels, worker_params, item_params, mode):
     """The entity-major (L, K, K) model that the class-major kernel replaced:
     (log_full, log_obs) with log_full[l, c, k] = log P(k | c) and

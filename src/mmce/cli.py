@@ -93,22 +93,23 @@ def cmd_aggregate(args) -> int:
         log.warning("%d items have no labels (uniform posterior emitted): %s",
                     len(unlabeled), ids)
     exit_code = EXIT_OK
-    trace_rows = []
+    trace = None  # the --trace columns: iteration, phase, objective
     if args.method == "mv":
         posterior, predicted = baselines.majority_vote(labels)
     elif args.method == "ds":
-        posterior, params, trace = baselines.dawid_skene_em(labels)
+        posterior, params, loglik = baselines.dawid_skene_em(labels)
         predicted = np.argmax(posterior, axis=1)
-        trace_rows = [(i + 1, "em", v) for i, v in enumerate(trace)]
+        trace = (np.arange(1, len(loglik) + 1), np.full(len(loglik), "em"),
+                 np.array(loglik))
     elif args.method == "mmce":
         alpha, beta = _resolve_aggregate_hyper(args, labels)
         hyper = solver.HyperParams(alpha=alpha, beta=beta, **_solver_settings(args))
         result = solver.fit(labels, hyper)
         posterior, predicted = result.posterior, result.predicted
         # the trace is the initial value, then one (m, e) pair per iteration
-        phases = ["init"] + ["m", "e"] * result.iterations
-        trace_rows = [((i + 1) // 2, phase, v) for i, (phase, v) in
-                      enumerate(zip(phases, result.objective_trace))]
+        objective = np.array(result.objective_trace)
+        trace = (np.arange(1, len(objective) + 1) // 2,
+                 np.array(["init"] + ["m", "e"] * result.iterations), objective)
         if args.params_out:
             write_params(args.params_out, result.worker_params, result.item_params,
                          hyper.mode)
@@ -118,11 +119,8 @@ def cmd_aggregate(args) -> int:
     else:
         raise UsageError(f"unknown method {args.method!r}")
     data.write_posterior(args.out, labels, posterior, predicted)
-    if args.trace and trace_rows:
-        with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("iter,phase,objective\n")
-            for it, phase, v in trace_rows:
-                fh.write(f"{it},{phase},{v:.9f}\n")
+    if args.trace and trace is not None:
+        data._write_rows(args.trace, "iter,phase,objective\n", "%s,%s,%.9f\n", trace)
     return exit_code
 
 

@@ -13,6 +13,8 @@ import functools
 
 import numpy as np
 
+from .data import _write_rows
+
 # Relation pairs (true-label relation, observed-label relation) against a
 # threshold s, in the fixed order used throughout storage and serialization.
 REL_PAIRS = ((">=", ">="), (">=", "<"), ("<", ">="), ("<", "<"))
@@ -147,25 +149,17 @@ def init_params(mode: Mode, num_entities: int, K: int) -> np.ndarray:
 
 def write_params(path, worker_params: np.ndarray, item_params: np.ndarray,
                  mode: Mode) -> None:
-    """Serialize fitted scores to a TSV sidecar, one line per score."""
-    def rows(kind, tensor):
+    """Serialize fitted scores to a TSV sidecar, one line per score: kind,
+    entity, then (c, k) in multiclass mode or (threshold, relation pair) in
+    ordinal mode."""
+    columns = []
+    for kind, tensor in (("worker", worker_params), ("item", item_params)):
+        entity, row, col = np.indices(tensor.shape).reshape(3, -1)
         if mode == Mode.ORDINAL:
-            for e in range(tensor.shape[0]):
-                for si in range(tensor.shape[1]):
-                    for ri, (rt, ro) in enumerate(REL_PAIRS):
-                        yield (kind, e, si + 1, f"{rt}{ro}", tensor[e, si, ri])
-        else:
-            for e in range(tensor.shape[0]):
-                for c in range(tensor.shape[1]):
-                    for k in range(tensor.shape[2]):
-                        yield (kind, e, c, k, tensor[e, c, k])
-
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# mode={mode.value}\n")
-        fh.write("kind\tentity\trow\tcol\tscore\n")
-        for tensor, kind in ((worker_params, "worker"), (item_params, "item")):
-            for kind_, e, r, c, v in rows(kind, tensor):
-                fh.write(f"{kind_}\t{e}\t{r}\t{c}\t{v:.9f}\n")
+            row, col = row + 1, np.array([rt + ro for rt, ro in REL_PAIRS])[col]
+        columns.append((np.full(tensor.size, kind), entity, row, col, tensor.ravel()))
+    _write_rows(path, f"# mode={mode.value}\nkind\tentity\trow\tcol\tscore\n",
+                "%s\t%s\t%s\t%s\t%.9f\n", [np.concatenate(c) for c in zip(*columns)])
 
 
 def read_params(path):

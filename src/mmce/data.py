@@ -419,7 +419,14 @@ POSTERIOR_HEADER_PREFIX = ("item", "predicted")
 
 def write_posterior(path, labels: LabelMatrix, posterior: np.ndarray,
                     predicted: np.ndarray) -> None:
-    """Write the posterior TSV: item, argmax label, then 6-decimal probabilities."""
+    """Write the posterior TSV: item, argmax label, then 6-decimal probabilities.
+
+    Raises ValueError, before the file is opened, naming the first item id that
+    holds a tab, which would shift that row's columns.
+    """
+    if "\t" in "".join(labels.item_ids):
+        tabbed = next(iid for iid in labels.item_ids if "\t" in iid)
+        raise ValueError(f"item id {tabbed!r} has a tab, which a posterior file cannot hold")
     K = labels.num_classes
     header = "item\tpredicted\t" + "\t".join(f"p{k}" for k in range(K)) + "\n"
     row_format = "%s\t%s" + "\t%.6f" * posterior.shape[1] + "\n"

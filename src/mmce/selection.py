@@ -128,24 +128,14 @@ def cross_validate(labels: LabelMatrix, config: CVConfig) -> CVReport:
     if config.folds > labels.num_labels:
         raise ValueError(f"cannot split {labels.num_labels} labels into {config.folds} folds")
     assignment = partition_folds(labels.num_labels, config.folds, config.seed)
-    per_fold: dict[float, list[float]] = {g: [] for g in config.gamma_grid}
-    resolved = {g: resolve_hyperparams(g, labels) for g in config.gamma_grid}
-    for g in config.gamma_grid:
-        alpha, beta = resolved[g]
-        hyper = config.hyper(alpha, beta)
-        for f in range(config.folds):
-            train = labels.subset(assignment != f)
-            held = labels.subset(assignment == f)
-            result = solver.fit(train, hyper)
-            per_fold[g].append(heldout_loglik(result, held, hyper,
-                                              config.heldout_scoring))
-    means = {g: float(np.mean(per_fold[g])) for g in config.gamma_grid}
-    best = max(means.values())
-    selected = min(g for g in config.gamma_grid if means[g] == best)
-    alpha, beta = resolved[selected]
-    return CVReport(gamma_grid=tuple(config.gamma_grid), per_fold=per_fold,
-                    mean_scores=means, selected_gamma=selected,
-                    alpha=alpha, beta=beta)
+
+    def score(hyper):
+        return [heldout_loglik(solver.fit(labels.subset(assignment != f), hyper),
+                               labels.subset(assignment == f), hyper,
+                               config.heldout_scoring)
+                for f in range(config.folds)]
+
+    return _select(labels, config, score, "heldout_loglik")
 
 
 def validation_select(labels: LabelMatrix, gold: GoldLabels,
@@ -154,20 +144,23 @@ def validation_select(labels: LabelMatrix, gold: GoldLabels,
     ordinal mode); ties break toward smaller gamma."""
     if len(gold) == 0:
         raise ValueError("validation selection needs non-empty gold labels")
-    metric = "mse" if config.mode == Mode.ORDINAL else "error_rate"
-    scores: dict[float, float] = {}
+    measure, metric = ((mean_square_error, "mse") if config.mode == Mode.ORDINAL
+                       else (error_rate, "error_rate"))
+    return _select(labels, config,
+                   lambda hyper: [measure(solver.fit(labels, hyper).predicted, gold)], metric)
+
+
+def _select(labels: LabelMatrix, config: CVConfig, score, metric: str) -> CVReport:
+    """Score each gamma of the grid with score(hyper), a list of per-fold
+    scores, and pick the best mean: the largest held-out log-likelihood or the
+    smallest error, with ties going to the smaller gamma. Every gamma is
+    resolved before the first fit."""
     resolved = {g: resolve_hyperparams(g, labels) for g in config.gamma_grid}
-    for g in config.gamma_grid:
-        alpha, beta = resolved[g]
-        result = solver.fit(labels, config.hyper(alpha, beta))
-        if metric == "mse":
-            scores[g] = mean_square_error(result.predicted, gold)
-        else:
-            scores[g] = error_rate(result.predicted, gold)
-    best = min(scores.values())
-    selected = min(g for g in config.gamma_grid if scores[g] == best)
-    alpha, beta = resolved[selected]
-    return CVReport(gamma_grid=tuple(config.gamma_grid),
-                    per_fold={g: [scores[g]] for g in config.gamma_grid},
-                    mean_scores=scores, selected_gamma=selected,
-                    alpha=alpha, beta=beta, metric=metric)
+    per_fold = {g: score(config.hyper(*resolved[g])) for g in config.gamma_grid}
+    means = {g: float(np.mean(per_fold[g])) for g in config.gamma_grid}
+    best = (max if metric == "heldout_loglik" else min)(means.values())
+    selected = min(g for g in config.gamma_grid if means[g] == best)
+    return CVReport(gamma_grid=tuple(config.gamma_grid), per_fold=per_fold,
+                    mean_scores=means, selected_gamma=selected,
+                    alpha=resolved[selected][0], beta=resolved[selected][1],
+                    metric=metric)

@@ -85,11 +85,11 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode,
     from the one exp pass the normalizer needs. log_obs is z[x_l] - (log(sum_k
     exp(z_k - top)) + top) of the logits z and their max, summed in class order.
     The score tensors themselves keep their (entity, c, k) layout. obs_index is
-    `_label_constants`' x_l * L + l, built here when not given.
+    x_l * L + l from `_observed`, built here when not given.
     """
     K, L = labels.num_classes, labels.num_labels
     if obs_index is None:
-        obs_index = _label_constants(labels)[1]
+        obs_index = _observed(labels)[1]
     if mode == Mode.ORDINAL:
         worker_params = expand_ordinal(worker_params, K)
         item_params = expand_ordinal(item_params, K)
@@ -112,28 +112,46 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode,
     return prob, log_obs
 
 
-# The fixed inputs of one LabelMatrix and the last values read from them, as
-# {"labels", "one_hot", "obs_index", "rows": (posterior key, rows),
-#  "model": (score key, (prob, log_obs))}, or None.
+# What the solver derives from one LabelMatrix object, as {"labels": labels,
+# name: (key of the inputs, value)}, or None; see `_derived`.
 _memo = [None]
 
 
-def _entry(labels: LabelMatrix) -> dict:
-    """The slot's entry for `labels`, the same object as the stored one.
+def _derived(labels: LabelMatrix, name: str, build, *inputs):
+    """build(labels, *inputs), kept in the slot under `name`.
 
-    For any other LabelMatrix the slot is emptied first, so nothing of the old
-    one is alive while `_label_constants` builds the new entry.
+    The stored value is returned again while `labels` is the same object and
+    the inputs have the same key: arrays by dtype, shape and bytes (so a change
+    in place rebuilds), anything else (the mode) as it is. For any other
+    LabelMatrix the slot is emptied first. A stale value is dropped before the
+    build and the key is taken after it, so neither the old value nor a copy of
+    the inputs is alive while the new value is built.
     """
     entry = _memo[0]
     if entry is None or entry["labels"] is not labels:
-        entry = _memo[0] = None
-        one_hot, obs_index = _label_constants(labels)
-        entry = _memo[0] = {"labels": labels, "one_hot": one_hot,
-                            "obs_index": obs_index, "rows": None, "model": None}
-    return entry
+        entry = _memo[0] = {"labels": labels}
+    stored = entry.get(name)
+    if stored is not None and stored[0] == _key(inputs):
+        return stored[1]
+    stored = entry[name] = None
+    value = build(labels, *inputs)
+    entry[name] = (_key(inputs), value)
+    return value
+
+
+def _key(inputs) -> list:
+    key = []
+    for x in inputs:
+        key.append((x.dtype, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x)
+    return key
 
 
 def _label_constants(labels: LabelMatrix):
+    """`_observed(labels)`, built once per LabelMatrix."""
+    return _derived(labels, "constants", _observed)
+
+
+def _observed(labels: LabelMatrix):
     """What the model and the gradient read of the observed labels, both
     read-only: the (K, L) bool one-hot I(x_l = k), and x_l * L + l, the index of
     each observed label's logit in a class-major (K, K * L) table."""
@@ -148,49 +166,31 @@ def _label_constants(labels: LabelMatrix):
 def _model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     """`_log_model` behind the slot, so each score point costs one pass.
 
-    The objective, the E-step and the gradient all read the model here. The
-    stored model is returned again when `labels` is the same object, the mode
-    is equal and both score arrays have the dtype, shape and bytes of the
-    stored ones. Otherwise the stored model, and only it, is dropped before one
-    new pass fills its place, so at most one model is alive at a time; the new
-    key is built after the pass, so no copy of the scores is alive during it
-    either.
+    The objective, the E-step and the gradient all read the model here; a new
+    score point, mode or LabelMatrix drops the stored model before its pass,
+    so at most one model is alive at a time.
     """
-    entry = _entry(labels)
-    stored = entry["model"]
-    if stored is not None and stored[0] == _key(mode, worker_params, item_params):
-        return stored[1]
-    stored = entry["model"] = None
-    model = _log_model(labels, worker_params, item_params, mode, entry["obs_index"])
-    entry["model"] = (_key(mode, worker_params, item_params), model)
-    return model
+    return _derived(labels, "model", _model_pass, worker_params, item_params, mode)
+
+
+def _model_pass(labels: LabelMatrix, worker_params, item_params, mode: Mode):
+    return _log_model(labels, worker_params, item_params, mode,
+                      _label_constants(labels)[1])
 
 
 def _posterior_rows(labels: LabelMatrix, posterior) -> np.ndarray:
     """gather_rows(labels.items, posterior), read-only, behind the slot.
 
     The M-step holds the posterior fixed, so the rows are gathered once per
-    posterior: they are returned again while `labels` is the same object and
-    the posterior has the dtype, shape and bytes of the one they came from,
-    and a new score point keeps them.
+    posterior, and a new score point keeps them.
     """
-    entry = _entry(labels)
-    q = np.asarray(posterior)
-    key = (q.dtype, q.shape, q.tobytes())
-    stored = entry["rows"]
-    if stored is not None and stored[0] == key:
-        return stored[1]
-    stored = entry["rows"] = None
-    rows = gather_rows(labels.items, q)
+    return _derived(labels, "rows", _rows, np.asarray(posterior))
+
+
+def _rows(labels: LabelMatrix, posterior) -> np.ndarray:
+    rows = gather_rows(labels.items, posterior)
     rows.setflags(write=False)
-    entry["rows"] = (key, rows)
     return rows
-
-
-def _key(mode: Mode, worker_params, item_params) -> tuple:
-    """The mode, and the dtype, shape and bytes of both score arrays."""
-    w, i = np.asarray(worker_params), np.asarray(item_params)
-    return mode, w.dtype, w.shape, w.tobytes(), i.dtype, i.shape, i.tobytes()
 
 
 def gather_rows(index: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -276,7 +276,7 @@ def m_step_gradients(labels: LabelMatrix, posterior, worker_params, item_params,
         raise ValueError("posterior shape does not match the label matrix")
     prob, _ = _model(labels, worker_params, item_params, hyper.mode)
     # (K, K, L): I(x_l = k) - P(k | c), then times Q(c) in place
-    per_obs = np.subtract(_entry(labels)["one_hot"], prob)
+    per_obs = np.subtract(_label_constants(labels)[0], prob)
     per_obs *= _posterior_rows(labels, posterior)[:, None, :]
     gw = scatter_rows(labels.workers, per_obs, labels.num_workers)
     gi = scatter_rows(labels.items, per_obs, labels.num_items)

@@ -7,11 +7,12 @@ import numpy as np
 
 import pytest
 
-from mmce import selection, solver
+from mmce import baselines, selection, solver
+from mmce.baselines import dawid_skene_em
 from mmce.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
 from mmce.data import read_posterior
 from mmce.selection import CVConfig
-from mmce.solver import HyperParams
+from mmce.solver import HyperParams, fit
 
 from conftest import THREE_WORKER_ROWS, THREE_WORKER_TRUTH, write_csv
 
@@ -96,6 +97,38 @@ class TestAggregate:
         assert "resolved alpha=9" in capsys.readouterr().out
         assert params.exists() and out.exists()
 
+    @pytest.mark.parametrize("method,mode", [("ds", None), ("mmce", "multiclass"),
+                                             ("mmce", "ordinal")])
+    def test_trace_bytes_equal_one_write_per_row(self, tmp_path, monkeypatch,
+                                                 method, mode):
+        # the objective trace as the per-row loop that `_write_rows` replaced wrote it
+        results = []
+
+        def recorded(fn):
+            def wrapped(*args):
+                results.append(fn(*args))
+                return results[-1]
+            return wrapped
+
+        monkeypatch.setattr(solver, "fit", recorded(fit))
+        monkeypatch.setattr(baselines, "dawid_skene_em", recorded(dawid_skene_em))
+        trace = tmp_path / "trace.csv"
+        extra = ["--gamma", "1", "--mode", mode] if method == "mmce" else []
+        code, _ = self.run(tmp_path, "--method", method, "--trace", str(trace), *extra)
+        assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
+        if method == "ds":
+            trace_rows = [(i + 1, "em", v) for i, v in enumerate(results[0][2])]
+        else:
+            phases = ["init"] + ["m", "e"] * results[0].iterations
+            trace_rows = [((i + 1) // 2, phase, v) for i, (phase, v) in
+                          enumerate(zip(phases, results[0].objective_trace))]
+        want = tmp_path / "want.csv"
+        with open(want, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("iter,phase,objective\n")
+            for it, phase, v in trace_rows:
+                fh.write(f"{it},{phase},{v:.9f}\n")
+        assert trace.read_bytes() == want.read_bytes()
+
     def test_gamma_and_alpha_conflict(self, tmp_path, capsys):
         code, _ = self.run(tmp_path, "--gamma", "1", "--alpha", "2", "--beta", "2")
         assert code == EXIT_USAGE
@@ -144,6 +177,22 @@ class TestAggregate:
               "--classes", "3", "--label-base", "1", "--gamma", "1",
               "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("command,posterior", [
+    (["aggregate", "--method", "mv"], "t.tsv"), (["aggregate", "--method", "ds"], "t.tsv"),
+    (["aggregate", "--method", "mmce", "--gamma", "1"], "t.tsv"),
+    (["select", "--folds", "2", "--grid", "1", "--fit-final"], "t.tsv.posterior.tsv")],
+    ids=["mv", "ds", "mmce", "select"])
+def test_item_id_with_a_tab_leaves_no_posterior(tmp_path, capsys, command, posterior):
+    labels = tmp_path / "t.csv"
+    labels.write_text("w1,it\tem,1\nw2,it\tem,1\nw1,b,0\nw2,b,0\n")
+    code = main([*command, "--labels", str(labels), "--classes", "2",
+                 "--out", str(tmp_path / "t.tsv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == ("error: item id 'it\\tem' has a tab, which a "
+                                       "posterior file cannot hold\n")
+    assert not (tmp_path / posterior).exists()
 
 
 class TestSelect:

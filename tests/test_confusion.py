@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmce import synthetic
 from mmce.confusion import (
+    REL_PAIRS,
     Mode,
     RegularizerVariant,
     center,
@@ -19,7 +21,7 @@ from mmce.confusion import (
     write_params,
 )
 from mmce.data import from_triples
-from mmce.solver import _log_model
+from mmce.solver import HyperParams, _log_model, fit
 
 score_arrays = st.integers(0, 2 ** 31 - 1).map(
     lambda s: np.random.default_rng(s).normal(scale=2.0, size=(3, 3)))
@@ -273,3 +275,55 @@ class TestParamsSidecar:
         assert mode2 == mode
         np.testing.assert_allclose(wp2, wp, atol=1e-9)
         np.testing.assert_allclose(ip2, ip, atol=1e-9)
+
+
+def reference_write_params(path, worker_params, item_params, mode):
+    """The sidecar writer that `write_params` replaced: one write per score."""
+    def rows(kind, tensor):
+        if mode == Mode.ORDINAL:
+            for e in range(tensor.shape[0]):
+                for si in range(tensor.shape[1]):
+                    for ri, (rt, ro) in enumerate(REL_PAIRS):
+                        yield (kind, e, si + 1, f"{rt}{ro}", tensor[e, si, ri])
+        else:
+            for e in range(tensor.shape[0]):
+                for c in range(tensor.shape[1]):
+                    for k in range(tensor.shape[2]):
+                        yield (kind, e, c, k, tensor[e, c, k])
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# mode={mode.value}\n")
+        fh.write("kind\tentity\trow\tcol\tscore\n")
+        for tensor, kind in ((worker_params, "worker"), (item_params, "item")):
+            for kind_, e, r, c, v in rows(kind, tensor):
+                fh.write(f"{kind_}\t{e}\t{r}\t{c}\t{v:.9f}\n")
+
+
+class TestParamsSidecarBytes:
+    @staticmethod
+    def assert_bytes_equal(tmp_path, wp, ip, mode):
+        write_params(tmp_path / "got.tsv", wp, ip, mode)
+        reference_write_params(tmp_path / "want.tsv", wp, ip, mode)
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+    @pytest.mark.parametrize("variant", list(RegularizerVariant))
+    def test_fitted_multiclass_scores(self, tmp_path, variant):
+        lm = synthetic.random_instance(4)
+        r = fit(lm, HyperParams(alpha=0.5, beta=0.5, variant=variant, max_outer_iters=5))
+        self.assert_bytes_equal(tmp_path, r.worker_params, r.item_params, Mode.MULTICLASS)
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_ordinal_scores(self, tmp_path, K):
+        rng = np.random.default_rng(K)
+        wp = rng.normal(size=init_params(Mode.ORDINAL, 3, K).shape)
+        ip = rng.normal(size=init_params(Mode.ORDINAL, 5, K).shape)
+        self.assert_bytes_equal(tmp_path, wp, ip, Mode.ORDINAL)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_negative_zero_and_large_scores(self, tmp_path, mode):
+        values = [-0.0, 0.0, -1e-12, 5e-10, 1e300, -1e300, 6e22, -600.0, 123456789.123456789]
+        wp = init_params(mode, 2, 3)
+        ip = init_params(mode, 3, 3)
+        wp.flat[:] = np.resize(values, wp.size)
+        ip.flat[:] = np.resize(values[::-1], ip.size)
+        self.assert_bytes_equal(tmp_path, wp, ip, mode)

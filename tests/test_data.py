@@ -203,6 +203,13 @@ class TestPosteriorFile:
         assert list(ids) == list(three_worker_labels.item_ids)
         np.testing.assert_allclose(post, q, atol=1e-6)
 
+    def test_item_id_with_a_tab_is_rejected_before_writing(self, tmp_path):
+        lm = from_triples([("w", "a", 0), ("w", "b\tc", 1), ("w", "d\te", 1)], 2)
+        path = tmp_path / "post.tsv"
+        with pytest.raises(ValueError, match=r"item id 'b\\tc' has a tab"):
+            write_posterior(path, lm, np.full((3, 2), 0.5), np.zeros(3, dtype=np.int64))
+        assert not path.exists()
+
     def test_byte_order_mark_is_not_data(self, tmp_path):
         p = tmp_path / "post.tsv"
         p.write_bytes(b"\xef\xbb\xbfitem\tpredicted\tp0\tp1\na\t0\t0.9\t0.1\n")

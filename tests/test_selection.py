@@ -206,6 +206,17 @@ class TestValidationSelect:
         report = validation_select(lm, gold, config)
         assert report.metric == "mse"
 
+    @pytest.mark.parametrize("mode,metric", [("multiclass", "error_rate"),
+                                             ("ordinal", "mean_square_error")])
+    def test_tie_breaks_to_smaller_gamma(self, monkeypatch, mode, metric):
+        lm = synthetic.random_instance(9)
+        gold = GoldLabels({0: 0, 1: 1})
+        config = CVConfig(gamma_grid=(2.0, 0.5, 1.0), mode=mode, max_outer_iters=5)
+        monkeypatch.setattr(f"mmce.selection.{metric}", lambda *a, **k: 0.25)
+        report = validation_select(lm, gold, config)
+        assert report.selected_gamma == 0.5
+        assert report.mean_scores == {2.0: 0.25, 0.5: 0.25, 1.0: 0.25}
+
     def test_empty_gold_rejected(self):
         lm = synthetic.random_instance(1)
         with pytest.raises(ValueError):

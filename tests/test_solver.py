@@ -471,18 +471,31 @@ class TestModelMemo:
                           fold, wo, io, Mode.ORDINAL)
         assert len(calls) == 3
 
-    def test_old_model_is_dropped_before_a_new_pass(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["model", "rows", "constants"])
+    def test_old_value_is_dropped_before_a_new_build(self, monkeypatch, name):
         lm = synthetic.random_instance(9)
-        wp, ip, _ = random_state(lm, 10)
-        old = weakref.ref(solver._model(lm, wp, ip, Mode.MULTICLASS)[0])
+        fold = lm.subset(np.arange(lm.num_labels) % 2 == 0)
+        wp, ip, q = random_state(lm, 10)
+        mode = Mode.MULTICLASS
+        # how to read the stored value, the builder a rebuild calls, and a rebuild
+        read, builder, rebuild = {
+            "model": (lambda: solver._model(lm, wp, ip, mode)[0], "_log_model",
+                      lambda: solver._model(lm, wp + 1.0, ip, mode)),
+            "rows": (lambda: solver._posterior_rows(lm, q), "gather_rows",
+                     lambda: solver._posterior_rows(lm, q[:, ::-1].copy())),
+            "constants": (lambda: solver._label_constants(lm)[0], "_observed",
+                          lambda: solver._label_constants(fold)),
+        }[name]
+        old = weakref.ref(read())
         alive = []
+        build = getattr(solver, builder)
 
         def probed(*args):
             alive.append(old() is not None)
-            return LOG_MODEL(*args)
+            return build(*args)
 
-        monkeypatch.setattr(solver, "_log_model", probed)
-        solver._model(lm, wp + 1.0, ip, Mode.MULTICLASS)
+        monkeypatch.setattr(solver, builder, probed)
+        rebuild()
         assert alive == [False]
 
     @pytest.mark.parametrize("mode", list(Mode))
@@ -512,6 +525,19 @@ def counted_row_gathers(monkeypatch):
 
     monkeypatch.setattr(solver, "gather_rows", counted)
     return calls
+
+
+def counted_constant_builds(monkeypatch):
+    """A list that gains the LabelMatrix of each label-constant build from now on."""
+    builds = []
+    build = solver._observed
+
+    def counted(labels):
+        builds.append(labels)
+        return build(labels)
+
+    monkeypatch.setattr(solver, "_observed", counted)
+    return builds
 
 
 class TestFixedInputs:
@@ -554,18 +580,22 @@ class TestFixedInputs:
 
     def test_other_labels_get_fresh_rows_and_constants(self, monkeypatch):
         calls = counted_row_gathers(monkeypatch)
+        builds = counted_constant_builds(monkeypatch)
         lm = synthetic.random_instance(15)
         fold = lm.subset(np.arange(lm.num_labels) % 2 == 0)  # same ids, fewer labels
         wp, ip, q = random_state(lm, 16)
         h = HyperParams(alpha=0.7, beta=1.3)
         penalized_likelihood(lm, q, wp, ip, h)
         value = penalized_likelihood(fold, q, wp, ip, h)
+        constants = solver._label_constants(fold)
+        rows = solver._posterior_rows(fold, q)
         assert len(calls) == 2
-        assert solver._memo[0]["labels"] is fold
+        assert [b is want for b, want in zip(builds, (lm, fold))] == [True] * 2
+        assert len(builds) == 2
+        for got, want in zip(constants, solver._observed(fold)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(rows, solver.gather_rows(fold.items, q))
         assert value == self.fresh_value(fold, q, wp, ip, h)
-        one_hot, obs_index = solver._label_constants(fold)
-        assert np.array_equal(solver._memo[0]["one_hot"], one_hot)
-        assert np.array_equal(solver._memo[0]["obs_index"], obs_index)
 
     def test_constants_are_the_observed_labels(self):
         lm = synthetic.random_instance(17)
@@ -590,14 +620,7 @@ class TestFixedInputs:
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_one_constant_build_per_fit(self, monkeypatch, mode):
-        builds = []
-        build = solver._label_constants
-
-        def counted(labels):
-            builds.append(labels)
-            return build(labels)
-
-        monkeypatch.setattr(solver, "_label_constants", counted)
+        builds = counted_constant_builds(monkeypatch)
         lm, h = planted_gamma_one(mode)
         fold = lm.subset(np.arange(lm.num_labels) % 3 != 0)
         for labels in (lm, fold, lm):

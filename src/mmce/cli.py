@@ -110,15 +110,14 @@ def cmd_aggregate(args) -> int:
         objective = np.array(result.objective_trace)
         trace = (np.arange(1, len(objective) + 1) // 2,
                  np.array(["init"] + ["m", "e"] * result.iterations), objective)
-        if args.params_out:
-            write_params(args.params_out, result.worker_params, result.item_params,
-                         hyper.mode)
         if not result.converged:
             log.warning("solver did not converge in %d iterations", result.iterations)
             exit_code = EXIT_NOT_CONVERGED
     else:
         raise UsageError(f"unknown method {args.method!r}")
-    data.write_posterior(args.out, labels, posterior, predicted)
+    data.write_posterior(args.out, labels, posterior, predicted)  # first: it can refuse the ids
+    if args.method == "mmce" and args.params_out:
+        write_params(args.params_out, result.worker_params, result.item_params, hyper.mode)
     if args.trace and trace is not None:
         data._write_rows(args.trace, "iter,phase,objective\n", "%s,%s,%.9f\n", trace)
     return exit_code
@@ -126,6 +125,8 @@ def cmd_aggregate(args) -> int:
 
 def cmd_select(args) -> int:
     labels = _load_labels(args)
+    if args.fit_final:  # refuse ids the posterior file cannot hold before any fit
+        data._check_posterior_ids(labels.item_ids)
     grid = tuple(float(g) for g in args.grid.split(","))
     config = selection.CVConfig(
         folds=args.folds, gamma_grid=grid, seed=args.seed,

@@ -4,8 +4,8 @@ labels, gold and posterior file formats, read and written in fixed-size chunks."
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
 
 import numpy as np
 
@@ -68,109 +68,252 @@ class LabelMatrix:
 
 
 # Characters read per chunk before the chunk is completed to a line end. The
-# readers hold one chunk's lines and columns at a time, so a parse's transient
-# memory does not grow with file length. Larger chunks bought no speed on a
-# 500k-line file, and they raise the process's peak and retained memory.
-_CHUNK_CHARS = 1 << 12
-# Rows formatted per block when writing, for the same reason.
+# readers hold one chunk's bytes and field bounds at a time, and tokenize it
+# with a fixed number of numpy calls, so small chunks cost time and large ones
+# memory. On a 500k-line labels file (one core of a 2-vCPU x86-64 VM),
+# load_labels took 1.11 s at 4K characters, 0.48 s at 16K, 0.36 s at 64K and
+# 256K, and 0.33 s at 1M; its traced peak was 32.5-32.7 MB up to 256K and
+# 38.4 MB at 1M (read_posterior on its 100k-row posterior: 14.7 MB at 64K,
+# 26.9 MB at 1M).
+_CHUNK_CHARS = 1 << 16
+# Rows formatted per block when writing, so the transient memory of a write
+# does not grow with file length.
 _WRITE_ROWS = 1 << 12
 
 _LABEL_FAULTS = ("label {!r} is not an integer",
                  "label {} out of range (valid labels are {}..{})")
 _GOLD_FAULTS = ("gold label {!r} is not an integer", "gold label {} out of range")
 
+# Bytes that str.strip may remove, and every byte of a non-ASCII character: a
+# field with one of them at an edge is stripped in Python, all others never are.
+_EDGE = np.array([chr(b).isspace() or b >= 0x80 for b in range(256)])
+# _MASKS[n] keeps the low n bytes of a word.
+_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+# Zero bytes after every parsed buffer, so 8 bytes can be read at any field start.
+_PAD = bytes(8)
+
 
 class _LabelCodes(dict):
-    """Cache from a label as read to its 0-based class, or to the message of
-    the fault it raises, so each distinct label is validated once.
+    """Cache from a label as read to its 0-based class, or to -1 when it
+    faults, so each distinct label is validated once.
 
     A label is an integer in label_base..num_classes-1+label_base. `messages`
     holds the formats of the two faults (not an integer, out of range); `bad`
-    collects the labels that fault.
+    maps each faulting label to its message.
     """
 
     def __init__(self, num_classes, label_base, messages):
         super().__init__()
         self.base, self.top, self.messages = label_base, num_classes - 1 + label_base, messages
-        self.bad = set()
+        self.bad = {}
 
     def __missing__(self, lab):
         try:
             value = int(lab)
         except ValueError:
-            code = self.messages[0].format(lab)
-            self.bad.add(lab)
+            self.bad[lab] = self.messages[0].format(lab)
         else:
             if self.base <= value <= self.top:
-                code = value - self.base
-            else:
-                code = self.messages[1].format(value, self.base, self.top)
-                self.bad.add(lab)
-        self[lab] = code
-        return code
+                self[lab] = value - self.base
+                return value - self.base
+            self.bad[lab] = self.messages[1].format(value, self.base, self.top)
+        self[lab] = -1
+        return -1
 
-    def column(self, labels):
-        """The classes of a column of labels, and the index of its first
-        faulting label (None if there is none)."""
-        classes = list(map(self.__getitem__, labels))
-        if not self.bad:
-            return classes, None
-        return classes, next((k for k, lab in enumerate(labels) if lab in self.bad), None)
+    def classes(self, labels, inverse) -> np.ndarray:
+        """The classes of rows holding labels[inverse], -1 where a label faults."""
+        return np.fromiter(map(self.__getitem__, labels), np.int64, len(labels))[inverse]
+
+
+def _pack(buf, starts, ends) -> np.ndarray:
+    """Keys of the fields buf[starts:ends] (buf ends with _PAD): a (words,
+    fields) uint64 array whose columns are equal exactly when the fields'
+    bytes are.
+
+    A key's low byte is the field's length, then come its bytes, little-endian,
+    and zeros. A field of 255 bytes or more has 255 there and its length in the
+    word after its bytes: a longer field's length lies in a shorter one's zeros.
+    """
+    n = ends - starts
+    longest = int(n.max(initial=0))
+    windows = np.ndarray(len(buf) - 7, "<u8", buf, strides=(1,))  # 8 bytes from each position
+    keys = np.zeros(((longest + 8) // 8 + (longest >= 255), len(n)), dtype=np.uint64)
+    np.bitwise_and(windows.take(starts), _MASKS.take(np.minimum(n, 7)), out=keys[0])
+    keys[0] <<= 8
+    keys[0] |= np.minimum(n, 255).astype(np.uint64)
+    for k in range(1, len(keys)):  # word k holds bytes 8k-1 .. 8k+6
+        at = np.minimum(starts + (8 * k - 1), len(windows) - 1)
+        np.bitwise_and(windows.take(at), _MASKS.take(np.clip(n - (8 * k - 1), 0, 8)), out=keys[k])
+    if longest >= 255:
+        long = np.flatnonzero(n >= 255)
+        keys[(n[long] + 8) // 8, long] = n[long]
+    return keys
+
+
+def _str_keys(strings) -> np.ndarray:
+    """Keys (as _pack's) of the UTF-8 bytes of each string."""
+    raw = [s.encode("utf-8", "surrogatepass") for s in strings]
+    lengths = np.fromiter(map(len, raw), np.int64, len(raw))
+    ends = np.cumsum(lengths)
+    return _pack(np.frombuffer(b"".join(raw) + _PAD, dtype=np.uint8), ends - lengths, ends)
+
+
+def _decode(keys) -> list:
+    """The fields that key columns hold (none may hold a comma), as str."""
+    n = (keys[0] & 0xFF).astype(np.int64)
+    for k in np.flatnonzero(n == 255).tolist():  # the last nonzero word is the length
+        n[k] = keys[np.flatnonzero(keys[:, k])[-1], k]
+    flat = np.zeros((len(n), 8 * len(keys) + 1), dtype=np.uint8)
+    flat[:, :-1] = np.ascontiguousarray(keys.T, dtype="<u8").view(np.uint8)
+    flat[np.arange(len(n)), n + 1] = ord(",")
+    cols = np.arange(flat.shape[1])
+    text = flat[(cols >= 1) & (cols <= n[:, None] + 1)].tobytes()
+    return text.decode("utf-8", "surrogatepass").split(",")[:-1]
+
+
+class _Rows:
+    """Key-like (words, n) arrays appended chunk by chunk into one row-major
+    array that doubles in place when full and is cut to size at the end (both
+    by realloc, so neither copies the rows nor holds them twice). A file's rows
+    then live in one large block, which the allocator maps apart and returns
+    whole, not in one small block per chunk among the chunks' temporaries.
+    Words added for a wider part are 0 in earlier rows."""
+
+    def __init__(self, first: np.ndarray):
+        self.data, self.used = first.T.copy(), first.shape[1]
+
+    def append(self, part: np.ndarray) -> None:
+        words, n = part.shape
+        if words > self.data.shape[1]:
+            zeros = np.zeros((len(self.data), words - self.data.shape[1]), self.data.dtype)
+            self.data = np.hstack((self.data, zeros))
+        if self.used + n > len(self.data):
+            self.data.resize((max(2 * len(self.data), self.used + n), self.data.shape[1]))
+        self.data[self.used:self.used + n, :words] = part.T
+        self.used += n
+
+    def columns(self) -> np.ndarray:
+        """The rows appended, as a (words, rows) view; ends the appending."""
+        if len(self.data) > self.used:
+            self.data.resize((self.used, self.data.shape[1]))
+        return self.data.T
+
+
+def _groups(keys):
+    """Sort key columns into runs of equal keys: (order, first, heads), where
+    heads are the sorted positions where runs start and first the smallest
+    column of each run."""
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
+    heads = np.zeros(len(order), dtype=bool)
+    heads[:1] = True
+    ranked = np.empty(len(order), dtype=np.uint64)  # one buffer for every word
+    for word in keys:
+        np.take(word, order, out=ranked)
+        heads[1:] |= ranked[1:] != ranked[:-1]
+    del ranked
+    heads = np.flatnonzero(heads)
+    return order, (np.minimum.reduceat(order, heads) if len(order) else heads), heads
+
+
+def _rank(keys, codes=None):
+    """(codes, first): a dense code per key column, numbered by first
+    appearance and written to `codes` if given, and the column where each code
+    first appears."""
+    order, first, heads = _groups(keys)
+    by_appearance = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[by_appearance] = np.arange(len(first))
+    if codes is None:
+        codes = np.empty(len(order), dtype=np.int64)
+    codes[order] = np.repeat(rank, np.diff(heads, append=len(order)))
+    return codes, first[by_appearance]
+
+
+def _distinct(keys):
+    """(fields, inverse): the distinct fields of key columns, as str in
+    first-appearance order, and the index of each column's field."""
+    codes, first = _rank(keys)
+    return _decode(keys[:, first]), codes
+
+
+def _line_of(skips, row) -> int:
+    """The line number of a row, given the (sorted) rows before each skipped line."""
+    return row + 1 + bisect_right(skips, row)
+
+
+def _id_keys(keys, codes) -> np.ndarray:
+    """Rank an id column: write each key's code into `codes` and return the
+    distinct keys in first-appearance order."""
+    keys = np.ascontiguousarray(keys)  # one array per word for the sort; frees the rows
+    return keys[:, _rank(keys, codes)[1]]
 
 
 def _intern(chunks, num_classes, label_base, worker_ids=None, item_ids=None) -> LabelMatrix:
-    """Validate column chunks (line_nos, worker_ids, item_ids, labels) into a LabelMatrix.
+    """Validate row chunks (skips, worker keys, item keys, labels, inverse)
+    into a LabelMatrix; a chunk's rows hold labels[inverse], and its skips are
+    the rows before each skipped line of the file (see _line_of).
 
     Every rule for one observation lives here: ids are non-empty, the label is
     an integer in label_base..num_classes-1+label_base, and a worker labels an
     item at most once. The first fault in file order is raised, naming its
     line: the earliest faulting row of a chunk, or a repeated pair on an
     earlier row. IDs are interned in first-appearance order, after the
-    pre-registered worker_ids/item_ids. Fewer than 2 classes is rejected
-    before any row is read.
+    pre-registered worker_ids/item_ids, by one sort of each id column. Fewer
+    than 2 classes is rejected before any row is read.
     """
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
-    # id -> row of its first appearance; pre-registered ids take rows 0..n-1
-    w_first = {wid: n for n, wid in enumerate(dict.fromkeys(map(str, worker_ids or ())))}
-    i_first = {iid: n for n, iid in enumerate(dict.fromkeys(map(str, item_ids or ())))}
-    w_base, i_base = len(w_first), len(i_first)
+    known = [list(dict.fromkeys(map(str, ids or ()))) for ids in (worker_ids, item_ids)]
+    keys = [_Rows(_str_keys(ids)) for ids in known]  # worker, then item keys
+    classes = _Rows(np.empty((1, 0), np.int64))
     codes = _LabelCodes(num_classes, label_base, _LABEL_FAULTS)
-    ws, its, ls, lines = array("q"), array("q"), array("q"), array("q")
+    skips = []
 
     def matrix():
-        w_tuple, i_tuple = tuple(w_first), tuple(i_first)
-        workers = _dense_codes(w_first, ws, w_base)
-        items = _dense_codes(i_first, its, i_base)
-        _check_duplicates(workers, items, lines, w_tuple, i_tuple)
+        # Results are allocated before any large temporary is freed, and ids
+        # are decoded after the last one is, so no result lies between freed
+        # temporaries, which the allocator could then not hand back.
+        labels = classes.columns()[0]
+        id_rows = [col.columns() for col in keys]
+        keys.clear()
+        out = [np.empty(col.shape[1], np.int64) for col in id_rows]
+        w_keys = _id_keys(id_rows.pop(0), out[0])
+        i_keys = _id_keys(id_rows.pop(0), out[1])
+        workers, items = out[0][len(known[0]):], out[1][len(known[1]):]
+        repeat = _first_repeat(workers, items)
+        w_ids = (*known[0], *_decode(w_keys[:, len(known[0]):]))
+        i_ids = (*known[1], *_decode(i_keys[:, len(known[1]):]))
+        if repeat is not None:
+            raise LabelFileError(f"duplicate observation for worker {w_ids[workers[repeat]]!r}, "
+                                 f"item {i_ids[items[repeat]]!r}", _line_of(skips, repeat))
         return LabelMatrix(
-            num_workers=len(w_tuple),
-            num_items=len(i_tuple),
+            num_workers=len(w_ids),
+            num_items=len(i_ids),
             num_classes=int(num_classes),
             workers=workers,
             items=items,
-            labels=np.frombuffer(ls, dtype=np.int64),
-            worker_ids=w_tuple,
-            item_ids=i_tuple,
+            labels=labels,
+            worker_ids=w_ids,
+            item_ids=i_ids,
         )
 
     try:
-        for line_nos, wids, iids, labs in chunks:
-            classes, bad_label = codes.column(labs)
-            faults = [col.index("") for col in (wids, iids) if "" in col]
-            if bad_label is not None:
-                faults.append(bad_label)
+        rows = 0
+        for chunk_skips, w_keys, i_keys, labels, inverse in chunks:
+            skips += chunk_skips
+            chunk = codes.classes(labels, inverse)
+            faults = np.flatnonzero((w_keys[0] == 0) | (i_keys[0] == 0) | (chunk < 0))
             fault = None
-            if faults:
-                r = min(faults)
-                message = (codes[labs[r]] if wids[r] and iids[r]
+            if len(faults):
+                r = int(faults[0])
+                message = (codes.bad[labels[inverse[r]]] if w_keys[0, r] and i_keys[0, r]
                            else "empty worker or item id")
-                fault = LabelFileError(message, line_nos[r])
-                line_nos, wids, iids, classes = line_nos[:r], wids[:r], iids[:r], classes[:r]
-            ws.extend(map(w_first.setdefault, wids, count(w_base + len(ws))))
-            its.extend(map(i_first.setdefault, iids, count(i_base + len(its))))
-            ls.extend(classes)
-            lines.extend(line_nos)
+                fault = LabelFileError(message, _line_of(skips, rows + r))
+                w_keys, i_keys, chunk = w_keys[:, :r], i_keys[:, :r], chunk[:r]
+            keys[0].append(w_keys)
+            keys[1].append(i_keys)
+            classes.append(chunk[None])
+            rows += len(chunk)
             if fault is not None:
                 raise fault
     except Exception:
@@ -180,32 +323,20 @@ def _intern(chunks, num_classes, label_base, worker_ids=None, item_ids=None) -> 
     return matrix()
 
 
-def _dense_codes(first, rows, base) -> np.ndarray:
-    """Turn, in place, ids given by the row of their first appearance into
-    dense indices in first-appearance order (rows below `base` belong to
-    pre-registered ids); returns a view of `rows`."""
-    lut = np.empty(base + len(rows), dtype=np.int64)
-    lut[np.fromiter(first.values(), dtype=np.int64, count=len(first))] = np.arange(len(first))
-    codes = np.frombuffer(rows, dtype=np.int64)
-    codes[:] = lut[codes]
-    return codes
-
-
-def _check_duplicates(workers, items, lines, worker_ids, item_ids) -> None:
-    """Raise on the first row, in file order, that repeats a worker-item pair.
+def _first_repeat(workers, items):
+    """The first row, in file order, that repeats a worker-item pair, or None.
 
     Pairs are compared as one int64 key, exact below 2**31 workers and 2**32
     items; flat arrays and one sort keep this far smaller than a set of pairs.
     """
     pairs = workers << 32
     pairs |= items
-    order = np.argsort(pairs, kind="stable")
-    ranked = pairs[order]
-    repeats = order[1:][ranked[1:] == ranked[:-1]]
-    if len(repeats):
-        r = int(repeats.min())
-        raise LabelFileError(f"duplicate observation for worker {worker_ids[workers[r]]!r}, "
-                             f"item {item_ids[items[r]]!r}", lines[r])
+    first = _groups(pairs.view(np.uint64)[None])[1]
+    if len(first) == len(pairs):
+        return None
+    repeats = np.ones(len(pairs), dtype=bool)
+    repeats[first] = False
+    return int(repeats.argmax())
 
 
 def _unwritable(x) -> bool:
@@ -230,7 +361,10 @@ def from_triples(triples, num_classes, worker_ids=None, item_ids=None) -> LabelM
 
     def chunks():
         wids, iids, labs = zip(*rows[:end]) if end else ((), (), ())
-        yield range(1, end + 1), wids, iids, list(map(_triple_label, labs))
+        labs = list(map(_triple_label, labs))
+        index = {lab: k for k, lab in enumerate(dict.fromkeys(labs))}
+        yield ([], _str_keys(wids), _str_keys(iids), list(index),
+               np.fromiter(map(index.__getitem__, labs), np.int64, len(labs)))
         if end < len(rows):
             wid, iid, lab = rows[end]
             bad = wid if _unwritable(wid) else iid
@@ -254,53 +388,72 @@ def _triple_label(lab):
     return value if value == lab else repr(lab)
 
 
-def _line_chunks(fh, first_line_no):
-    """Yield (line number of the first line, lines) per chunk of a text file.
+def _chunks(fh, sep):
+    """Yield (buf, stops, starts, ends, widths) per chunk of a text file.
 
-    Each chunk is _CHUNK_CHARS characters completed to a line end, split once
-    into lines; line ends are already translated to "\\n" by the text layer.
+    A chunk is _CHUNK_CHARS characters completed to a line end; the text layer
+    has already turned every line end into "\\n". `buf` holds the chunk's
+    UTF-8 bytes, a "\\n" after a last line that lacks one, then _PAD. `stops`
+    are the positions of its `sep` and "\\n" bytes; each line runs from
+    starts[k] to its "\\n" at ends[k] and holds widths[k] fields.
     """
-    n = first_line_no
-    while chunk := fh.read(_CHUNK_CHARS):
-        if not chunk.endswith("\n"):
-            chunk += fh.readline()
-        lines = chunk.split("\n")
-        if chunk.endswith("\n"):
-            lines.pop()
-        yield n, lines
-        n += len(lines)
+    while text := fh.read(_CHUNK_CHARS):
+        if not text.endswith("\n"):
+            text += fh.readline()
+        tail = _PAD if text.endswith("\n") else b"\n" + _PAD
+        buf = np.frombuffer(text.encode() + tail, dtype=np.uint8)
+        stops = np.flatnonzero((buf == ord(sep)) | (buf == 10))
+        at = np.flatnonzero(buf[stops] == 10)
+        ends = stops[at]
+        yield buf, stops, np.concatenate(([0], ends[:-1] + 1)), ends, np.diff(at, prepend=-1)
 
 
-def _first_ragged(lines, sep, width) -> int:
-    """Index of the first line without exactly `width` sep-separated fields,
-    or len(lines)."""
-    counts = list(map(str.count, lines, repeat(sep)))
-    if counts.count(width - 1) == len(counts):
-        return len(lines)
-    return next(k for k, c in enumerate(counts) if c != width - 1)
+def _csv_rows(path, fields):
+    """Yield (skips, keys of each field) per chunk of a comma-separated file.
 
-
-def _columns(path, fields):
-    """Yield (line_nos, *columns) per chunk of a comma-separated file.
-
-    Blank lines are skipped and a line-1 header equal to `fields` (case and
-    padding aside) is dropped; fields are stripped of surrounding whitespace.
-    Line numbers count every line. A line with the wrong field count raises
+    Empty lines are skipped and a line-1 header equal to `fields` (case and
+    padding aside) is dropped; `skips` holds the number of rows before each
+    skipped line, from which _line_of recovers a row's line number. Fields
+    are stripped as str.strip does. A line with the wrong field count raises
     after the rows before it are yielded, so callers see faults in file order.
     """
-    width = len(fields)
+    width, rows, line_no = len(fields), 0, 1
     with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not data
-        for start, lines in _line_chunks(fh, 1):
-            if start == 1 and [p.strip().lower() for p in lines[0].split(",")] == fields:
-                lines[0] = ""  # optional header, skipped like a blank line
-            line_nos = list(compress(range(start, start + len(lines)), lines))
-            lines = list(filter(None, lines))
-            r = _first_ragged(lines, ",", width)
-            flat = list(map(str.strip, ",".join(lines[:r]).split(","))) if r else []
-            yield (line_nos[:r], *(flat[k::width] for k in range(width)))
-            if r < len(lines):
+        for buf, stops, starts, ends, widths in _chunks(fh, ","):
+            skip = starts == ends
+            if line_no == 1 and [p.strip().lower() for p in
+                                 buf[:ends[0]].tobytes().decode().split(",")] == fields:
+                skip[0] = True  # optional header, skipped like a blank line
+            ragged = np.flatnonzero(~skip & (widths != width))
+            r = int(ragged[0]) if len(ragged) else len(ends)
+            keep = ~skip
+            keep[r:] = False
+            take = np.repeat(keep, widths)  # the stops that end a kept row's fields
+            field_ends = stops[take].reshape(-1, width).T.copy()
+            field_starts = np.concatenate(([0], stops[:-1] + 1))[take].reshape(-1, width).T.copy()
+            at = np.flatnonzero(skip[:r])
+            yield (rows + at - np.arange(len(at))).tolist(), [
+                _pack(buf, *_strip(buf, s, e)) for s, e in zip(field_starts, field_ends)]
+            if r < len(ends):
                 raise LabelFileError(f"expected {width} comma-separated fields, "
-                                     f"got {lines[r].count(',') + 1}", line_nos[r])
+                                     f"got {widths[r]}", line_no + r)
+            rows += field_ends.shape[1]
+            line_no += len(ends)
+
+
+def _strip(buf, starts, ends):
+    """(starts, ends) of the fields buf[starts:ends] without the whitespace
+    that str.strip removes."""
+    edge = _EDGE.take(buf.take(starts)) | _EDGE.take(buf.take(ends - 1))
+    edge = np.flatnonzero(edge & (ends > starts))
+    if len(edge):
+        starts, ends = starts.copy(), ends.copy()
+        for k in edge.tolist():
+            raw = buf[starts[k]:ends[k]].tobytes()
+            text = raw.decode().lstrip()
+            starts[k] += len(raw) - len(text.encode())
+            ends[k] = starts[k] + len(text.rstrip().encode())
+    return starts, ends
 
 
 def load_labels(path, num_classes, label_base=0) -> LabelMatrix:
@@ -311,7 +464,9 @@ def load_labels(path, num_classes, label_base=0) -> LabelMatrix:
     """
     if label_base not in (0, 1):
         raise ValueError("label_base must be 0 or 1")
-    return _intern(_columns(path, ["worker", "item", "label"]), num_classes, label_base)
+    chunks = ((skips, w_keys, i_keys, *_distinct(labels)) for skips, (w_keys, i_keys, labels)
+              in _csv_rows(path, ["worker", "item", "label"]))
+    return _intern(chunks, num_classes, label_base)
 
 
 def _write_rows(path, header, row_format, columns) -> None:
@@ -342,43 +497,57 @@ class GoldLabels:
         return len(self.by_item)
 
 
-def _first_repeat(values, seen) -> int:
-    """Index of the first value that is in `seen` or earlier in `values`."""
-    seen = set(seen)
-    for k, value in enumerate(values):
-        if value in seen:
-            return k
-        seen.add(value)
-    return len(values)
-
-
 def load_gold(path, item_ids, num_classes, label_base=0) -> GoldLabels:
     """Load an `item_id,label` CSV keyed against a known item-ID order.
 
     Per row, in order: the item is known, the label passes the labels-file
-    rule, and the item has no gold label on an earlier row.
+    rule, and the item has no gold label on an earlier row. Gold ids are
+    joined to item_ids (the last of equal ids wins) by one sort of both.
     """
-    by_item: dict[int, int] = {}
-    item_index = {iid: i for i, iid in enumerate(item_ids)}
     codes = _LabelCodes(num_classes, label_base, _GOLD_FAULTS)
-    for line_nos, iids, labs in _columns(path, ["item", "label"]):
-        index = list(map(item_index.get, iids))
-        classes, bad_label = codes.column(labs)
-        chunk = dict(zip(index, classes))
-        faults = [index.index(None)] if None in index else []
-        if bad_label is not None:
-            faults.append(bad_label)
-        if len(chunk) < len(index) or not by_item.keys().isdisjoint(chunk):
-            faults.append(_first_repeat(index, by_item))
-        if faults:
-            r = min(faults)
-            if index[r] is None:
-                raise LabelFileError(f"unknown item id {iids[r]!r}", line_nos[r])
-            if labs[r] in codes.bad:
-                raise LabelFileError(codes[labs[r]], line_nos[r])
-            raise LabelFileError(f"second gold label for item {iids[r]!r}", line_nos[r])
-        by_item.update(chunk)
-    return GoldLabels(by_item)
+    keys = _Rows(_str_keys(item_ids))  # the item ids, then the gold rows' ids
+    known = keys.used
+    classes = _Rows(np.empty((1, 0), np.int64))
+    skips, label_fault = [], None
+
+    def join():
+        ranks, first = _rank(keys.columns())
+        last = np.full(len(first), -1, dtype=np.int64)  # per id, its last item index
+        np.maximum.at(last, ranks[:known], np.arange(known))
+        ranks = ranks[known:]
+        index = last[ranks]
+        gold = classes.columns()[0]
+        rows = np.arange(len(gold))
+        seen = np.full(len(first), len(gold))  # per id, its first gold row
+        np.minimum.at(seen, ranks, rows)
+        faults = np.flatnonzero((index < 0) | (gold < 0) | (seen[ranks] != rows))
+        if len(faults):
+            r = int(faults[0])
+            line, iid = _line_of(skips, r), _decode(keys.columns()[:, [known + r]])[0]
+            if index[r] < 0:
+                raise LabelFileError(f"unknown item id {iid!r}", line)
+            if gold[r] < 0:
+                raise LabelFileError(label_fault, line)
+            raise LabelFileError(f"second gold label for item {iid!r}", line)
+        return GoldLabels(dict(zip(index.tolist(), gold.tolist())))
+
+    try:
+        for chunk_skips, (item_keys, label_keys) in _csv_rows(path, ["item", "label"]):
+            skips += chunk_skips
+            labels, inverse = _distinct(label_keys)
+            chunk = codes.classes(labels, inverse)
+            bad = np.flatnonzero(chunk < 0)
+            if len(bad):  # rows after the first faulting label are not read
+                label_fault = codes.bad[labels[inverse[bad[0]]]]
+                item_keys, chunk = item_keys[:, :bad[0] + 1], chunk[:bad[0] + 1]
+            keys.append(item_keys)
+            classes.append(chunk[None])
+            if len(bad):
+                break
+    except Exception:
+        join()  # a fault on an earlier row comes first in file order
+        raise
+    return join()
 
 
 @dataclass(frozen=True)
@@ -417,6 +586,14 @@ def summarize(labels: LabelMatrix, gold: GoldLabels | None = None) -> DatasetSum
 POSTERIOR_HEADER_PREFIX = ("item", "predicted")
 
 
+def _check_posterior_ids(item_ids) -> None:
+    """Raise ValueError naming the first item id that holds a tab, which
+    would shift that row's columns in a posterior file."""
+    if "\t" in "".join(item_ids):
+        tabbed = next(iid for iid in item_ids if "\t" in iid)
+        raise ValueError(f"item id {tabbed!r} has a tab, which a posterior file cannot hold")
+
+
 def write_posterior(path, labels: LabelMatrix, posterior: np.ndarray,
                     predicted: np.ndarray) -> None:
     """Write the posterior TSV: item, argmax label, then 6-decimal probabilities.
@@ -424,9 +601,7 @@ def write_posterior(path, labels: LabelMatrix, posterior: np.ndarray,
     Raises ValueError, before the file is opened, naming the first item id that
     holds a tab, which would shift that row's columns.
     """
-    if "\t" in "".join(labels.item_ids):
-        tabbed = next(iid for iid in labels.item_ids if "\t" in iid)
-        raise ValueError(f"item id {tabbed!r} has a tab, which a posterior file cannot hold")
+    _check_posterior_ids(labels.item_ids)
     K = labels.num_classes
     header = "item\tpredicted\t" + "\t".join(f"p{k}" for k in range(K)) + "\n"
     row_format = "%s\t%s" + "\t%.6f" * posterior.shape[1] + "\n"
@@ -459,14 +634,18 @@ def read_posterior(path):
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header[:2]) != POSTERIOR_HEADER_PREFIX:
             raise LabelFileError("not a posterior file: bad header", 1)
-        width = len(header)
+        width, line_no = len(header), 2
         ids, preds, probs = [], array("q"), array("d")  # flat buffers, no per-row objects
-        for start, lines in _line_chunks(fh, 2):
-            keep = list(map(str.strip, lines))
-            line_nos = list(compress(range(start, start + len(lines)), keep))
-            lines = list(compress(lines, keep))
-            r = _first_ragged(lines, "\t", width)
-            flat = "\t".join(lines[:r]).split("\t") if r else []
+        for buf, stops, starts, ends, widths in _chunks(fh, "\t"):
+            keep = _has_text(buf, starts, ends)
+            ragged = np.flatnonzero(keep & (widths != width))
+            r = int(ragged[0]) if len(ragged) else len(ends)
+            keep[r:] = False
+            rows = buf[:-len(_PAD)]
+            if not keep.all():
+                rows = rows[np.repeat(keep, ends - starts + 1)]
+            flat = rows.tobytes().decode().replace("\n", "\t").split("\t")
+            flat.pop()  # after the last row's line end
             ids += flat[0::width]
             del flat[0::width]
             pred_texts = flat[0::width - 1]
@@ -475,8 +654,18 @@ def read_posterior(path):
                 preds += array("q", map(int, pred_texts))
                 probs += array("d", map(float, flat))
             except (ValueError, OverflowError):
+                line_nos = (line_no + np.flatnonzero(keep)).tolist()
                 _raise_posterior_fault(line_nos, pred_texts, flat, width - 2)
                 raise
-            if r < len(lines):
-                raise LabelFileError("wrong number of columns", line_nos[r])
+            if r < len(ends):
+                raise LabelFileError("wrong number of columns", line_no + r)
+            line_no += len(ends)
     return ids, np.array(preds, dtype=np.int64), np.array(probs).reshape(len(ids), width - 2)
+
+
+def _has_text(buf, starts, ends) -> np.ndarray:
+    """Which lines of a chunk hold more than str.strip's whitespace."""
+    has_text = ~_EDGE.take(buf.take(starts))
+    for k in np.flatnonzero(~has_text).tolist():  # starts with whitespace or non-ASCII
+        has_text[k] = bool(buf[starts[k]:ends[k]].tobytes().decode().strip())
+    return has_text

@@ -195,6 +195,29 @@ def test_item_id_with_a_tab_leaves_no_posterior(tmp_path, capsys, command, poste
     assert not (tmp_path / posterior).exists()
 
 
+def test_item_id_with_a_tab_leaves_no_sidecar(tmp_path, capsys):
+    labels = tmp_path / "t.csv"
+    labels.write_text("w1,it\tem,1\nw2,it\tem,1\nw1,b,0\nw2,b,0\n")
+    code = main(["aggregate", "--labels", str(labels), "--classes", "2", "--gamma", "1",
+                 "--out", str(tmp_path / "t.tsv"), "--params-out", str(tmp_path / "p.tsv"),
+                 "--trace", str(tmp_path / "trace.csv")])
+    assert code == EXIT_USAGE
+    assert "has a tab" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+def test_select_refuses_a_tabbed_item_id_before_selecting(tmp_path, capsys, monkeypatch):
+    labels = tmp_path / "t.csv"
+    labels.write_text("w1,it\tem,1\nw2,it\tem,1\nw1,b,0\nw2,b,0\n")
+    monkeypatch.setattr(selection, "cross_validate", lambda *a, **k: pytest.fail("CV ran"))
+    code = main(["select", "--labels", str(labels), "--classes", "2", "--fit-final",
+                 "--out", str(tmp_path / "cv.csv")])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert "selected gamma" not in out and "has a tab" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
 class TestSelect:
     def test_cv_writes_report(self, tmp_path, capsys):
         report = tmp_path / "cv.csv"

@@ -97,6 +97,24 @@ class TestLoadLabels:
         assert lm.worker_ids == ("z", "a")
         assert lm.item_ids == ("q", "b")
 
+    def test_long_ids_and_trailing_nuls_stay_distinct(self, tmp_path):
+        # 255+ bytes: lengths equal modulo 256, or ids that differ only by NULs
+        long = "a" * 300
+        ids = ["x" * 254, "x" * 255, "x" * 256, long, long + "\x00", long + "\x00" * 256,
+               "b", "b\x00", "b" + "\x00" * 256, "é" * 200, "é" * 199 + "e\x00"]
+        p = tmp_path / "l.csv"
+        p.write_text("".join(f"{w},{w},1\n" for w in ids) + f"{long},{long},0\n",
+                     encoding="utf-8")
+        with pytest.raises(LabelFileError, match=f"^line {len(ids) + 1}: duplicate"):
+            load_labels(p, 2)
+        p.write_text("".join(f"{w},{w},1\n" for w in ids), encoding="utf-8")
+        lm = load_labels(p, 2)
+        assert lm.worker_ids == lm.item_ids == tuple(ids)
+        assert lm.workers.tolist() == lm.items.tolist() == list(range(len(ids)))
+        g = tmp_path / "g.csv"
+        g.write_text(f"{long}\x00,0\n{ids[1]},1\n", encoding="utf-8")
+        assert load_gold(g, lm.item_ids, 2).by_item == {4: 0, 1: 1}
+
     @pytest.mark.parametrize("header", ["worker,item,label\n", ""])
     def test_byte_order_mark_is_not_data(self, tmp_path, header):
         p = tmp_path / "l.csv"
@@ -382,7 +400,11 @@ def _outcome(fn, *args):
 LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 BLANKS = st.sampled_from(["", " ", "\t", "  \t "])
 # repeated entries weight the draw toward the ids and labels that collide
-IDS = st.sampled_from(["w1", "w1", "w2", "w2", "i1", " w1", "w2 ", "", "é", "a b"])
+# (whitespace that str.strip removes at an edge, ids longer than one 8-byte key
+# word, and ids that differ only by a trailing NUL among them)
+IDS = st.sampled_from(["w1", "w1", "w2", "w2", "i1", " w1", "w2 ", "", "é", "a b",
+                       "w1 ", "\x85w1", "\x1cw1", "w1\x0b", "worker-000001", "éééé-long",
+                       "n\x00", "n\x00\x00", "\x00"])
 LABELS = st.sampled_from(["0", "1"] * 3 + ["2", "+1", " 1", "01", "1_0", "x", "-1", "9", "", "1.0"])
 
 
@@ -454,7 +476,8 @@ class TestReferenceEquivalence:
     @settings(max_examples=200, deadline=None)
     def test_load_gold(self, tmp_path_factory, text, classes_base, chunk):
         path = _write_text(tmp_path_factory, text)
-        item_ids = ["i1", "w1", "w2", " w1", "é", "a b"]
+        # "w2" twice: a gold id joins the last of equal item ids
+        item_ids = ["i1", "w1", "w2", " w1", "é", "a b", "worker-000001", "n\x00", "w2"]
         expected = _outcome(_reference_gold, path, item_ids, *classes_base)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data, "_CHUNK_CHARS", chunk)
@@ -508,3 +531,23 @@ def test_chunked_load_peak_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert lm.num_labels == 200000
     assert peak <= 30e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_shuffled_long_id_load_peak_memory_is_bounded(tmp_path):
+    # 200k lines of 12-byte ids (two key words each) in random order; the
+    # bound is the row-at-a-time dict interner's measured 16.9 MB, rounded up
+    path = tmp_path / "shuffled.csv"
+    order = np.random.default_rng(0).permutation(200000).tolist()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("worker,item,label\n")
+        fh.write("".join(f"worker-{(r // 5 * 7 + r % 5 * 401) % 2000:05d},"
+                         f"item-{r // 5:07d},{r % 3}\n" for r in order))
+    tracemalloc.start()
+    try:
+        lm = load_labels(path, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (lm.num_labels, lm.num_workers, lm.num_items) == (200000, 2000, 40000)
+    assert lm.item_ids[lm.items[0]] == f"item-{order[0] // 5:07d}"
+    assert peak <= 17e6, f"peak {peak / 1e6:.1f} MB"

@@ -70,11 +70,14 @@ class LabelMatrix:
 # Characters read per chunk before the chunk is completed to a line end. The
 # readers hold one chunk's bytes and field bounds at a time, and tokenize it
 # with a fixed number of numpy calls, so small chunks cost time and large ones
-# memory. On a 500k-line labels file (one core of a 2-vCPU x86-64 VM),
-# load_labels took 1.11 s at 4K characters, 0.48 s at 16K, 0.36 s at 64K and
-# 256K, and 0.33 s at 1M; its traced peak was 32.5-32.7 MB up to 256K and
-# 38.4 MB at 1M (read_posterior on its 100k-row posterior: 14.7 MB at 64K,
-# 26.9 MB at 1M).
+# memory. On a 500k-line labels file of ids up to 7 bytes (one core of a
+# 2-vCPU x86-64 VM), load_labels took 0.45 s at 4K characters, 0.24 s at 16K,
+# 0.19 s at 64K, 0.18 s at 256K and 0.19 s at 1M; its traced peak was
+# 29.2-29.4 MB up to 256K and 33.3 MB at 1M (read_posterior on its 100k-row
+# posterior: 14.7 MB at 64K, 26.9 MB at 1M). Ids of 100 bytes, which fill a
+# chunk with fewer rows, loaded in 1.27 s at 64K and 1.02 s at 256K, but 256K
+# raised the peak RSS of the perfbench ingest child (aggregate and evaluate on
+# the short-id file) from about 123 MB to 126-128 MB.
 _CHUNK_CHARS = 1 << 16
 # Rows formatted per block when writing, so the transient memory of a write
 # does not grow with file length.
@@ -88,9 +91,11 @@ _GOLD_FAULTS = ("gold label {!r} is not an integer", "gold label {} out of range
 # field with one of them at an edge is stripped in Python, all others never are.
 _EDGE = np.array([chr(b).isspace() or b >= 0x80 for b in range(256)])
 # _MASKS[n] keeps the low n bytes of a word.
-_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+_MASKS = np.array([(1 << 8 * n) - 1 for n in range(8)], dtype=np.uint64)
 # Zero bytes after every parsed buffer, so 8 bytes can be read at any field start.
 _PAD = bytes(8)
+# The low byte of a long field's key.
+_LONG = 0xFF
 
 
 class _LabelCodes(dict):
@@ -125,100 +130,108 @@ class _LabelCodes(dict):
         return np.fromiter(map(self.__getitem__, labels), np.int64, len(labels))[inverse]
 
 
-def _pack(buf, starts, ends) -> np.ndarray:
-    """Keys of the fields buf[starts:ends] (buf ends with _PAD): a (words,
-    fields) uint64 array whose columns are equal exactly when the fields'
-    bytes are.
+class _Keys(dict):
+    """One uint64 key per field, equal exactly when two fields are, for
+    every field that one reader or interner sees.
 
-    A key's low byte is the field's length, then come its bytes, little-endian,
-    and zeros. A field of 255 bytes or more has 255 there and its length in the
-    word after its bytes: a longer field's length lies in a shorter one's zeros.
+    A field of at most 7 UTF-8 bytes is its own key: its length in the low
+    byte, then its bytes, little-endian. A longer field's key is _LONG in the
+    low byte and, above it, its number in `texts`, the long fields in the
+    order first seen; this dict maps each of them to its key. So a key costs
+    8 bytes per row whatever a field's length, and a long field one dict
+    lookup.
     """
-    n = ends - starts
-    longest = int(n.max(initial=0))
-    windows = np.ndarray(len(buf) - 7, "<u8", buf, strides=(1,))  # 8 bytes from each position
-    keys = np.zeros(((longest + 8) // 8 + (longest >= 255), len(n)), dtype=np.uint64)
-    np.bitwise_and(windows.take(starts), _MASKS.take(np.minimum(n, 7)), out=keys[0])
-    keys[0] <<= 8
-    keys[0] |= np.minimum(n, 255).astype(np.uint64)
-    for k in range(1, len(keys)):  # word k holds bytes 8k-1 .. 8k+6
-        at = np.minimum(starts + (8 * k - 1), len(windows) - 1)
-        np.bitwise_and(windows.take(at), _MASKS.take(np.clip(n - (8 * k - 1), 0, 8)), out=keys[k])
-    if longest >= 255:
-        long = np.flatnonzero(n >= 255)
-        keys[(n[long] + 8) // 8, long] = n[long]
-    return keys
 
+    def __init__(self):
+        super().__init__()
+        self.texts = []
 
-def _str_keys(strings) -> np.ndarray:
-    """Keys (as _pack's) of the UTF-8 bytes of each string."""
-    raw = [s.encode("utf-8", "surrogatepass") for s in strings]
-    lengths = np.fromiter(map(len, raw), np.int64, len(raw))
-    ends = np.cumsum(lengths)
-    return _pack(np.frombuffer(b"".join(raw) + _PAD, dtype=np.uint8), ends - lengths, ends)
+    def __missing__(self, text):
+        self[text] = key = len(self.texts) << 8 | _LONG
+        self.texts.append(text)
+        return key
 
+    def pack(self, buf, starts, ends, texts) -> np.ndarray:
+        """Keys of the fields buf[starts:ends] (buf ends with _PAD). texts(k)
+        gives the fields at positions k as str; it is called only for the
+        fields longer than 7 bytes."""
+        n = ends - starts
+        windows = np.ndarray(len(buf) - 7, "<u8", buf, strides=(1,))  # 8 bytes from each position
+        keys = windows[starts] & _MASKS.take(np.minimum(n, 7))  # take would copy `windows`
+        keys <<= 8
+        keys |= n.astype(np.uint64)
+        long = np.flatnonzero(n > 7)
+        if len(long):
+            keys[long] = np.fromiter(map(self.__getitem__, texts(long)), np.uint64, len(long))
+        return keys
 
-def _decode(keys) -> list:
-    """The fields that key columns hold (none may hold a comma), as str."""
-    n = (keys[0] & 0xFF).astype(np.int64)
-    for k in np.flatnonzero(n == 255).tolist():  # the last nonzero word is the length
-        n[k] = keys[np.flatnonzero(keys[:, k])[-1], k]
-    flat = np.zeros((len(n), 8 * len(keys) + 1), dtype=np.uint8)
-    flat[:, :-1] = np.ascontiguousarray(keys.T, dtype="<u8").view(np.uint8)
-    flat[np.arange(len(n)), n + 1] = ord(",")
-    cols = np.arange(flat.shape[1])
-    text = flat[(cols >= 1) & (cols <= n[:, None] + 1)].tobytes()
-    return text.decode("utf-8", "surrogatepass").split(",")[:-1]
+    def of(self, strings) -> np.ndarray:
+        """Keys of strings."""
+        raw = [s.encode("utf-8", "surrogatepass") for s in strings]
+        lengths = np.fromiter(map(len, raw), np.int64, len(raw))
+        ends = np.cumsum(lengths)
+        buf = np.frombuffer(b"".join(raw) + _PAD, dtype=np.uint8)
+        return self.pack(buf, ends - lengths, ends, lambda k: map(strings.__getitem__, k.tolist()))
+
+    def decode(self, keys) -> list:
+        """The fields that keys hold; the short ones hold no comma. Needs
+        only `texts`, so it works after the dict is cleared."""
+        n = (keys & 0xFF).astype(np.int64)
+        long = np.flatnonzero(n == _LONG)
+        n[long] = 0
+        flat = np.zeros((len(n), 9), dtype=np.uint8)
+        flat[:, :8] = np.ascontiguousarray(keys, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        flat[np.arange(len(n)), n + 1] = ord(",")
+        cols = np.arange(9)
+        text = flat[(cols >= 1) & (cols <= n[:, None] + 1)].tobytes()
+        fields = text.decode("utf-8", "surrogatepass").split(",")[:-1]
+        for k, number in zip(long, keys[long] >> 8):  # numpy scalars: no list of ints
+            fields[k] = self.texts[number]
+        return fields
 
 
 class _Rows:
-    """Key-like (words, n) arrays appended chunk by chunk into one row-major
-    array that doubles in place when full and is cut to size at the end (both
-    by realloc, so neither copies the rows nor holds them twice). A file's rows
-    then live in one large block, which the allocator maps apart and returns
-    whole, not in one small block per chunk among the chunks' temporaries.
-    Words added for a wider part are 0 in earlier rows."""
+    """Arrays appended chunk by chunk into one array that doubles in place
+    when full and is cut to size at the end (both by realloc, so neither
+    copies the rows nor holds them twice). A file's rows then live in one
+    large block, which the allocator maps apart and returns whole, not in one
+    small block per chunk among the chunks' temporaries. No view of `data`
+    lives across a resize, so the resizes skip numpy's reference count check,
+    which a profiler holding a bound method of `data` would fail."""
 
     def __init__(self, first: np.ndarray):
-        self.data, self.used = first.T.copy(), first.shape[1]
+        self.data, self.used = first.copy(), len(first)
 
     def append(self, part: np.ndarray) -> None:
-        words, n = part.shape
-        if words > self.data.shape[1]:
-            zeros = np.zeros((len(self.data), words - self.data.shape[1]), self.data.dtype)
-            self.data = np.hstack((self.data, zeros))
-        if self.used + n > len(self.data):
-            self.data.resize((max(2 * len(self.data), self.used + n), self.data.shape[1]))
-        self.data[self.used:self.used + n, :words] = part.T
-        self.used += n
+        if self.used + len(part) > len(self.data):
+            self.data.resize(max(2 * len(self.data), self.used + len(part)), refcheck=False)
+        self.data[self.used:self.used + len(part)] = part
+        self.used += len(part)
 
-    def columns(self) -> np.ndarray:
-        """The rows appended, as a (words, rows) view; ends the appending."""
+    def array(self) -> np.ndarray:
+        """The rows appended; ends the appending."""
         if len(self.data) > self.used:
-            self.data.resize((self.used, self.data.shape[1]))
-        return self.data.T
+            self.data.resize(self.used, refcheck=False)
+        return self.data
 
 
 def _groups(keys):
-    """Sort key columns into runs of equal keys: (order, first, heads), where
-    heads are the sorted positions where runs start and first the smallest
-    column of each run."""
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
-    heads = np.zeros(len(order), dtype=bool)
+    """Sort keys into runs of equal keys: (order, first, heads), where heads
+    are the sorted positions where runs start and first the smallest index of
+    each run."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    heads = np.empty(len(order), dtype=bool)
     heads[:1] = True
-    ranked = np.empty(len(order), dtype=np.uint64)  # one buffer for every word
-    for word in keys:
-        np.take(word, order, out=ranked)
-        heads[1:] |= ranked[1:] != ranked[:-1]
+    np.not_equal(ranked[1:], ranked[:-1], out=heads[1:])
     del ranked
     heads = np.flatnonzero(heads)
     return order, (np.minimum.reduceat(order, heads) if len(order) else heads), heads
 
 
 def _rank(keys, codes=None):
-    """(codes, first): a dense code per key column, numbered by first
-    appearance and written to `codes` if given, and the column where each code
-    first appears."""
+    """(codes, first): a dense code per key, numbered by first appearance and
+    written to `codes` if given, and the index where each code first appears."""
     order, first, heads = _groups(keys)
     by_appearance = np.argsort(first)
     rank = np.empty(len(first), dtype=np.int64)
@@ -229,11 +242,11 @@ def _rank(keys, codes=None):
     return codes, first[by_appearance]
 
 
-def _distinct(keys):
-    """(fields, inverse): the distinct fields of key columns, as str in
-    first-appearance order, and the index of each column's field."""
+def _distinct(table, keys):
+    """(fields, inverse): the distinct fields of keys (from `table`), as str in
+    first-appearance order, and the index of each key's field."""
     codes, first = _rank(keys)
-    return _decode(keys[:, first]), codes
+    return table.decode(keys[first]), codes
 
 
 def _line_of(skips, row) -> int:
@@ -241,17 +254,12 @@ def _line_of(skips, row) -> int:
     return row + 1 + bisect_right(skips, row)
 
 
-def _id_keys(keys, codes) -> np.ndarray:
-    """Rank an id column: write each key's code into `codes` and return the
-    distinct keys in first-appearance order."""
-    keys = np.ascontiguousarray(keys)  # one array per word for the sort; frees the rows
-    return keys[:, _rank(keys, codes)[1]]
-
-
-def _intern(chunks, num_classes, label_base, worker_ids=None, item_ids=None) -> LabelMatrix:
+def _intern(chunks, table, num_classes, label_base, worker_ids=None,
+            item_ids=None) -> LabelMatrix:
     """Validate row chunks (skips, worker keys, item keys, labels, inverse)
-    into a LabelMatrix; a chunk's rows hold labels[inverse], and its skips are
-    the rows before each skipped line of the file (see _line_of).
+    into a LabelMatrix; the keys are from `table`, a chunk's rows hold
+    labels[inverse], and its skips are the rows before each skipped line of
+    the file (see _line_of).
 
     Every rule for one observation lives here: ids are non-empty, the label is
     an integer in label_base..num_classes-1+label_base, and a worker labels an
@@ -264,25 +272,30 @@ def _intern(chunks, num_classes, label_base, worker_ids=None, item_ids=None) -> 
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     known = [list(dict.fromkeys(map(str, ids or ()))) for ids in (worker_ids, item_ids)]
-    keys = [_Rows(_str_keys(ids)) for ids in known]  # worker, then item keys
-    classes = _Rows(np.empty((1, 0), np.int64))
+    keys = [_Rows(table.of(ids)) for ids in known]  # worker, then item keys
+    classes = _Rows(np.empty(0, np.int64))
     codes = _LabelCodes(num_classes, label_base, _LABEL_FAULTS)
     skips = []
 
     def matrix():
-        # Results are allocated before any large temporary is freed, and ids
-        # are decoded after the last one is, so no result lies between freed
-        # temporaries, which the allocator could then not hand back.
-        labels = classes.columns()[0]
-        id_rows = [col.columns() for col in keys]
-        keys.clear()
-        out = [np.empty(col.shape[1], np.int64) for col in id_rows]
-        w_keys = _id_keys(id_rows.pop(0), out[0])
-        i_keys = _id_keys(id_rows.pop(0), out[1])
+        # Every row is packed, so the dict of long fields goes (decode needs
+        # only table.texts). Then results are allocated before any large
+        # temporary is freed, and ids are decoded after the last one is, so
+        # no result lies between freed temporaries, which the allocator could
+        # then not hand back.
+        table.clear()
+        labels = classes.array()
+        out = [np.empty(col.used, np.int64) for col in keys]
+        firsts = []
+        for ranks in out:  # one id column's rows at a time
+            rows = keys.pop(0).array()
+            firsts.append(rows[_rank(rows, ranks)[1]])
+            del rows
+        w_keys, i_keys = firsts
         workers, items = out[0][len(known[0]):], out[1][len(known[1]):]
         repeat = _first_repeat(workers, items)
-        w_ids = (*known[0], *_decode(w_keys[:, len(known[0]):]))
-        i_ids = (*known[1], *_decode(i_keys[:, len(known[1]):]))
+        w_ids = (*known[0], *table.decode(w_keys[len(known[0]):]))
+        i_ids = (*known[1], *table.decode(i_keys[len(known[1]):]))
         if repeat is not None:
             raise LabelFileError(f"duplicate observation for worker {w_ids[workers[repeat]]!r}, "
                                  f"item {i_ids[items[repeat]]!r}", _line_of(skips, repeat))
@@ -302,17 +315,17 @@ def _intern(chunks, num_classes, label_base, worker_ids=None, item_ids=None) -> 
         for chunk_skips, w_keys, i_keys, labels, inverse in chunks:
             skips += chunk_skips
             chunk = codes.classes(labels, inverse)
-            faults = np.flatnonzero((w_keys[0] == 0) | (i_keys[0] == 0) | (chunk < 0))
+            faults = np.flatnonzero((w_keys == 0) | (i_keys == 0) | (chunk < 0))
             fault = None
             if len(faults):
                 r = int(faults[0])
-                message = (codes.bad[labels[inverse[r]]] if w_keys[0, r] and i_keys[0, r]
+                message = (codes.bad[labels[inverse[r]]] if w_keys[r] and i_keys[r]
                            else "empty worker or item id")
                 fault = LabelFileError(message, _line_of(skips, rows + r))
-                w_keys, i_keys, chunk = w_keys[:, :r], i_keys[:, :r], chunk[:r]
+                w_keys, i_keys, chunk = w_keys[:r], i_keys[:r], chunk[:r]
             keys[0].append(w_keys)
             keys[1].append(i_keys)
-            classes.append(chunk[None])
+            classes.append(chunk)
             rows += len(chunk)
             if fault is not None:
                 raise fault
@@ -331,7 +344,7 @@ def _first_repeat(workers, items):
     """
     pairs = workers << 32
     pairs |= items
-    first = _groups(pairs.view(np.uint64)[None])[1]
+    first = _groups(pairs.view(np.uint64))[1]
     if len(first) == len(pairs):
         return None
     repeats = np.ones(len(pairs), dtype=bool)
@@ -359,11 +372,13 @@ def from_triples(triples, num_classes, worker_ids=None, item_ids=None) -> LabelM
     end = next((k for k, (wid, iid, _) in enumerate(rows)
                 if _unwritable(wid) or _unwritable(iid)), len(rows))
 
+    table = _Keys()
+
     def chunks():
         wids, iids, labs = zip(*rows[:end]) if end else ((), (), ())
         labs = list(map(_triple_label, labs))
         index = {lab: k for k, lab in enumerate(dict.fromkeys(labs))}
-        yield ([], _str_keys(wids), _str_keys(iids), list(index),
+        yield ([], table.of(wids), table.of(iids), list(index),
                np.fromiter(map(index.__getitem__, labs), np.int64, len(labs)))
         if end < len(rows):
             wid, iid, lab = rows[end]
@@ -372,7 +387,7 @@ def from_triples(triples, num_classes, worker_ids=None, item_ids=None) -> LabelM
                 f"id {bad!r} in triple {(wid, iid, lab)!r} has a comma, a line "
                 "break or surrounding whitespace, which a labels file cannot hold", end + 1)
 
-    return _intern(chunks(), num_classes, 0, worker_ids, item_ids)
+    return _intern(chunks(), table, num_classes, 0, worker_ids, item_ids)
 
 
 def _triple_label(lab):
@@ -389,13 +404,13 @@ def _triple_label(lab):
 
 
 def _chunks(fh, sep):
-    """Yield (buf, stops, starts, ends, widths) per chunk of a text file.
+    """Yield (text, buf, stops, starts, ends, widths) per chunk of a text file.
 
     A chunk is _CHUNK_CHARS characters completed to a line end; the text layer
-    has already turned every line end into "\\n". `buf` holds the chunk's
-    UTF-8 bytes, a "\\n" after a last line that lacks one, then _PAD. `stops`
-    are the positions of its `sep` and "\\n" bytes; each line runs from
-    starts[k] to its "\\n" at ends[k] and holds widths[k] fields.
+    has already turned every line end into "\\n". `buf` holds the UTF-8 bytes
+    of its `text`, a "\\n" after a last line that lacks one, then _PAD.
+    `stops` are the positions of its `sep` and "\\n" bytes; each line runs
+    from starts[k] to its "\\n" at ends[k] and holds widths[k] fields.
     """
     while text := fh.read(_CHUNK_CHARS):
         if not text.endswith("\n"):
@@ -405,11 +420,12 @@ def _chunks(fh, sep):
         stops = np.flatnonzero((buf == ord(sep)) | (buf == 10))
         at = np.flatnonzero(buf[stops] == 10)
         ends = stops[at]
-        yield buf, stops, np.concatenate(([0], ends[:-1] + 1)), ends, np.diff(at, prepend=-1)
+        yield text, buf, stops, np.concatenate(([0], ends[:-1] + 1)), ends, np.diff(at, prepend=-1)
 
 
-def _csv_rows(path, fields):
-    """Yield (skips, keys of each field) per chunk of a comma-separated file.
+def _csv_rows(path, fields, table):
+    """Yield (skips, keys of each field, from `table`) per chunk of a
+    comma-separated file.
 
     Empty lines are skipped and a line-1 header equal to `fields` (case and
     padding aside) is dropped; `skips` holds the number of rows before each
@@ -419,7 +435,7 @@ def _csv_rows(path, fields):
     """
     width, rows, line_no = len(fields), 0, 1
     with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not data
-        for buf, stops, starts, ends, widths in _chunks(fh, ","):
+        for text, buf, stops, starts, ends, widths in _chunks(fh, ","):
             skip = starts == ends
             if line_no == 1 and [p.strip().lower() for p in
                                  buf[:ends[0]].tobytes().decode().split(",")] == fields:
@@ -432,13 +448,24 @@ def _csv_rows(path, fields):
             field_ends = stops[take].reshape(-1, width).T.copy()
             field_starts = np.concatenate(([0], stops[:-1] + 1))[take].reshape(-1, width).T.copy()
             at = np.flatnonzero(skip[:r])
-            yield (rows + at - np.arange(len(at))).tolist(), [
-                _pack(buf, *_strip(buf, s, e)) for s, e in zip(field_starts, field_ends)]
+            keys = []
+            for s, e in zip(field_starts, field_ends):
+                s, e = _strip(buf, s, e)
+                keys.append(table.pack(buf, s, e, lambda k: _slices(text, buf, s[k], e[k])))
+            yield (rows + at - np.arange(len(at))).tolist(), keys
             if r < len(ends):
                 raise LabelFileError(f"expected {width} comma-separated fields, "
                                      f"got {widths[r]}", line_no + r)
             rows += field_ends.shape[1]
             line_no += len(ends)
+
+
+def _slices(text, buf, starts, ends) -> list:
+    """The fields buf[starts:ends] as slices of `text`, whose UTF-8 bytes buf holds."""
+    if not text.isascii():  # a byte offset less the continuation bytes before it
+        skipped = np.concatenate(([0], np.cumsum((buf & 0xC0) == 0x80)))
+        starts, ends = starts - skipped[starts], ends - skipped[ends]
+    return [text[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 def _strip(buf, starts, ends):
@@ -464,9 +491,11 @@ def load_labels(path, num_classes, label_base=0) -> LabelMatrix:
     """
     if label_base not in (0, 1):
         raise ValueError("label_base must be 0 or 1")
-    chunks = ((skips, w_keys, i_keys, *_distinct(labels)) for skips, (w_keys, i_keys, labels)
-              in _csv_rows(path, ["worker", "item", "label"]))
-    return _intern(chunks, num_classes, label_base)
+    table = _Keys()
+    chunks = ((skips, w_keys, i_keys, *_distinct(table, labels))
+              for skips, (w_keys, i_keys, labels)
+              in _csv_rows(path, ["worker", "item", "label"], table))
+    return _intern(chunks, table, num_classes, label_base)
 
 
 def _write_rows(path, header, row_format, columns) -> None:
@@ -505,25 +534,26 @@ def load_gold(path, item_ids, num_classes, label_base=0) -> GoldLabels:
     joined to item_ids (the last of equal ids wins) by one sort of both.
     """
     codes = _LabelCodes(num_classes, label_base, _GOLD_FAULTS)
-    keys = _Rows(_str_keys(item_ids))  # the item ids, then the gold rows' ids
+    table = _Keys()
+    keys = _Rows(table.of(item_ids))  # the item ids, then the gold rows' ids
     known = keys.used
-    classes = _Rows(np.empty((1, 0), np.int64))
+    classes = _Rows(np.empty(0, np.int64))
     skips, label_fault = [], None
 
     def join():
-        ranks, first = _rank(keys.columns())
+        ranks, first = _rank(keys.array())
         last = np.full(len(first), -1, dtype=np.int64)  # per id, its last item index
         np.maximum.at(last, ranks[:known], np.arange(known))
         ranks = ranks[known:]
         index = last[ranks]
-        gold = classes.columns()[0]
+        gold = classes.array()
         rows = np.arange(len(gold))
         seen = np.full(len(first), len(gold))  # per id, its first gold row
         np.minimum.at(seen, ranks, rows)
         faults = np.flatnonzero((index < 0) | (gold < 0) | (seen[ranks] != rows))
         if len(faults):
             r = int(faults[0])
-            line, iid = _line_of(skips, r), _decode(keys.columns()[:, [known + r]])[0]
+            line, iid = _line_of(skips, r), table.decode(keys.array()[[known + r]])[0]
             if index[r] < 0:
                 raise LabelFileError(f"unknown item id {iid!r}", line)
             if gold[r] < 0:
@@ -532,16 +562,16 @@ def load_gold(path, item_ids, num_classes, label_base=0) -> GoldLabels:
         return GoldLabels(dict(zip(index.tolist(), gold.tolist())))
 
     try:
-        for chunk_skips, (item_keys, label_keys) in _csv_rows(path, ["item", "label"]):
+        for chunk_skips, (item_keys, label_keys) in _csv_rows(path, ["item", "label"], table):
             skips += chunk_skips
-            labels, inverse = _distinct(label_keys)
+            labels, inverse = _distinct(table, label_keys)
             chunk = codes.classes(labels, inverse)
             bad = np.flatnonzero(chunk < 0)
             if len(bad):  # rows after the first faulting label are not read
                 label_fault = codes.bad[labels[inverse[bad[0]]]]
-                item_keys, chunk = item_keys[:, :bad[0] + 1], chunk[:bad[0] + 1]
+                item_keys, chunk = item_keys[:bad[0] + 1], chunk[:bad[0] + 1]
             keys.append(item_keys)
-            classes.append(chunk[None])
+            classes.append(chunk)
             if len(bad):
                 break
     except Exception:
@@ -636,7 +666,7 @@ def read_posterior(path):
             raise LabelFileError("not a posterior file: bad header", 1)
         width, line_no = len(header), 2
         ids, preds, probs = [], array("q"), array("d")  # flat buffers, no per-row objects
-        for buf, stops, starts, ends, widths in _chunks(fh, "\t"):
+        for _, buf, stops, starts, ends, widths in _chunks(fh, "\t"):
             keep = _has_text(buf, starts, ends)
             ragged = np.flatnonzero(keep & (widths != width))
             r = int(ragged[0]) if len(ragged) else len(ends)

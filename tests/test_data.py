@@ -98,7 +98,8 @@ class TestLoadLabels:
         assert lm.item_ids == ("q", "b")
 
     def test_long_ids_and_trailing_nuls_stay_distinct(self, tmp_path):
-        # 255+ bytes: lengths equal modulo 256, or ids that differ only by NULs
+        # ids longer than 7 bytes (keyed by their text): lengths equal modulo
+        # 256, ids that differ only by NULs, and non-ASCII ids after others
         long = "a" * 300
         ids = ["x" * 254, "x" * 255, "x" * 256, long, long + "\x00", long + "\x00" * 256,
                "b", "b\x00", "b" + "\x00" * 256, "é" * 200, "é" * 199 + "e\x00"]
@@ -400,11 +401,11 @@ def _outcome(fn, *args):
 LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 BLANKS = st.sampled_from(["", " ", "\t", "  \t "])
 # repeated entries weight the draw toward the ids and labels that collide
-# (whitespace that str.strip removes at an edge, ids longer than one 8-byte key
-# word, and ids that differ only by a trailing NUL among them)
+# (whitespace that str.strip removes at an edge, ids longer than the 7 bytes a
+# key holds, and ids that differ only by a trailing NUL among them)
 IDS = st.sampled_from(["w1", "w1", "w2", "w2", "i1", " w1", "w2 ", "", "é", "a b",
                        "w1 ", "\x85w1", "\x1cw1", "w1\x0b", "worker-000001", "éééé-long",
-                       "n\x00", "n\x00\x00", "\x00"])
+                       "n\x00", "n\x00\x00", "\x00", "\u3000worker-000001"])
 LABELS = st.sampled_from(["0", "1"] * 3 + ["2", "+1", " 1", "01", "1_0", "x", "-1", "9", "", "1.0"])
 
 
@@ -534,8 +535,9 @@ def test_chunked_load_peak_memory_is_bounded(tmp_path):
 
 
 def test_shuffled_long_id_load_peak_memory_is_bounded(tmp_path):
-    # 200k lines of 12-byte ids (two key words each) in random order; the
-    # bound is the row-at-a-time dict interner's measured 16.9 MB, rounded up
+    # 200k lines of 12-byte ids (longer than the 7 bytes a key holds) in
+    # random order; the bound is the row-at-a-time dict interner's measured
+    # 16.9 MB, rounded up
     path = tmp_path / "shuffled.csv"
     order = np.random.default_rng(0).permutation(200000).tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -550,4 +552,27 @@ def test_shuffled_long_id_load_peak_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert (lm.num_labels, lm.num_workers, lm.num_items) == (200000, 2000, 40000)
     assert lm.item_ids[lm.items[0]] == f"item-{order[0] // 5:07d}"
+    assert peak <= 17e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_one_long_id_load_peak_memory_is_bounded(tmp_path):
+    # a 4 KB item id on the middle line of 200k short ones must not widen the
+    # other rows' keys; the bound is the row-at-a-time dict interner's
+    # measured 16.6 MB on this input, rounded up
+    path = tmp_path / "one_long.csv"
+    lines = [f"w{(j * 7 + r * 401) % 2000},i{j},{(j + r) % 3}\n"
+             for j in range(40000) for r in range(5)]
+    lines[100000] = "w1,item-" + "x" * 4091 + ",0\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("worker,item,label\n")
+        fh.write("".join(lines))
+    del lines
+    tracemalloc.start()
+    try:
+        lm = load_labels(path, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (lm.num_labels, lm.num_items) == (200000, 40001)
+    assert lm.item_ids[lm.items[100000]] == "item-" + "x" * 4091
     assert peak <= 17e6, f"peak {peak / 1e6:.1f} MB"

@@ -73,11 +73,11 @@ class LabelMatrix:
 # memory. On a 500k-line labels file of ids up to 7 bytes (one core of a
 # 2-vCPU x86-64 VM), load_labels took 0.45 s at 4K characters, 0.24 s at 16K,
 # 0.19 s at 64K, 0.18 s at 256K and 0.19 s at 1M; its traced peak was
-# 29.2-29.4 MB up to 256K and 33.3 MB at 1M (read_posterior on its 100k-row
-# posterior: 14.7 MB at 64K, 26.9 MB at 1M). Ids of 100 bytes, which fill a
-# chunk with fewer rows, loaded in 1.27 s at 64K and 1.02 s at 256K, but 256K
-# raised the peak RSS of the perfbench ingest child (aggregate and evaluate on
-# the short-id file) from about 123 MB to 126-128 MB.
+# 29.2-29.4 MB up to 256K and 33.3 MB at 1M (read_posterior on a 100k-row,
+# 4-class posterior: 11.9 MB at 64K, 22.1 MB at 1M). Ids of 100 bytes, which
+# fill a chunk with fewer rows, loaded in 1.27 s at 64K and 1.02 s at 256K,
+# but 256K raised the peak RSS of the perfbench ingest child (aggregate and
+# evaluate on the short-id file) from about 123 MB to 126-128 MB.
 _CHUNK_CHARS = 1 << 16
 # Rows formatted per block when writing, so the transient memory of a write
 # does not grow with file length.
@@ -92,6 +92,10 @@ _GOLD_FAULTS = ("gold label {!r} is not an integer", "gold label {} out of range
 _EDGE = np.array([chr(b).isspace() or b >= 0x80 for b in range(256)])
 # _MASKS[n] keeps the low n bytes of a word.
 _MASKS = np.array([(1 << 8 * n) - 1 for n in range(8)], dtype=np.uint64)
+# "000" to "999" as ASCII digits in the low 3 bytes of a little-endian word:
+# the two 3-digit groups of a %.6f fraction. (Built from bytes: computing it
+# with integer ufuncs at import raised the import's peak RSS by 0.3 MB.)
+_DIGITS3 = np.frombuffer(b"".join(b"%03d\0\0\0\0\0" % k for k in range(1000)), "<u8")
 # Zero bytes after every parsed buffer, so 8 bytes can be read at any field start.
 _PAD = bytes(8)
 # The low byte of a long field's key.
@@ -191,20 +195,22 @@ class _Keys(dict):
 
 
 class _Rows:
-    """Arrays appended chunk by chunk into one array that doubles in place
-    when full and is cut to size at the end (both by realloc, so neither
-    copies the rows nor holds them twice). A file's rows then live in one
-    large block, which the allocator maps apart and returns whole, not in one
-    small block per chunk among the chunks' temporaries. No view of `data`
-    lives across a resize, so the resizes skip numpy's reference count check,
-    which a profiler holding a bound method of `data` would fail."""
+    """Arrays appended chunk by chunk into one array that grows by half in
+    place when full and is cut to size at the end (both by realloc, so
+    neither holds the rows twice; growing by half, not doubling, keeps the
+    unused tail of a full array at most a third of it). A file's rows then
+    live in one large block, which the allocator maps apart and returns
+    whole, not in one small block per chunk among the chunks' temporaries.
+    No view of `data` lives across a resize, so the resizes skip numpy's
+    reference count check, which a profiler holding a bound method of `data`
+    would fail."""
 
     def __init__(self, first: np.ndarray):
         self.data, self.used = first.copy(), len(first)
 
     def append(self, part: np.ndarray) -> None:
         if self.used + len(part) > len(self.data):
-            self.data.resize(max(2 * len(self.data), self.used + len(part)), refcheck=False)
+            self.data.resize(max(len(self.data) * 3 // 2, self.used + len(part)), refcheck=False)
         self.data[self.used:self.used + len(part)] = part
         self.used += len(part)
 
@@ -242,11 +248,35 @@ def _rank(keys, codes=None):
     return codes, first[by_appearance]
 
 
-def _distinct(table, keys):
-    """(fields, inverse): the distinct fields of keys (from `table`), as str in
-    first-appearance order, and the index of each key's field."""
-    codes, first = _rank(keys)
-    return table.decode(keys[first]), codes
+class _Distinct:
+    """The distinct fields of one load's chunks of keys (from `table`).
+
+    `fields` holds them as str in first-appearance order; `keys` holds their
+    keys sorted, and `index` the position in `fields` of each. A chunk is
+    looked up with one searchsorted, and the table grows only when a chunk
+    holds a key not seen before, so a column of few values (labels) is
+    decoded once per load, not once per chunk.
+    """
+
+    def __init__(self, table):
+        self.table, self.fields = table, []
+        self.keys, self.index = np.empty(0, np.uint64), np.empty(0, np.int64)
+
+    def __call__(self, keys):
+        """(fields, inverse): the fields so far, and the index of each key's field."""
+        at = np.searchsorted(self.keys, keys)
+        new = (self.keys.take(at, mode="clip") != keys if len(self.keys) else
+               np.ones(len(keys), dtype=bool))
+        if new.any():
+            fresh = keys[new]
+            fresh = fresh[_rank(fresh)[1]]
+            index = np.concatenate((self.index, len(self.fields) + np.arange(len(fresh))))
+            self.fields += self.table.decode(fresh)
+            self.keys = np.concatenate((self.keys, fresh))
+            order = np.argsort(self.keys)
+            self.keys, self.index = self.keys[order], index[order]
+            at = np.searchsorted(self.keys, keys)
+        return self.fields, self.index[at]
 
 
 def _line_of(skips, row) -> int:
@@ -492,7 +522,8 @@ def load_labels(path, num_classes, label_base=0) -> LabelMatrix:
     if label_base not in (0, 1):
         raise ValueError("label_base must be 0 or 1")
     table = _Keys()
-    chunks = ((skips, w_keys, i_keys, *_distinct(table, labels))
+    distinct = _Distinct(table)
+    chunks = ((skips, w_keys, i_keys, *distinct(labels))
               for skips, (w_keys, i_keys, labels)
               in _csv_rows(path, ["worker", "item", "label"], table))
     return _intern(chunks, table, num_classes, label_base)
@@ -535,6 +566,7 @@ def load_gold(path, item_ids, num_classes, label_base=0) -> GoldLabels:
     """
     codes = _LabelCodes(num_classes, label_base, _GOLD_FAULTS)
     table = _Keys()
+    distinct = _Distinct(table)
     keys = _Rows(table.of(item_ids))  # the item ids, then the gold rows' ids
     known = keys.used
     classes = _Rows(np.empty(0, np.int64))
@@ -564,7 +596,7 @@ def load_gold(path, item_ids, num_classes, label_base=0) -> GoldLabels:
     try:
         for chunk_skips, (item_keys, label_keys) in _csv_rows(path, ["item", "label"], table):
             skips += chunk_skips
-            labels, inverse = _distinct(table, label_keys)
+            labels, inverse = distinct(label_keys)
             chunk = codes.classes(labels, inverse)
             bad = np.flatnonzero(chunk < 0)
             if len(bad):  # rows after the first faulting label are not read
@@ -628,15 +660,97 @@ def write_posterior(path, labels: LabelMatrix, posterior: np.ndarray,
                     predicted: np.ndarray) -> None:
     """Write the posterior TSV: item, argmax label, then 6-decimal probabilities.
 
-    Raises ValueError, before the file is opened, naming the first item id that
-    holds a tab, which would shift that row's columns.
+    The bytes are those of one `"%s\\t%s" + "\\t%.6f" * K` line per row (see
+    _posterior_block). Raises ValueError, before the file is opened, naming
+    the first item id that holds a tab, which would shift that row's columns.
     """
     _check_posterior_ids(labels.item_ids)
     K = labels.num_classes
     header = "item\tpredicted\t" + "\t".join(f"p{k}" for k in range(K)) + "\n"
     row_format = "%s\t%s" + "\t%.6f" * posterior.shape[1] + "\n"
-    _write_rows(path, header, row_format, (np.asarray(labels.item_ids, dtype=object),
-                                           np.asarray(predicted), *posterior.T))
+    ids, predicted = labels.item_ids, np.asarray(predicted)
+    rows = min(len(ids), len(predicted), len(posterior))  # as a zip of the columns
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for lo in range(0, rows, _WRITE_ROWS):
+            hi = min(lo + _WRITE_ROWS, rows)
+            fh.write(_posterior_block(ids[lo:hi], predicted[lo:hi], posterior[lo:hi],
+                                      row_format))
+
+
+def _posterior_block(ids, predicted, posterior, row_format) -> np.ndarray:
+    """The UTF-8 bytes of `row_format % (id, predicted, *probabilities)` for
+    each row, built with a fixed set of numpy calls.
+
+    A probability p is written as the digits of rint(p * 1e6). That is %.6f
+    where 0 <= p and p * 1e6 is not within 1e-6 of a rounding tie: the product
+    is below 1e7 < 2**24, so its rounding error is below 2e-9. A row holding
+    another value (a near-tie, -0.0, NaN, an infinity, a negative value, one
+    that rounds to 10 or more), a negative or non-integer predicted label, or
+    a probability that float64 cannot hold exactly is formatted by `%`.
+    """
+    n, K = posterior.shape
+    slow = np.ones(n, dtype=bool)
+    units = np.zeros((n, K))  # rint(p * 1e6), 0 where p is left to `%`
+    pred = np.zeros(n, dtype=np.int64)
+    if np.can_cast(posterior.dtype, np.float64) and predicted.dtype.kind in "iu":
+        p = posterior.astype(np.float64, copy=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are slow
+            scaled = p * 1e6
+            units = np.rint(scaled)
+            fast = (units < 1e7) & (p >= 0) & ~np.signbit(p) & (abs(scaled - units) < 0.5 - 1e-6)
+        del scaled, p
+        slow = ~fast.all(axis=1) | (predicted < 0)
+        units[~fast] = 0
+        pred = np.where(slow, 0, predicted)
+    any_slow = bool(slow.any())
+    # A row's bytes after its id and tab: the predicted label in D digits,
+    # then per probability a tab and d.dddddd (one word), then the line end.
+    D = len(str(pred.max(initial=0)))
+    T = D + 9 * K + 1
+    tail = np.empty((n, T), dtype=np.uint8)
+    keep = np.ones(tail.shape, dtype=bool) if D > 1 or any_slow else None
+    for d in range(D - 1, -1, -1):
+        pred, digit = np.divmod(pred, 10)
+        tail[:, d] = digit + ord("0")
+        if d:
+            keep[:, d - 1] = pred > 0  # a leading zero is dropped
+    tail[:, D:-1:9], tail[:, -1] = ord("\t"), ord("\n")
+    # units holds integers below 1e7, so these float floors are exact
+    words = np.ndarray((n, K), "<u8", tail, D + 1, (T, 9))
+    whole = np.floor(units / 1e6)
+    units -= whole * 1e6
+    np.add(whole, ord(".") << 8 | ord("0"), out=words, casting="unsafe")
+    whole = np.floor(units / 1e3)
+    units -= whole * 1e3
+    words |= _DIGITS3[whole.astype(np.intp)] << 16
+    words |= _DIGITS3[units.astype(np.intp)] << 40
+    del units, whole
+    texts = ids
+    if any_slow:  # the line, less its line end, goes in place of the id
+        texts = list(ids)
+        for r in np.flatnonzero(slow).tolist():
+            texts[r] = (row_format % (ids[r], predicted[r].item(), *posterior[r].tolist()))[:-1]
+        keep[slow] = False
+    # each text with a tab after it; a slow row's holds K + 1 tabs more, and
+    # the one after it becomes its line end
+    raw = np.frombuffer(("\t".join(texts) + "\t").encode(), dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\t"))
+    if any_slow:
+        ends = ends[np.cumsum(1 + (K + 1) * slow) - 1]
+        raw = raw.copy()
+        raw[ends[slow]] = ord("\n")
+    lengths = np.empty(2 * n, dtype=np.int64)
+    lengths[0::2] = np.diff(ends, prepend=-1)
+    lengths[1::2] = T if keep is None else keep.sum(axis=1)
+    is_text = np.zeros(2 * n, dtype=bool)
+    is_text[0::2] = True
+    is_text = np.repeat(is_text, lengths)
+    out = np.empty(len(is_text), dtype=np.uint8)
+    out[is_text] = raw
+    del raw
+    out[np.logical_not(is_text, out=is_text)] = tail.ravel() if keep is None else tail[keep]
+    return out
 
 
 def _raise_posterior_fault(line_nos, preds, probs, K) -> None:
@@ -648,6 +762,9 @@ def _raise_posterior_fault(line_nos, preds, probs, K) -> None:
         except ValueError:
             raise LabelFileError(f"predicted label {pred!r} is not an integer",
                                  line_nos[k]) from None
+        except OverflowError:
+            raise LabelFileError(f"predicted label {pred!r} does not fit in 64 bits",
+                                 line_nos[k]) from None
         try:
             array("d", map(float, probs[k * K:(k + 1) * K]))
         except ValueError as exc:
@@ -658,39 +775,88 @@ def read_posterior(path):
     """Read a posterior TSV back as (item_ids, predicted, posterior).
 
     Fields are tab-separated and not stripped; whitespace-only lines are
-    skipped. The file is read in chunks like the labels file.
+    skipped. The file is read in chunks like the labels file. A predicted
+    label of 1 to 18 ASCII digits and a probability of the form d.dddddd are
+    parsed in numpy (see _digits and _fixed6); every other field goes through
+    int or float, and a fault names its line.
     """
     with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not data
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header[:2]) != POSTERIOR_HEADER_PREFIX:
             raise LabelFileError("not a posterior file: bad header", 1)
         width, line_no = len(header), 2
-        ids, preds, probs = [], array("q"), array("d")  # flat buffers, no per-row objects
-        for _, buf, stops, starts, ends, widths in _chunks(fh, "\t"):
+        ids, preds, probs = [], _Rows(np.empty(0, np.int64)), _Rows(np.empty(0))
+        for text, buf, stops, starts, ends, widths in _chunks(fh, "\t"):
             keep = _has_text(buf, starts, ends)
             ragged = np.flatnonzero(keep & (widths != width))
             r = int(ragged[0]) if len(ragged) else len(ends)
             keep[r:] = False
-            rows = buf[:-len(_PAD)]
-            if not keep.all():
-                rows = rows[np.repeat(keep, ends - starts + 1)]
-            flat = rows.tobytes().decode().replace("\n", "\t").split("\t")
-            flat.pop()  # after the last row's line end
-            ids += flat[0::width]
-            del flat[0::width]
-            pred_texts = flat[0::width - 1]
-            del flat[0::width - 1]  # leaves the probabilities, row by row
+            take = np.repeat(keep, widths)  # the fields of the rows read
+            field_starts = np.concatenate(([0], stops[:-1] + 1))
+            is_id = np.zeros(len(stops), dtype=bool)
+            is_id[np.flatnonzero(take)[::width]] = True
+            # the ids, each with the tab after it, decoded and split at once
+            id_bytes = buf[:-len(_PAD)][np.repeat(is_id, stops - field_starts + 1)]
+            ids += id_bytes.tobytes().decode().split("\t")[:-1]
+            s, e = field_starts[take].reshape(-1, width), stops[take].reshape(-1, width)
+            pred, pred_ok = _digits(buf, s[:, 1], e[:, 1])
+            prob, prob_ok = _fixed6(buf, s[:, 2:].ravel(), e[:, 2:].ravel())
             try:
-                preds += array("q", map(int, pred_texts))
-                probs += array("d", map(float, flat))
+                for values, ok, column, parse in ((pred, pred_ok, slice(1, 2), int),
+                                                  (prob, prob_ok, slice(2, None), float)):
+                    odd = np.flatnonzero(~ok)
+                    if len(odd):
+                        texts = _slices(text, buf, s[:, column].ravel()[odd],
+                                        e[:, column].ravel()[odd])
+                        values[odd] = np.fromiter(map(parse, texts), values.dtype, len(odd))
             except (ValueError, OverflowError):
                 line_nos = (line_no + np.flatnonzero(keep)).tolist()
-                _raise_posterior_fault(line_nos, pred_texts, flat, width - 2)
+                fields = _slices(text, buf, s[:, 1:].ravel(), e[:, 1:].ravel())
+                pred_texts = fields[0::width - 1]
+                del fields[0::width - 1]  # leaves the probabilities, row by row
+                _raise_posterior_fault(line_nos, pred_texts, fields, width - 2)
                 raise
+            preds.append(pred)
+            probs.append(prob)
             if r < len(ends):
                 raise LabelFileError("wrong number of columns", line_no + r)
             line_no += len(ends)
-    return ids, np.array(preds, dtype=np.int64), np.array(probs).reshape(len(ids), width - 2)
+    return ids, preds.array(), probs.array().reshape(len(ids), width - 2)
+
+
+def _digits(buf, starts, ends):
+    """(values, ok): the fields buf[starts:ends] (buf ends with _PAD) that
+    hold 1 to 18 ASCII digits, as int64 where ok, which is what int gives."""
+    n = ends - starts
+    ok = (n >= 1) & (n <= 18)
+    values = np.zeros(len(n), dtype=np.int64)
+    for k in range(min(int(n.max(initial=0)), 18)):
+        digit = buf.take(starts + k, mode="clip").astype(np.int64) - ord("0")
+        inside = k < n
+        ok &= ~inside | ((digit >= 0) & (digit <= 9))
+        values = np.where(inside, values * 10 + digit, values)
+    return values, ok
+
+
+def _fixed6(buf, starts, ends):
+    """(values, ok): the fields buf[starts:ends] (buf ends with _PAD) of the
+    form d.dddddd, as float64 where ok.
+
+    The 8 bytes of a field are read as one little-endian word and its 7
+    digits combined in place (the '.' is a 0 digit), giving n = d * 10**6 +
+    dddddd. n and 10**6 are exact doubles and IEEE division rounds correctly,
+    so n / 1e6 is the double nearest the field's value, as float gives.
+    """
+    windows = np.ndarray(len(buf) - 7, "<u8", buf, strides=(1,))  # 8 bytes from each position
+    word = windows[starts] ^ np.uint64(0x3030303030302E30)  # digits to 0..9, '.' to 0
+    ok = (ends - starts == 8) & (word & np.uint64(0xFF00) == 0)
+    # every byte is at most 9: none has its top bit set, before or after adding 0x76
+    ok &= (word | (word + np.uint64(0x7676767676767676))) & np.uint64(0x8080808080808080) == 0
+    number = (word * np.uint64(10) + (word >> np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
+    number = (number * np.uint64(100) + (number >> np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
+    number = (number * np.uint64(10000) + (number >> np.uint64(32))) & np.uint64(0xFFFFFFFF)
+    number -= np.uint64(9000000) * (word & np.uint64(0xFF))  # d was read as d * 10**7
+    return number.astype(np.float64) / 1e6, ok
 
 
 def _has_text(buf, starts, ends) -> np.ndarray:

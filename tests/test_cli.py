@@ -389,6 +389,15 @@ class TestEvaluate:
                      "--gold", str(bad), "--label-base", "1"])
         assert code == EXIT_USAGE
 
+    def test_overflowing_predicted_label_is_usage_error(self, tmp_path, capsys):
+        post = tmp_path / "big.tsv"
+        post.write_text("item\tpredicted\tp0\tp1\na\t99999999999999999999\t0.5\t0.5\n")
+        gold = write_csv(tmp_path / "g.csv", [("a", 0)])
+        code = main(["evaluate", "--predictions", str(post), "--gold", str(gold)])
+        assert code == EXIT_USAGE
+        assert ("error: line 2: predicted label '99999999999999999999' does not fit in 64 bits"
+                in capsys.readouterr().err)
+
 
 def test_import_does_not_load_scipy():
     # scipy is imported lazily, by the L-BFGS paths only; loading it at import

@@ -244,6 +244,12 @@ class TestPosteriorFile:
     @pytest.mark.parametrize("row, message", [
         ("b\tx\t0.5\t0.5", "predicted label 'x' is not an integer"),
         ("b\t0\t0.5\tnan?", "probability is not a number"),
+        ("b\t\t0.5\t0.5", "predicted label '' is not an integer"),
+        ("b\t0\t0.5\t", "probability is not a number"),
+        ("b\t99999999999999999999\t0.5\t0.5",
+         "predicted label '99999999999999999999' does not fit in 64 bits"),
+        ("b\t-9223372036854775809\t0.5\t0.5",
+         "predicted label '-9223372036854775809' does not fit in 64 bits"),
     ])
     def test_bad_value_names_the_line(self, tmp_path, row, message):
         p = tmp_path / "x.tsv"
@@ -251,6 +257,25 @@ class TestPosteriorFile:
         with pytest.raises(LabelFileError, match=f"^line 3: {message}") as err:
             read_posterior(p)
         assert err.value.line_no == 3
+
+    def test_fields_read_as_int_and_float_read_them(self, tmp_path):
+        # fields the reader parses in numpy, and ones near them that it leaves
+        # to int and float
+        preds = ["0", "7", "01", "000000000000000009", "123456789012345678",
+                 "1234567890123456789", "9223372036854775807", "+1", " 1", "1 ", "1_0", "-1",
+                 "\u0663"]
+        probs = ["0.500000", "0.000000", "1.000000", "9.999999", "0.123456", "0.5000001",
+                 "0.1234567", "0.12345", "10.000000", " 0.500000", "0.500000 ", "1e-3",
+                 "-0.000000", "\u0660.\u0665"]
+        rows = [(pred, prob) for pred in preds for prob in probs]
+        p = tmp_path / "p.tsv"
+        p.write_text("item\tpredicted\tp0\tp1\n" + "".join(
+            f"{k}\t{pred}\t{prob}\t{prob}\n" for k, (pred, prob) in enumerate(rows)),
+            encoding="utf-8")
+        ids, got_preds, post = read_posterior(p)
+        assert ids == [str(k) for k in range(len(rows))]
+        assert got_preds.tolist() == [int(pred) for pred, _ in rows]
+        assert post.tobytes() == np.array([[float(prob)] * 2 for _, prob in rows]).tobytes()
 
 
 class TestGold:
@@ -382,6 +407,8 @@ def _reference_posterior(path):
             except ValueError:
                 raise LabelFileError(f"predicted label {parts[1]!r} is not an integer",
                                      n) from None
+            if not -2**63 <= preds[-1] < 2**63:
+                raise LabelFileError(f"predicted label {parts[1]!r} does not fit in 64 bits", n)
             try:
                 probs.extend(map(float, parts[2:]))
             except ValueError as exc:
@@ -406,7 +433,8 @@ BLANKS = st.sampled_from(["", " ", "\t", "  \t "])
 IDS = st.sampled_from(["w1", "w1", "w2", "w2", "i1", " w1", "w2 ", "", "é", "a b",
                        "w1 ", "\x85w1", "\x1cw1", "w1\x0b", "worker-000001", "éééé-long",
                        "n\x00", "n\x00\x00", "\x00", "\u3000worker-000001"])
-LABELS = st.sampled_from(["0", "1"] * 3 + ["2", "+1", " 1", "01", "1_0", "x", "-1", "9", "", "1.0"])
+LABEL_TEXTS = ["0", "1"] * 3 + ["2", "+1", " 1", "01", "1_0", "x", "-1", "9", "", "1.0"]
+LABELS = st.sampled_from(LABEL_TEXTS)
 
 
 def _mostly(row, odd):
@@ -441,8 +469,13 @@ LABEL_FILES = _file_text(st.sampled_from([[], ["worker,item,label"], [" Worker ,
                          _rows_of(st.tuples(IDS, IDS, LABELS), "worker,item,label"))
 GOLD_FILES = _file_text(st.sampled_from([[], ["item,label"], ["ITEM , label"]]),
                         _rows_of(st.tuples(IDS, LABELS), "item,label"))
-PROBS = st.sampled_from(["0.5", "0.25", " 1", "1e-3", "nan", "inf", "x", "", "0x1"])
-POSTERIOR_ROWS = _mostly(st.tuples(IDS, LABELS, PROBS, PROBS).map("\t".join), st.one_of(
+# the fields of the form d.dddddd (read in numpy) and ones that are nearly so
+PROBS = st.sampled_from(["0.5", "0.25", " 1", "1e-3", "nan", "inf", "x", "", "0x1",
+                         "0.500000", "1.000000", "9.999999", "0.5000000", "00.50000",
+                         ".5000000", "0.50000.", "0,500000", "+0.50000", "0.5e+00",
+                         "0.5000001"])
+PREDICTED = st.sampled_from(LABEL_TEXTS + ["99999999999999999999"])
+POSTERIOR_ROWS = _mostly(st.tuples(IDS, PREDICTED, PROBS, PROBS).map("\t".join), st.one_of(
     st.lists(PROBS, max_size=5).map("\t".join), st.just("item\tpredicted\tp0\tp1")))
 POSTERIOR_FILES = _file_text(
     st.sampled_from([["item\tpredicted\tp0\tp1"]] * 3 + [["item\tpredicted"], ["item\tpred"]]),
@@ -515,6 +548,103 @@ class TestReferenceEquivalence:
             got = "ok", (lm.workers.tolist(), lm.items.tolist(), lm.labels.tolist(),
                          lm.worker_ids, lm.item_ids)
         assert got == expected
+
+
+def _reference_write_posterior(path, labels, posterior, predicted):
+    """The posterior writer as one `%`-format per row."""
+    header = "item\tpredicted\t" + "\t".join(f"p{k}" for k in range(labels.num_classes))
+    row_format = "%s\t%s" + "\t%.6f" * posterior.shape[1] + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for iid, pred, probs in zip(labels.item_ids, np.asarray(predicted).tolist(),
+                                    posterior.tolist()):
+            fh.write(row_format % (iid, pred, *probs))
+
+
+# values at and near %.6f's rounding ties, and those the writer leaves to `%`
+ODD_VALUES = st.one_of(
+    st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf"), -1e-9, -0.25, 10.0,
+                     12.5, 1e300, 5e-324, 2.2e-308, 0.0, 1.0, 0.9999995, 0.0078125,
+                     9.9999995, 9.9999996, 9.999999, 4.5e-7, 5e-7, 5.5e-7]),
+    st.integers(0, 10**7 - 1).map(lambda j: (j + 0.5) * 1e-6),
+    st.floats(0, 10), st.floats())
+ODD_PREDICTED = st.sampled_from([-1, -12, 10, 11, 99, 12345678901234567, 2**63 - 1])
+POSTERIOR_IDS = st.sampled_from(["a", "i-000123", "", "é", "日本語", "\U0001F600", "x" * 300,
+                                 "w1 ", "\x00", "i\x85"])
+
+
+@given(st.integers(2, 12),
+       st.sampled_from([0, 1, 2, data._WRITE_ROWS - 1, data._WRITE_ROWS, data._WRITE_ROWS + 1,
+                        2 * data._WRITE_ROWS + 3]),
+       st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 11), ODD_VALUES), max_size=12),
+       st.lists(st.tuples(st.integers(0, 10**6), ODD_PREDICTED), max_size=3),
+       st.lists(st.tuples(st.integers(0, 10**6), POSTERIOR_IDS), max_size=6),
+       st.sampled_from([np.float64, np.float32]), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_write_posterior_equals_one_format_per_row(tmp_path_factory, K, n, seed, values,
+                                                   predictions, odd_ids, dtype, surrogate):
+    rng = np.random.default_rng(seed)
+    posterior = rng.dirichlet(np.ones(K), size=n) if n else np.zeros((0, K))
+    predicted = posterior.argmax(axis=1) if n else np.zeros(0, dtype=np.int64)
+    ids = [f"i{j}" for j in range(n)]
+    if n:
+        for r, c, value in values:
+            posterior[r % n, c % K] = value
+        for r, value in predictions:
+            predicted[r % n] = value
+        for r, value in odd_ids:
+            ids[r % n] = value
+        if surrogate:
+            ids[rng.integers(n)] = "a\ud800"
+    with np.errstate(over="ignore"):  # float32 cannot hold 1e300
+        posterior = posterior.astype(dtype)
+    labels = data.LabelMatrix(0, n, K, np.empty(0, np.int64), np.empty(0, np.int64),
+                              np.empty(0, np.int64), (), tuple(ids))
+    base = tmp_path_factory.getbasetemp()
+    expected = _outcome(_reference_write_posterior, base / "ref.tsv", labels, posterior,
+                        predicted)
+    got = _outcome(write_posterior, base / "out.tsv", labels, posterior, predicted)
+    if expected[0] == "error":  # a lone surrogate cannot be encoded
+        assert got[0] == "error" and got[1][0] is expected[1][0] is UnicodeEncodeError
+    else:
+        assert got == expected
+        assert (base / "out.tsv").read_bytes() == (base / "ref.tsv").read_bytes()
+
+
+def _posterior_100k():
+    """A 100k-row, 4-class labels matrix (items only) and posterior."""
+    posterior = np.random.default_rng(0).dirichlet(np.ones(4), size=100000)
+    labels = data.LabelMatrix(0, 100000, 4, np.empty(0, np.int64), np.empty(0, np.int64),
+                              np.empty(0, np.int64), (), tuple(f"i{j}" for j in range(100000)))
+    return labels, posterior, posterior.argmax(axis=1)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_posterior_write_peak_memory_is_bounded(tmp_path):
+    # the bound is the one-format-per-row writer's measured 1.43 MB, rounded up
+    labels, posterior, predicted = _posterior_100k()
+    _, peak = _traced_peak(write_posterior, tmp_path / "p.tsv", labels, posterior, predicted)
+    assert peak <= 1.5e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_posterior_read_peak_memory_is_bounded(tmp_path):
+    # the bound is the str-split reader's measured 14.76 MB, rounded up
+    labels, posterior, predicted = _posterior_100k()
+    write_posterior(tmp_path / "p.tsv", labels, posterior, predicted)
+    del labels
+    (ids, preds, back), peak = _traced_peak(read_posterior, tmp_path / "p.tsv")
+    assert len(ids) == 100000 and np.array_equal(preds, predicted)
+    np.testing.assert_allclose(back, posterior, atol=5e-7)
+    assert peak <= 14.8e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_chunked_load_peak_memory_is_bounded(tmp_path):

@@ -248,35 +248,11 @@ def _rank(keys, codes=None):
     return codes, first[by_appearance]
 
 
-class _Distinct:
-    """The distinct fields of one load's chunks of keys (from `table`).
-
-    `fields` holds them as str in first-appearance order; `keys` holds their
-    keys sorted, and `index` the position in `fields` of each. A chunk is
-    looked up with one searchsorted, and the table grows only when a chunk
-    holds a key not seen before, so a column of few values (labels) is
-    decoded once per load, not once per chunk.
-    """
-
-    def __init__(self, table):
-        self.table, self.fields = table, []
-        self.keys, self.index = np.empty(0, np.uint64), np.empty(0, np.int64)
-
-    def __call__(self, keys):
-        """(fields, inverse): the fields so far, and the index of each key's field."""
-        at = np.searchsorted(self.keys, keys)
-        new = (self.keys.take(at, mode="clip") != keys if len(self.keys) else
-               np.ones(len(keys), dtype=bool))
-        if new.any():
-            fresh = keys[new]
-            fresh = fresh[_rank(fresh)[1]]
-            index = np.concatenate((self.index, len(self.fields) + np.arange(len(fresh))))
-            self.fields += self.table.decode(fresh)
-            self.keys = np.concatenate((self.keys, fresh))
-            order = np.argsort(self.keys)
-            self.keys, self.index = self.keys[order], index[order]
-            at = np.searchsorted(self.keys, keys)
-        return self.fields, self.index[at]
+def _distinct(table, keys):
+    """(fields, inverse): the distinct fields of keys (from `table`), as str in
+    first-appearance order, and the index of each key's field."""
+    codes, first = _rank(keys)
+    return table.decode(keys[first]), codes
 
 
 def _line_of(skips, row) -> int:
@@ -470,24 +446,31 @@ def _csv_rows(path, fields, table):
             if line_no == 1 and [p.strip().lower() for p in
                                  buf[:ends[0]].tobytes().decode().split(",")] == fields:
                 skip[0] = True  # optional header, skipped like a blank line
-            ragged = np.flatnonzero(~skip & (widths != width))
-            r = int(ragged[0]) if len(ragged) else len(ends)
-            keep = ~skip
-            keep[r:] = False
-            take = np.repeat(keep, widths)  # the stops that end a kept row's fields
-            field_ends = stops[take].reshape(-1, width).T.copy()
-            field_starts = np.concatenate(([0], stops[:-1] + 1))[take].reshape(-1, width).T.copy()
+            r, _, field_starts, field_ends = _fields(stops, ~skip, widths, width)
             at = np.flatnonzero(skip[:r])
             keys = []
-            for s, e in zip(field_starts, field_ends):
+            for s, e in zip(field_starts.T, field_ends.T):
                 s, e = _strip(buf, s, e)
                 keys.append(table.pack(buf, s, e, lambda k: _slices(text, buf, s[k], e[k])))
             yield (rows + at - np.arange(len(at))).tolist(), keys
             if r < len(ends):
                 raise LabelFileError(f"expected {width} comma-separated fields, "
                                      f"got {widths[r]}", line_no + r)
-            rows += field_ends.shape[1]
+            rows += len(field_ends)
             line_no += len(ends)
+
+
+def _fields(stops, keep, widths, width):
+    """(r, take, starts, ends) of a chunk whose lines to read are `keep`: r
+    is the first of them without `width` fields, or the line count, and
+    `keep` is cut there in place; `take` marks the stops that end the kept
+    lines' fields, and starts/ends bound those fields, one row per line."""
+    ragged = np.flatnonzero(keep & (widths != width))
+    r = int(ragged[0]) if len(ragged) else len(keep)
+    keep[r:] = False
+    take = np.repeat(keep, widths)
+    field_starts = np.concatenate(([0], stops[:-1] + 1))
+    return r, take, field_starts[take].reshape(-1, width), stops[take].reshape(-1, width)
 
 
 def _slices(text, buf, starts, ends) -> list:
@@ -522,8 +505,7 @@ def load_labels(path, num_classes, label_base=0) -> LabelMatrix:
     if label_base not in (0, 1):
         raise ValueError("label_base must be 0 or 1")
     table = _Keys()
-    distinct = _Distinct(table)
-    chunks = ((skips, w_keys, i_keys, *distinct(labels))
+    chunks = ((skips, w_keys, i_keys, *_distinct(table, labels))
               for skips, (w_keys, i_keys, labels)
               in _csv_rows(path, ["worker", "item", "label"], table))
     return _intern(chunks, table, num_classes, label_base)
@@ -535,8 +517,12 @@ def _write_rows(path, header, row_format, columns) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header)
         for lo in range(0, len(columns[0]), _WRITE_ROWS):
-            block = (col[lo:lo + _WRITE_ROWS].tolist() for col in columns)
-            fh.writelines(map(row_format.__mod__, zip(*block)))
+            fh.writelines(_lines(row_format, [col[lo:lo + _WRITE_ROWS] for col in columns]))
+
+
+def _lines(row_format, columns):
+    """The `row_format % row` line of each row of the equal-length array columns."""
+    return map(row_format.__mod__, zip(*(col.tolist() for col in columns)))
 
 
 def write_labels(labels: LabelMatrix, path, label_base=0) -> None:
@@ -566,7 +552,6 @@ def load_gold(path, item_ids, num_classes, label_base=0) -> GoldLabels:
     """
     codes = _LabelCodes(num_classes, label_base, _GOLD_FAULTS)
     table = _Keys()
-    distinct = _Distinct(table)
     keys = _Rows(table.of(item_ids))  # the item ids, then the gold rows' ids
     known = keys.used
     classes = _Rows(np.empty(0, np.int64))
@@ -596,7 +581,7 @@ def load_gold(path, item_ids, num_classes, label_base=0) -> GoldLabels:
     try:
         for chunk_skips, (item_keys, label_keys) in _csv_rows(path, ["item", "label"], table):
             skips += chunk_skips
-            labels, inverse = distinct(label_keys)
+            labels, inverse = _distinct(table, label_keys)
             chunk = codes.classes(labels, inverse)
             bad = np.flatnonzero(chunk < 0)
             if len(bad):  # rows after the first faulting label are not read
@@ -660,61 +645,66 @@ def write_posterior(path, labels: LabelMatrix, posterior: np.ndarray,
                     predicted: np.ndarray) -> None:
     """Write the posterior TSV: item, argmax label, then 6-decimal probabilities.
 
-    The bytes are those of one `"%s\\t%s" + "\\t%.6f" * K` line per row (see
-    _posterior_block). Raises ValueError, before the file is opened, naming
-    the first item id that holds a tab, which would shift that row's columns.
+    The bytes are those of one `"%s\\t%s" + "\\t%.6f" * K` line per row: a
+    block of rows is built by _posterior_block or, where it cannot, by `%`.
+    Raises ValueError before the file is opened if the posterior is not
+    (items, K) or predicted not one label per item, or naming the first item
+    id that holds a tab, which would shift that row's columns.
     """
+    n, K = labels.num_items, labels.num_classes
+    posterior, predicted = np.asarray(posterior), np.asarray(predicted)
+    if posterior.shape != (n, K) or predicted.shape != (n,):
+        raise ValueError(f"a posterior of shape {posterior.shape} with predicted labels of "
+                         f"shape {predicted.shape} does not fit {n} items and {K} classes")
     _check_posterior_ids(labels.item_ids)
-    K = labels.num_classes
     header = "item\tpredicted\t" + "\t".join(f"p{k}" for k in range(K)) + "\n"
-    row_format = "%s\t%s" + "\t%.6f" * posterior.shape[1] + "\n"
-    ids, predicted = labels.item_ids, np.asarray(predicted)
-    rows = min(len(ids), len(predicted), len(posterior))  # as a zip of the columns
+    row_format = "%s\t%s" + "\t%.6f" * K + "\n"
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        for lo in range(0, rows, _WRITE_ROWS):
-            hi = min(lo + _WRITE_ROWS, rows)
-            fh.write(_posterior_block(ids[lo:hi], predicted[lo:hi], posterior[lo:hi],
-                                      row_format))
+        for lo in range(0, n, _WRITE_ROWS):
+            ids, pred, post = (col[lo:lo + _WRITE_ROWS]
+                               for col in (labels.item_ids, predicted, posterior))
+            block = _posterior_block(ids, pred, post)
+            if block is None:
+                ids = np.array(ids, dtype=object)
+                block = "".join(_lines(row_format, (ids, pred, *post.T))).encode()
+            fh.write(block)
+            del block  # not held while the next block is built
 
 
-def _posterior_block(ids, predicted, posterior, row_format) -> np.ndarray:
-    """The UTF-8 bytes of `row_format % (id, predicted, *probabilities)` for
-    each row, built with a fixed set of numpy calls.
+def _posterior_block(ids, predicted, posterior) -> np.ndarray | None:
+    """The UTF-8 bytes of a block's `"%s\\t%s" + "\\t%.6f" * K` lines, built
+    with a fixed set of numpy calls, or None where they would not be exact.
 
     A probability p is written as the digits of rint(p * 1e6). That is %.6f
     where 0 <= p and p * 1e6 is not within 1e-6 of a rounding tie: the product
-    is below 1e7 < 2**24, so its rounding error is below 2e-9. A row holding
+    is below 1e7 < 2**24, so its rounding error is below 2e-9. A block holding
     another value (a near-tie, -0.0, NaN, an infinity, a negative value, one
     that rounds to 10 or more), a negative or non-integer predicted label, or
-    a probability that float64 cannot hold exactly is formatted by `%`.
+    a probability that float64 cannot hold exactly gives None.
     """
+    if not (np.can_cast(posterior.dtype, np.float64) and predicted.dtype.kind in "iu"):
+        return None
     n, K = posterior.shape
-    slow = np.ones(n, dtype=bool)
-    units = np.zeros((n, K))  # rint(p * 1e6), 0 where p is left to `%`
-    pred = np.zeros(n, dtype=np.int64)
-    if np.can_cast(posterior.dtype, np.float64) and predicted.dtype.kind in "iu":
-        p = posterior.astype(np.float64, copy=False)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are slow
-            scaled = p * 1e6
-            units = np.rint(scaled)
-            fast = (units < 1e7) & (p >= 0) & ~np.signbit(p) & (abs(scaled - units) < 0.5 - 1e-6)
-        del scaled, p
-        slow = ~fast.all(axis=1) | (predicted < 0)
-        units[~fast] = 0
-        pred = np.where(slow, 0, predicted)
-    any_slow = bool(slow.any())
+    p = posterior.astype(np.float64, copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are not exact
+        scaled = p * 1e6
+        units = np.rint(scaled)
+        exact = (units < 1e7) & (p >= 0) & ~np.signbit(p) & (abs(scaled - units) < 0.5 - 1e-6)
+    del scaled, p
+    if not exact.all() or predicted.min(initial=0) < 0:
+        return None
     # A row's bytes after its id and tab: the predicted label in D digits,
     # then per probability a tab and d.dddddd (one word), then the line end.
-    D = len(str(pred.max(initial=0)))
+    D = len(str(predicted.max(initial=0)))
     T = D + 9 * K + 1
     tail = np.empty((n, T), dtype=np.uint8)
-    keep = np.ones(tail.shape, dtype=bool) if D > 1 or any_slow else None
+    keep = np.ones(tail.shape, dtype=bool) if D > 1 else None
     for d in range(D - 1, -1, -1):
-        pred, digit = np.divmod(pred, 10)
+        predicted, digit = np.divmod(predicted, 10)
         tail[:, d] = digit + ord("0")
         if d:
-            keep[:, d - 1] = pred > 0  # a leading zero is dropped
+            keep[:, d - 1] = predicted > 0  # a leading zero is dropped
     tail[:, D:-1:9], tail[:, -1] = ord("\t"), ord("\n")
     # units holds integers below 1e7, so these float floors are exact
     words = np.ndarray((n, K), "<u8", tail, D + 1, (T, 9))
@@ -726,26 +716,11 @@ def _posterior_block(ids, predicted, posterior, row_format) -> np.ndarray:
     words |= _DIGITS3[whole.astype(np.intp)] << 16
     words |= _DIGITS3[units.astype(np.intp)] << 40
     del units, whole
-    texts = ids
-    if any_slow:  # the line, less its line end, goes in place of the id
-        texts = list(ids)
-        for r in np.flatnonzero(slow).tolist():
-            texts[r] = (row_format % (ids[r], predicted[r].item(), *posterior[r].tolist()))[:-1]
-        keep[slow] = False
-    # each text with a tab after it; a slow row's holds K + 1 tabs more, and
-    # the one after it becomes its line end
-    raw = np.frombuffer(("\t".join(texts) + "\t").encode(), dtype=np.uint8)
-    ends = np.flatnonzero(raw == ord("\t"))
-    if any_slow:
-        ends = ends[np.cumsum(1 + (K + 1) * slow) - 1]
-        raw = raw.copy()
-        raw[ends[slow]] = ord("\n")
+    raw = np.frombuffer(("\t".join(ids) + "\t").encode(), dtype=np.uint8)  # each id and its tab
     lengths = np.empty(2 * n, dtype=np.int64)
-    lengths[0::2] = np.diff(ends, prepend=-1)
+    lengths[0::2] = np.diff(np.flatnonzero(raw == ord("\t")), prepend=-1)
     lengths[1::2] = T if keep is None else keep.sum(axis=1)
-    is_text = np.zeros(2 * n, dtype=bool)
-    is_text[0::2] = True
-    is_text = np.repeat(is_text, lengths)
+    is_text = np.repeat(np.tile([True, False], n), lengths)
     out = np.empty(len(is_text), dtype=np.uint8)
     out[is_text] = raw
     del raw
@@ -788,17 +763,12 @@ def read_posterior(path):
         ids, preds, probs = [], _Rows(np.empty(0, np.int64)), _Rows(np.empty(0))
         for text, buf, stops, starts, ends, widths in _chunks(fh, "\t"):
             keep = _has_text(buf, starts, ends)
-            ragged = np.flatnonzero(keep & (widths != width))
-            r = int(ragged[0]) if len(ragged) else len(ends)
-            keep[r:] = False
-            take = np.repeat(keep, widths)  # the fields of the rows read
-            field_starts = np.concatenate(([0], stops[:-1] + 1))
+            r, take, s, e = _fields(stops, keep, widths, width)
             is_id = np.zeros(len(stops), dtype=bool)
             is_id[np.flatnonzero(take)[::width]] = True
             # the ids, each with the tab after it, decoded and split at once
-            id_bytes = buf[:-len(_PAD)][np.repeat(is_id, stops - field_starts + 1)]
+            id_bytes = buf[:-len(_PAD)][np.repeat(is_id, np.diff(stops, prepend=-1))]
             ids += id_bytes.tobytes().decode().split("\t")[:-1]
-            s, e = field_starts[take].reshape(-1, width), stops[take].reshape(-1, width)
             pred, pred_ok = _digits(buf, s[:, 1], e[:, 1])
             prob, prob_ok = _fixed6(buf, s[:, 2:].ravel(), e[:, 2:].ravel())
             try:

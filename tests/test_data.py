@@ -229,6 +229,16 @@ class TestPosteriorFile:
             write_posterior(path, lm, np.full((3, 2), 0.5), np.zeros(3, dtype=np.int64))
         assert not path.exists()
 
+    @pytest.mark.parametrize("shape, rows", [((2, 2), 3), ((3, 2), 3), ((2, 3), 3),
+                                             ((3, 3), 2), ((3, 3), 4)])
+    def test_posterior_that_does_not_fit_the_items_is_rejected_before_writing(
+            self, tmp_path, shape, rows):
+        lm = from_triples([("w", "a", 0), ("w", "b", 1), ("w", "c", 2)], 3)
+        path = tmp_path / "post.tsv"
+        with pytest.raises(ValueError, match="does not fit 3 items and 3 classes"):
+            write_posterior(path, lm, np.full(shape, 0.5), np.zeros(rows, dtype=np.int64))
+        assert not path.exists()
+
     def test_byte_order_mark_is_not_data(self, tmp_path):
         p = tmp_path / "post.tsv"
         p.write_bytes(b"\xef\xbb\xbfitem\tpredicted\tp0\tp1\na\t0\t0.9\t0.1\n")
@@ -633,6 +643,16 @@ def test_posterior_write_peak_memory_is_bounded(tmp_path):
     # the bound is the one-format-per-row writer's measured 1.43 MB, rounded up
     labels, posterior, predicted = _posterior_100k()
     _, peak = _traced_peak(write_posterior, tmp_path / "p.tsv", labels, posterior, predicted)
+    assert peak <= 1.5e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_blocks_with_a_tie_are_written_by_one_format_per_row(tmp_path):
+    # 0.0078125 * 1e6 is a rounding tie, so every block is formatted by `%`
+    labels, posterior, predicted = _posterior_100k()
+    posterior[::data._WRITE_ROWS, 0] = 0.0078125
+    _, peak = _traced_peak(write_posterior, tmp_path / "p.tsv", labels, posterior, predicted)
+    _reference_write_posterior(tmp_path / "ref.tsv", labels, posterior, predicted)
+    assert (tmp_path / "p.tsv").read_bytes() == (tmp_path / "ref.tsv").read_bytes()
     assert peak <= 1.5e6, f"peak {peak / 1e6:.2f} MB"
 
 

@@ -1,8 +1,12 @@
-"""Every top-level function and class of the package is used by the program.
+"""Every top-level function, class and constant of the package is used by
+the program.
 
-A name counts as used when `src/`, `scripts/` or `perfbench/` refers to it
-outside its own definition: as a name, an attribute, an imported name or a
-string (the benchmark's tracer looks functions up by name).
+A function or class counts as used when `src/`, `scripts/` or `perfbench/`
+refers to it outside its own definition: as a name, an attribute, an imported
+name or a string (the benchmark's tracer looks functions up by name). A
+module-level constant counts as used only where one of those directories
+reads it, as a name or an attribute: its own assignment and imports of it do
+not count.
 """
 
 import ast
@@ -29,25 +33,49 @@ def definitions():
                 yield path.name, node.name
 
 
-def referenced_names() -> set:
-    names = set()
+def constants():
+    """(module file name, name) of each name bound by a top-level assignment."""
+    for path in sorted((ROOT / "src" / "mmce").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            yield path.name, name.id
+
+
+def program_trees():
     for top_dir in ("src", "scripts", "perfbench"):
         for path in sorted((ROOT / top_dir).rglob("*.py")):
-            for top in ast.parse(path.read_text(encoding="utf-8")).body:
-                own = getattr(top, "name", None)  # a definition's own body does not count
-                for node in ast.walk(top):
-                    if isinstance(node, ast.Name):
-                        found = node.id
-                    elif isinstance(node, ast.Attribute):
-                        found = node.attr
-                    elif isinstance(node, ast.alias):
-                        found = node.name
-                    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                        found = node.value
-                    else:
-                        continue
-                    if found != own:
-                        names.add(found)
+            yield ast.parse(path.read_text(encoding="utf-8"))
+
+
+def loaded_names() -> set:
+    """The names and attributes that the program reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in program_trees() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def referenced_names() -> set:
+    names = set()
+    for tree in program_trees():
+        for top in tree.body:
+            own = getattr(top, "name", None)  # a definition's own body does not count
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    found = node.id
+                elif isinstance(node, ast.Attribute):
+                    found = node.attr
+                elif isinstance(node, ast.alias):
+                    found = node.name
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    found = node.value
+                else:
+                    continue
+                if found != own:
+                    names.add(found)
     return names
 
 
@@ -62,3 +90,11 @@ def test_each_test_only_name_is_still_defined_and_unused():
     used = referenced_names()
     defined = {name for _, name in definitions()}
     assert all(name in defined and name not in used for name in TEST_ONLY)
+
+
+def test_every_constant_is_read_by_the_program():
+    # __all__ is read by `from mmce import *`, which no program line spells out
+    loaded = loaded_names()
+    unread = {name: module for module, name in constants()
+              if name not in loaded and name != "__all__"}
+    assert unread == {}, f"never read: {unread}"

@@ -161,7 +161,7 @@ def cmd_evaluate(args) -> int:
     num_classes = posterior.shape[1]
     gold = data.load_gold(args.gold, item_ids, num_classes, args.label_base)
     report = evaluate(predicted, gold, ordinal=args.mode == "ordinal",
-                      posterior=posterior, with_bins=args.bins)
+                      posterior=posterior if args.bins else None)
     for line in report.lines():
         print(line)
     if args.out:

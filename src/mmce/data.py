@@ -446,7 +446,7 @@ def _csv_rows(path, fields, table):
             if line_no == 1 and [p.strip().lower() for p in
                                  buf[:ends[0]].tobytes().decode().split(",")] == fields:
                 skip[0] = True  # optional header, skipped like a blank line
-            r, _, field_starts, field_ends = _fields(stops, ~skip, widths, width)
+            r, field_starts, field_ends = _fields(stops, ~skip, widths, width)
             at = np.flatnonzero(skip[:r])
             keys = []
             for s, e in zip(field_starts.T, field_ends.T):
@@ -461,16 +461,16 @@ def _csv_rows(path, fields, table):
 
 
 def _fields(stops, keep, widths, width):
-    """(r, take, starts, ends) of a chunk whose lines to read are `keep`: r
-    is the first of them without `width` fields, or the line count, and
-    `keep` is cut there in place; `take` marks the stops that end the kept
-    lines' fields, and starts/ends bound those fields, one row per line."""
+    """(r, starts, ends) of a chunk whose lines to read are `keep`: r is
+    the first of them without `width` fields, or the line count, and `keep`
+    is cut there in place; starts/ends bound the kept lines' fields, one row
+    per line."""
     ragged = np.flatnonzero(keep & (widths != width))
     r = int(ragged[0]) if len(ragged) else len(keep)
     keep[r:] = False
     take = np.repeat(keep, widths)
     field_starts = np.concatenate(([0], stops[:-1] + 1))
-    return r, take, field_starts[take].reshape(-1, width), stops[take].reshape(-1, width)
+    return r, field_starts[take].reshape(-1, width), stops[take].reshape(-1, width)
 
 
 def _slices(text, buf, starts, ends) -> list:
@@ -728,32 +728,14 @@ def _posterior_block(ids, predicted, posterior) -> np.ndarray | None:
     return out
 
 
-def _raise_posterior_fault(line_nos, preds, probs, K) -> None:
-    """Raise the first row fault of a posterior chunk whose conversion failed:
-    per row, the predicted label is an integer, then each probability a number."""
-    for k, pred in enumerate(preds):
-        try:
-            array("q", [int(pred)])
-        except ValueError:
-            raise LabelFileError(f"predicted label {pred!r} is not an integer",
-                                 line_nos[k]) from None
-        except OverflowError:
-            raise LabelFileError(f"predicted label {pred!r} does not fit in 64 bits",
-                                 line_nos[k]) from None
-        try:
-            array("d", map(float, probs[k * K:(k + 1) * K]))
-        except ValueError as exc:
-            raise LabelFileError(f"probability is not a number ({exc})", line_nos[k]) from None
-
-
 def read_posterior(path):
     """Read a posterior TSV back as (item_ids, predicted, posterior).
 
-    Fields are tab-separated and not stripped; whitespace-only lines are
-    skipped. The file is read in chunks like the labels file. A predicted
-    label of 1 to 18 ASCII digits and a probability of the form d.dddddd are
-    parsed in numpy (see _digits and _fixed6); every other field goes through
-    int or float, and a fault names its line.
+    The file is read in chunks like the labels file. A chunk whose every line
+    has the header's field count, a predicted label of 1 to 18 ASCII digits
+    and probabilities of the form d.dddddd (the writer's form) is parsed in
+    numpy (see _digits and _fixed6); any other chunk is read line by line by
+    _posterior_lines. Both give the values that int and float give.
     """
     with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not data
         header = fh.readline().rstrip("\n").split("\t")
@@ -762,36 +744,50 @@ def read_posterior(path):
         width, line_no = len(header), 2
         ids, preds, probs = [], _Rows(np.empty(0, np.int64)), _Rows(np.empty(0))
         for text, buf, stops, starts, ends, widths in _chunks(fh, "\t"):
-            keep = _has_text(buf, starts, ends)
-            r, take, s, e = _fields(stops, keep, widths, width)
-            is_id = np.zeros(len(stops), dtype=bool)
-            is_id[np.flatnonzero(take)[::width]] = True
-            # the ids, each with the tab after it, decoded and split at once
-            id_bytes = buf[:-len(_PAD)][np.repeat(is_id, np.diff(stops, prepend=-1))]
-            ids += id_bytes.tobytes().decode().split("\t")[:-1]
+            r, s, e = _fields(stops, np.ones(len(ends), dtype=bool), widths, width)
             pred, pred_ok = _digits(buf, s[:, 1], e[:, 1])
             prob, prob_ok = _fixed6(buf, s[:, 2:].ravel(), e[:, 2:].ravel())
-            try:
-                for values, ok, column, parse in ((pred, pred_ok, slice(1, 2), int),
-                                                  (prob, prob_ok, slice(2, None), float)):
-                    odd = np.flatnonzero(~ok)
-                    if len(odd):
-                        texts = _slices(text, buf, s[:, column].ravel()[odd],
-                                        e[:, column].ravel()[odd])
-                        values[odd] = np.fromiter(map(parse, texts), values.dtype, len(odd))
-            except (ValueError, OverflowError):
-                line_nos = (line_no + np.flatnonzero(keep)).tolist()
-                fields = _slices(text, buf, s[:, 1:].ravel(), e[:, 1:].ravel())
-                pred_texts = fields[0::width - 1]
-                del fields[0::width - 1]  # leaves the probabilities, row by row
-                _raise_posterior_fault(line_nos, pred_texts, fields, width - 2)
-                raise
+            if r == len(ends) and pred_ok.all() and prob_ok.all():
+                # every line's id with the tab after it, decoded and split at once
+                is_id = np.zeros(len(stops), dtype=bool)
+                is_id[::width] = True
+                id_bytes = buf[:-len(_PAD)][np.repeat(is_id, np.diff(stops, prepend=-1))]
+                chunk_ids = id_bytes.tobytes().decode().split("\t")[:-1]
+            else:
+                chunk_ids, pred, prob = _posterior_lines(text, width, line_no)
+            ids += chunk_ids
             preds.append(pred)
             probs.append(prob)
-            if r < len(ends):
-                raise LabelFileError("wrong number of columns", line_no + r)
             line_no += len(ends)
     return ids, preds.array(), probs.array().reshape(len(ids), width - 2)
+
+
+def _posterior_lines(text, width, line_no):
+    """(ids, predicted, probabilities) of a chunk's text, whose first line is
+    line_no, read line by line: a whitespace-only line is skipped; any other
+    has `width` tab-separated fields, the id, a predicted label that int reads
+    and int64 holds, then probabilities that float reads. The first fault
+    raises, naming its line."""
+    ids, preds, probs = [], array("q"), array("d")
+    for n, line in enumerate(text.split("\n"), start=line_no):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise LabelFileError("wrong number of columns", n)
+        try:
+            preds.append(int(fields[1]))
+        except ValueError:
+            raise LabelFileError(f"predicted label {fields[1]!r} is not an integer", n) from None
+        except OverflowError:
+            raise LabelFileError(f"predicted label {fields[1]!r} does not fit in 64 bits",
+                                 n) from None
+        try:
+            probs.extend(map(float, fields[2:]))
+        except ValueError as exc:
+            raise LabelFileError(f"probability is not a number ({exc})", n) from None
+        ids.append(fields[0])
+    return ids, preds, probs
 
 
 def _digits(buf, starts, ends):
@@ -827,11 +823,3 @@ def _fixed6(buf, starts, ends):
     number = (number * np.uint64(10000) + (number >> np.uint64(32))) & np.uint64(0xFFFFFFFF)
     number -= np.uint64(9000000) * (word & np.uint64(0xFF))  # d was read as d * 10**7
     return number.astype(np.float64) / 1e6, ok
-
-
-def _has_text(buf, starts, ends) -> np.ndarray:
-    """Which lines of a chunk hold more than str.strip's whitespace."""
-    has_text = ~_EDGE.take(buf.take(starts))
-    for k in np.flatnonzero(~has_text).tolist():  # starts with whitespace or non-ASCII
-        has_text[k] = bool(buf[starts[k]:ends[k]].tobytes().decode().strip())
-    return has_text

@@ -92,18 +92,17 @@ def calibration_bins(posterior: np.ndarray, gold: GoldLabels,
     """Bucket gold items by maximum posterior probability and score each bucket."""
     if predictions is None:
         predictions = np.argmax(posterior, axis=1)
-    return evaluate(predictions, gold, posterior=posterior, with_bins=True).calibration
+    return evaluate(predictions, gold, posterior=posterior).calibration
 
 
 def evaluate(predictions: np.ndarray, gold: GoldLabels, ordinal: bool = False,
-             posterior: np.ndarray | None = None,
-             with_bins: bool = False) -> EvalReport:
+             posterior: np.ndarray | None = None) -> EvalReport:
     """Score the gold items that have a prediction: error rate, the squared
-    label gap if ordinal, and calibration bins if asked for with a posterior."""
+    label gap if ordinal, and calibration bins if a posterior is given."""
     items, truth = _gold_arrays(predictions, gold)
     preds = np.asarray(predictions)[items]
     bins = []
-    if with_bins and posterior is not None:
+    if posterior is not None:
         max_prob = np.max(posterior[items], axis=1)
         for lo, hi in zip(BIN_EDGES[:-1], BIN_EDGES[1:]):
             in_bin = (max_prob > lo) & (max_prob <= hi)

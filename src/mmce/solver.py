@@ -2,8 +2,10 @@
 
 Alternates an exact posterior update (Bayes rule with a uniform prior, the
 block maximizer in Q) with a few backtracking ascent steps on the worker/item
-scores along the gradient over a fixed curvature bound. Both blocks can only
-increase the objective, so the trace is non-decreasing up to float slack.
+scores along the gradient over a fixed diagonal preconditioner. The E-step
+maximizes its block and the Armijo search accepts only steps that raise the
+objective, so the trace is non-decreasing up to float slack; the
+preconditioner alone would not ensure that (see `_curvature_bound`).
 """
 
 from __future__ import annotations
@@ -320,10 +322,16 @@ def _lbfgs(labels: LabelMatrix, posterior, worker_params, item_params,
 
 
 def _curvature_bound(labels: LabelMatrix, posterior, hyper: HyperParams):
-    """Per-score bounds (workers, items) on the penalized likelihood's curvature:
-    P(1 - P) <= 1/4 (Boehning's multinomial-logit bound, diagonal form) gives
-    1/4 sum_l Q_l(c) for each dense score (c, k) of an entity, pooled onto
-    ordinal scores, plus alpha or beta. No model pass is needed."""
+    """The M-step's diagonal preconditioner (workers, items): P(1 - P) <= 1/4
+    (Boehning's multinomial-logit bound, diagonal form) gives 1/4 sum_l Q_l(c)
+    for each dense score (c, k) of an entity, pooled onto ordinal scores, plus
+    alpha or beta. No model pass is needed.
+
+    Each value bounds the penalized likelihood's curvature along its own score
+    only. Along directions that move a worker's and an item's scores together
+    it can under-estimate -f'' (in 305 of 1000 such directions on a planted
+    10-worker, 40-item, 3-class instance, by up to 1.36x), so a full step can
+    overshoot; the Armijo search in m_step is what keeps the trace monotone."""
     K = labels.num_classes
     mass = 0.25 * _posterior_rows(labels, posterior)  # (K, L)
     bounds = []
@@ -402,23 +410,25 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
     # the current scores from `_model`'s slot, so it is computed once per point;
     # the label constants are built once per fit and the posterior rows once
     # per posterior.
-    trace = [dual_objective(labels, posterior, wp, ip, hyper)]
     converged = False
     iterations = 0
     ls_failures = 0
     step_fn = m_step_exact if hyper.exact_m_step else m_step
-    for it in range(1, hyper.max_outer_iters + 1):
-        iterations = it
-        prev = trace[-1]
-        wp, ip, failed = step_fn(labels, posterior, wp, ip, hyper)
-        ls_failures += failed
-        trace.append(dual_objective(labels, posterior, wp, ip, hyper))
-        posterior = e_step(labels, wp, ip, hyper)
-        trace.append(dual_objective(labels, posterior, wp, ip, hyper))
-        if abs(trace[-1] - prev) < hyper.tol * max(abs(prev), PROB_FLOOR):
-            converged = True
-            break
-    _memo[0] = None  # keep nothing past the fit
+    try:
+        trace = [dual_objective(labels, posterior, wp, ip, hyper)]
+        for it in range(1, hyper.max_outer_iters + 1):
+            iterations = it
+            prev = trace[-1]
+            wp, ip, failed = step_fn(labels, posterior, wp, ip, hyper)
+            ls_failures += failed
+            trace.append(dual_objective(labels, posterior, wp, ip, hyper))
+            posterior = e_step(labels, wp, ip, hyper)
+            trace.append(dual_objective(labels, posterior, wp, ip, hyper))
+            if abs(trace[-1] - prev) < hyper.tol * max(abs(prev), PROB_FLOOR):
+                converged = True
+                break
+    finally:
+        _memo[0] = None  # keep nothing past the fit, whether it returns or raises
     return FitResult(
         posterior=posterior,
         worker_params=wp,
@@ -449,13 +459,15 @@ def polish_stationary_point(labels: LabelMatrix, result: FitResult,
     """
     q = round_posterior(result.posterior)
     wp, ip = result.worker_params, result.item_params
-    for _ in range(3):  # three solve-then-pin rounds
-        wp, ip = _lbfgs(labels, q, wp, ip, hyper,
-                        {"maxiter": 20000, "maxfun": 50000, "gtol": 1e-14, "ftol": 0})
-        for scores in (wp, ip):
-            sat = np.abs(scores) > 12.0  # runaway: far past any interior optimum
-            scores[sat] = np.sign(scores[sat]) * 600.0
-    _memo[0] = None  # keep nothing past the polish
+    try:
+        for _ in range(3):  # three solve-then-pin rounds
+            wp, ip = _lbfgs(labels, q, wp, ip, hyper,
+                            {"maxiter": 20000, "maxfun": 50000, "gtol": 1e-14, "ftol": 0})
+            for scores in (wp, ip):
+                sat = np.abs(scores) > 12.0  # runaway: far past any interior optimum
+                scores[sat] = np.sign(scores[sat]) * 600.0
+    finally:
+        _memo[0] = None  # keep nothing past the polish, whether it returns or raises
     return FitResult(posterior=q, worker_params=wp, item_params=ip,
                      objective_trace=list(result.objective_trace),
                      converged=result.converged, iterations=result.iterations)

@@ -16,14 +16,14 @@ def diagonal_confusion(K: int, accuracy: float) -> np.ndarray:
 
 def sample_labels(num_workers: int, num_items: int, num_classes: int,
                   labels_per_item: int, confusions: np.ndarray,
-                  seed: int, class_prior=None):
+                  seed: int):
     """Sample a planted dataset: each item gets `labels_per_item` labels from
     distinct random workers drawing through their confusion rows.
 
     Returns (LabelMatrix, GoldLabels).
     """
     rng = np.random.default_rng(seed)
-    truth = rng.choice(num_classes, size=num_items, p=class_prior)
+    truth = rng.choice(num_classes, size=num_items)
     triples = []
     for j in range(num_items):
         chosen = rng.choice(num_workers, size=min(labels_per_item, num_workers),
@@ -38,17 +38,17 @@ def sample_labels(num_workers: int, num_items: int, num_classes: int,
     return labels, gold
 
 
-def random_instance(seed: int, max_workers: int = 5, max_items: int = 8,
-                    classes=(2, 3, 4), density: float = 0.7) -> LabelMatrix:
-    """Small random instance for gradient and monotonicity checks."""
+def random_instance(seed: int, max_workers: int = 5, max_items: int = 8) -> LabelMatrix:
+    """Small random instance for gradient and monotonicity checks: 2 to 4
+    classes, each (worker, item) pair labeled with probability 0.7."""
     rng = np.random.default_rng(seed)
     m = rng.integers(2, max_workers + 1)
     n = rng.integers(2, max_items + 1)
-    K = int(rng.choice(classes))
+    K = int(rng.choice((2, 3, 4)))
     triples = []
     for i in range(m):
         for j in range(n):
-            if rng.random() < density:
+            if rng.random() < 0.7:
                 triples.append((f"w{i}", f"i{j}", int(rng.integers(K))))
     if not triples:
         triples.append(("w0", "i0", 0))

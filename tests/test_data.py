@@ -131,6 +131,15 @@ class TestLoadLabels:
         write_labels(lm, out)
         assert out.read_bytes() == p.read_bytes()
 
+    def test_one_based_round_trip_is_byte_identical(self, tmp_path):
+        p = write_csv(tmp_path / "l.csv", [("w1", "i1", 1), ("w2", "i1", 3), ("w1", "i2", 2)],
+                      header="worker,item,label")
+        lm = load_labels(p, 3, label_base=1)
+        assert lm.labels.tolist() == [0, 2, 1]
+        out = tmp_path / "out.csv"
+        write_labels(lm, out, label_base=1)
+        assert out.read_bytes() == p.read_bytes()
+
 
 class TestFromTriples:
     @pytest.mark.parametrize("classes", [1, 0, -3])
@@ -665,6 +674,54 @@ def test_posterior_read_peak_memory_is_bounded(tmp_path):
     assert len(ids) == 100000 and np.array_equal(preds, predicted)
     np.testing.assert_allclose(back, posterior, atol=5e-7)
     assert peak <= 14.8e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def counted_line_reads(monkeypatch):
+    """A list that gains each chunk text read by the line rule from now on."""
+    texts = []
+    read = data._posterior_lines
+
+    def counted(text, *args):
+        texts.append(text)
+        return read(text, *args)
+
+    monkeypatch.setattr(data, "_posterior_lines", counted)
+    return texts
+
+
+def _written_posterior(path, K, ids):
+    posterior = np.random.default_rng(K).dirichlet(np.ones(K), size=len(ids))
+    labels = data.LabelMatrix(0, len(ids), K, np.empty(0, np.int64), np.empty(0, np.int64),
+                              np.empty(0, np.int64), (), tuple(ids))
+    write_posterior(path, labels, posterior, np.arange(len(ids)) % K)
+
+
+def _assert_read_as_reference(path):
+    ids, preds, post = read_posterior(path)
+    assert (ids, preds.tolist(), post.ravel().tolist()) == _reference_posterior(path)
+
+
+@pytest.mark.parametrize("K", [2, 5, 12])  # K = 12 writes 2-digit predicted labels
+@pytest.mark.parametrize("id_format", ["i{}", "élève-{}\U0001d4b3", " i{}"])
+def test_writer_output_never_needs_the_line_rule(tmp_path, monkeypatch, K, id_format):
+    monkeypatch.setattr(data, "_CHUNK_CHARS", 200)  # a few lines per chunk
+    texts = counted_line_reads(monkeypatch)
+    path = tmp_path / "p.tsv"
+    _written_posterior(path, K, [id_format.format(j) for j in range(300)])
+    _assert_read_as_reference(path)
+    assert texts == []
+
+
+def test_one_odd_field_sends_only_its_chunk_to_the_line_rule(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_CHUNK_CHARS", 200)
+    texts = counted_line_reads(monkeypatch)
+    path = tmp_path / "p.tsv"
+    _written_posterior(path, 5, [f"i{j}" for j in range(300)])
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[150] = lines[150].rsplit("\t", 1)[0] + "\t1e-3"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    _assert_read_as_reference(path)
+    assert len(texts) == 1 and "\t1e-3\n" in texts[0]
 
 
 def test_chunked_load_peak_memory_is_bounded(tmp_path):

@@ -1,15 +1,18 @@
 """Every top-level function, class and constant of the package is used by
-the program.
+the program, and every parameter default is overridden by some call.
 
 A function or class counts as used when `src/`, `scripts/` or `perfbench/`
 refers to it outside its own definition: as a name, an attribute, an imported
 name or a string (the benchmark's tracer looks functions up by name). A
 module-level constant counts as used only where one of those directories
 reads it, as a name or an attribute: its own assignment and imports of it do
-not count.
+not count. A parameter with a default counts as passed when a call to a
+function of its name, in those directories or `tests/`, passes it by keyword
+or position, or passes *args or **kwargs.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,3 +101,55 @@ def test_every_constant_is_read_by_the_program():
     unread = {name: module for module, name in constants()
               if name not in loaded and name != "__all__"}
     assert unread == {}, f"never read: {unread}"
+
+
+def defaulted_parameters():
+    """(function name, parameter name, position or None if keyword-only) of
+    each parameter with a default of each non-dunder function or method of
+    the package. A method's position counts `self` or `cls`, which a call on
+    an instance or class does not pass."""
+    for path in sorted((ROOT / "src" / "mmce").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or \
+                    node.name.startswith("__"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            bound = id(node) in methods and not static
+            for k in range(len(positional) - len(args.defaults), len(positional)):
+                yield node.name, positional[k].arg, k - bound
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def passed_arguments():
+    """(keywords, positional): per name called in src/, scripts/, perfbench/
+    or tests/, the keywords its calls pass, with "*" where a call passes
+    *args or **kwargs, and the most positional arguments one call passes."""
+    keywords, positional = defaultdict(set), defaultdict(int)
+    for top_dir in ("src", "scripts", "perfbench", "tests"):
+        for path in sorted((ROOT / top_dir).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    keywords[name].update("*" if kw.arg is None else kw.arg
+                                          for kw in node.keywords)
+                    if any(isinstance(arg, ast.Starred) for arg in node.args):
+                        keywords[name].add("*")
+                    positional[name] = max(positional[name], len(node.args))
+    return keywords, positional
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no call overrides is a constant, not an option
+    keywords, positional = passed_arguments()
+    unpassed = [f"{function}({parameter})"
+                for function, parameter, position in defaulted_parameters()
+                if not (keywords[function] & {"*", parameter} or
+                        position is not None and positional[function] > position)]
+    assert unpassed == [], f"never passed: {unpassed}"

@@ -89,7 +89,7 @@ class TestEvaluate:
         post = np.array([[0.9, 0.1], [0.4, 0.6], [0.7, 0.3]])
         pred = np.argmax(post, axis=1)
         gold = GoldLabels({0: 0, 1: 0, 2: 0})
-        report = evaluate(pred, gold, ordinal=True, posterior=post, with_bins=True)
+        report = evaluate(pred, gold, ordinal=True, posterior=post)
         assert report.n_scored == 3
         assert report.error_rate == pytest.approx(1 / 3)
         assert report.mse == pytest.approx(1 / 3)
@@ -98,7 +98,7 @@ class TestEvaluate:
     def test_lines_and_csv(self, tmp_path):
         post = np.array([[0.9, 0.1]])
         gold = GoldLabels({0: 0})
-        report = evaluate(np.array([0]), gold, posterior=post, with_bins=True)
+        report = evaluate(np.array([0]), gold, posterior=post)
         text = "\n".join(report.lines())
         assert "error rate" in text and "(0.8, 0.9]" in text
         path = tmp_path / "eval.csv"

@@ -511,6 +511,20 @@ class TestModelMemo:
         polish_stationary_point(lm, fit(lm, h), h)
         assert solver._memo == [None]
 
+    def test_slot_is_empty_after_a_fit_that_raises(self, monkeypatch):
+        lm, h = planted_gamma_one(Mode.MULTICLASS)
+        held = []
+
+        def interrupted(labels, *args):
+            held.append(solver._memo[0] is not None and solver._memo[0]["labels"] is labels)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(solver, "e_step", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            fit(lm, h)
+        assert held == [True]  # the slot held this fit's values when it stopped
+        assert solver._memo == [None]
+
 
 def counted_row_gathers(monkeypatch):
     """A list that gains one entry per posterior gather from now on (score

@@ -64,13 +64,6 @@ def _ds_e_step(labels: LabelMatrix, confusion, prior):
     return np.exp(log_q), float(np.sum(log_norm))
 
 
-def ds_marginal_loglik(labels: LabelMatrix, params: DSParams) -> float:
-    """Marginal log-likelihood of the observed labels under a DS model."""
-    acc = _ds_log_joint(labels, params.confusion, params.prior)
-    # Items without labels contribute log sum_c prior(c) = 0.
-    return float(np.sum(logsumexp(acc, axis=1)))
-
-
 def dawid_skene_em(labels: LabelMatrix, max_iters: int = 100, tol: float = 1e-8,
                    smoothing: float = 0.01, uniform_prior: bool = False):
     """Standard Dawid-Skene EM, initialized from the majority-vote posterior.

@@ -72,20 +72,29 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _resolve_aggregate_hyper(args, labels):
+def _aggregate_hyper(args, labels) -> solver.HyperParams:
+    """The mmce settings, checked before a resolved alpha/beta is printed."""
     have_ab = args.alpha is not None or args.beta is not None
     if args.gamma is not None and have_ab:
         raise UsageError("give either --gamma or --alpha/--beta, not both")
     if args.gamma is not None:
         alpha, beta = selection.resolve_hyperparams(args.gamma, labels)
-        print(f"resolved alpha={alpha:g} beta={beta:g} from gamma={args.gamma:g}")
-        return alpha, beta
-    if args.alpha is None or args.beta is None:
+    elif args.alpha is None or args.beta is None:
         raise UsageError("mmce needs --gamma, or both --alpha and --beta")
-    return args.alpha, args.beta
+    else:
+        alpha, beta = args.alpha, args.beta
+    hyper = solver.HyperParams(alpha=alpha, beta=beta, **_solver_settings(args))
+    if args.gamma is not None:
+        print(f"resolved alpha={alpha:g} beta={beta:g} from gamma={args.gamma:g}")
+    return hyper
 
 
 def cmd_aggregate(args) -> int:
+    # refuse an output the method does not write before any input is read
+    if args.params_out and args.method != "mmce":
+        raise UsageError(f"--params-out is written by --method mmce only, not {args.method}")
+    if args.trace and args.method == "mv":
+        raise UsageError("--trace is written by --method mmce or ds, not mv")
     labels = _load_labels(args)
     unlabeled = labels.unlabeled_items()
     if len(unlabeled):
@@ -102,8 +111,7 @@ def cmd_aggregate(args) -> int:
         trace = (np.arange(1, len(loglik) + 1), np.full(len(loglik), "em"),
                  np.array(loglik))
     elif args.method == "mmce":
-        alpha, beta = _resolve_aggregate_hyper(args, labels)
-        hyper = solver.HyperParams(alpha=alpha, beta=beta, **_solver_settings(args))
+        hyper = _aggregate_hyper(args, labels)
         result = solver.fit(labels, hyper)
         posterior, predicted = result.posterior, result.predicted
         # the trace is the initial value, then one (m, e) pair per iteration
@@ -116,9 +124,9 @@ def cmd_aggregate(args) -> int:
     else:
         raise UsageError(f"unknown method {args.method!r}")
     data.write_posterior(args.out, labels, posterior, predicted)  # first: it can refuse the ids
-    if args.method == "mmce" and args.params_out:
+    if args.params_out:
         write_params(args.params_out, result.worker_params, result.item_params, hyper.mode)
-    if args.trace and trace is not None:
+    if args.trace:
         data._write_rows(args.trace, "iter,phase,objective\n", "%s,%s,%.9f\n", trace)
     return exit_code
 

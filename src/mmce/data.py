@@ -59,9 +59,9 @@ class LabelMatrix:
             num_workers=self.num_workers,
             num_items=self.num_items,
             num_classes=self.num_classes,
-            workers=self.workers[mask].copy(),
-            items=self.items[mask].copy(),
-            labels=self.labels[mask].copy(),
+            workers=self.workers[mask],
+            items=self.items[mask],
+            labels=self.labels[mask],
             worker_ids=self.worker_ids,
             item_ids=self.item_ids,
         )

@@ -30,8 +30,8 @@ class CVConfig:
     heldout_scoring: str = "marginal"  # or "hard": score against argmax labels
 
     def __post_init__(self):
-        self.mode = Mode(self.mode)
-        self.variant = RegularizerVariant(self.variant)
+        settings = self.hyper(0.0, 0.0)  # HyperParams checks the solver settings
+        self.mode, self.variant = settings.mode, settings.variant
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
         if not self.gamma_grid:

@@ -75,8 +75,7 @@ class FitResult:
         return np.argmax(self.posterior, axis=1)
 
 
-def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode,
-               obs_index=None):
+def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     """The labeling model at every observation, stored class-major.
 
     Returns (prob, log_obs), both C-contiguous with the observation axis last:
@@ -86,12 +85,11 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode,
     observations, so the normalizer works on whole (K, L) slices and P comes
     from the one exp pass the normalizer needs. log_obs is z[x_l] - (log(sum_k
     exp(z_k - top)) + top) of the logits z and their max, summed in class order.
-    The score tensors themselves keep their (entity, c, k) layout. obs_index is
-    x_l * L + l from `_observed`, built here when not given.
+    The score tensors themselves keep their (entity, c, k) layout.
     """
     K, L = labels.num_classes, labels.num_labels
-    if obs_index is None:
-        obs_index = _observed(labels)[1]
+    # x_l * L + l: the observed label's logit in the (K, K * L) table
+    obs_index = labels.labels * L + np.arange(L)
     if mode == Mode.ORDINAL:
         worker_params = expand_ordinal(worker_params, K)
         item_params = expand_ordinal(item_params, K)
@@ -148,23 +146,6 @@ def _key(inputs) -> list:
     return key
 
 
-def _label_constants(labels: LabelMatrix):
-    """`_observed(labels)`, built once per LabelMatrix."""
-    return _derived(labels, "constants", _observed)
-
-
-def _observed(labels: LabelMatrix):
-    """What the model and the gradient read of the observed labels, both
-    read-only: the (K, L) bool one-hot I(x_l = k), and x_l * L + l, the index of
-    each observed label's logit in a class-major (K, K * L) table."""
-    L = labels.num_labels
-    one_hot = labels.labels == np.arange(labels.num_classes)[:, None]
-    obs_index = labels.labels * L + np.arange(L)
-    one_hot.setflags(write=False)
-    obs_index.setflags(write=False)
-    return one_hot, obs_index
-
-
 def _model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     """`_log_model` behind the slot, so each score point costs one pass.
 
@@ -172,12 +153,7 @@ def _model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     score point, mode or LabelMatrix drops the stored model before its pass,
     so at most one model is alive at a time.
     """
-    return _derived(labels, "model", _model_pass, worker_params, item_params, mode)
-
-
-def _model_pass(labels: LabelMatrix, worker_params, item_params, mode: Mode):
-    return _log_model(labels, worker_params, item_params, mode,
-                      _label_constants(labels)[1])
+    return _derived(labels, "model", _log_model, worker_params, item_params, mode)
 
 
 def _posterior_rows(labels: LabelMatrix, posterior) -> np.ndarray:
@@ -278,7 +254,7 @@ def m_step_gradients(labels: LabelMatrix, posterior, worker_params, item_params,
         raise ValueError("posterior shape does not match the label matrix")
     prob, _ = _model(labels, worker_params, item_params, hyper.mode)
     # (K, K, L): I(x_l = k) - P(k | c), then times Q(c) in place
-    per_obs = np.subtract(_label_constants(labels)[0], prob)
+    per_obs = np.subtract(labels.labels == np.arange(K)[:, None], prob)
     per_obs *= _posterior_rows(labels, posterior)[:, None, :]
     gw = scatter_rows(labels.workers, per_obs, labels.num_workers)
     gi = scatter_rows(labels.items, per_obs, labels.num_items)
@@ -407,9 +383,8 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
     ip = init_params(hyper.mode, labels.num_items, K)
     posterior = initialize_posterior(labels)
     # Both traces, the E-step and the next M-step's start all read the model at
-    # the current scores from `_model`'s slot, so it is computed once per point;
-    # the label constants are built once per fit and the posterior rows once
-    # per posterior.
+    # the current scores from `_model`'s slot, so it is computed once per point,
+    # and the posterior rows once per posterior.
     converged = False
     iterations = 0
     ls_failures = 0

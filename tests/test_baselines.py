@@ -5,12 +5,21 @@ from mmce import synthetic
 from mmce.baselines import (
     DSParams,
     _ds_e_step,
+    _ds_log_joint,
     dawid_skene_em,
-    ds_marginal_loglik,
     majority_vote,
 )
+from mmce.confusion import logsumexp
 from mmce.data import from_triples
 from mmce.solver import HyperParams, e_step, initialize_posterior
+
+
+def ds_marginal_loglik(labels, params: DSParams) -> float:
+    """Marginal log-likelihood of the observed labels under a DS model: the
+    independent reference for the Dawid-Skene trace values."""
+    acc = _ds_log_joint(labels, params.confusion, params.prior)
+    # Items without labels contribute log sum_c prior(c) = 0.
+    return float(np.sum(logsumexp(acc, axis=1)))
 
 
 class TestMajorityVote:

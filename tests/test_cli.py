@@ -7,7 +7,7 @@ import numpy as np
 
 import pytest
 
-from mmce import baselines, selection, solver
+from mmce import baselines, data, selection, solver
 from mmce.baselines import dawid_skene_em
 from mmce.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
 from mmce.data import read_posterior
@@ -137,6 +137,29 @@ class TestAggregate:
     def test_alpha_without_beta_rejected(self, tmp_path, capsys):
         code, _ = self.run(tmp_path, "--alpha", "2")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("method,flag,message", [
+        ("mv", "--params-out", "--params-out is written by --method mmce only, not mv"),
+        ("ds", "--params-out", "--params-out is written by --method mmce only, not ds"),
+        ("mv", "--trace", "--trace is written by --method mmce or ds, not mv"),
+    ], ids=["mv-params-out", "ds-params-out", "mv-trace"])
+    def test_output_the_method_does_not_write_is_refused(self, tmp_path, capsys,
+                                                        monkeypatch, method, flag, message):
+        labels = labels_csv(tmp_path)
+        monkeypatch.setattr(data, "load_labels",
+                            lambda *a: pytest.fail("labels read before the refusal"))
+        code, _ = self.run(tmp_path, "--method", method, flag, str(tmp_path / "extra"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [labels]
+
+    def test_bad_solver_setting_prints_no_resolved_gamma(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, "--gamma", "1", "--max-iters", "0")
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: iteration counts must be >= 1\n"
+        assert not out.exists()
 
     def test_ordinal_centered_rejected(self, tmp_path, capsys):
         code, _ = self.run(tmp_path, "--gamma", "1", "--mode", "ordinal",

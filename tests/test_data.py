@@ -192,6 +192,21 @@ class TestFromTriples:
             assert np.array_equal(getattr(back, name), getattr(lm, name))
 
 
+class TestSubset:
+    @pytest.mark.parametrize("mask", [np.array([True, False, True, True, False]),
+                                      np.array([4, 0, 2])])
+    def test_columns_are_new_read_only_arrays(self, mask):
+        lm = from_triples([("a", "i", 0), ("b", "i", 1), ("a", "j", 1), ("c", "k", 0),
+                           ("b", "k", 1)], 2)
+        sub = lm.subset(mask)
+        assert (sub.worker_ids, sub.item_ids) == (lm.worker_ids, lm.item_ids)
+        for name in ("workers", "items", "labels"):
+            got, parent = getattr(sub, name), getattr(lm, name)
+            assert np.array_equal(got, parent[mask])
+            assert not got.flags.writeable
+            assert not np.shares_memory(got, parent)
+
+
 class TestSummarize:
     def test_counts_and_means(self, three_worker_labels):
         s = summarize(three_worker_labels)

@@ -22,7 +22,6 @@ TEST_ONLY = {
     "polish_stationary_point": "acceptance test 5 imports it from mmce.solver",
     "kl_identity_check": "acceptance test 5 imports it from mmce.solver",
     "random_instance": "the acceptance tests draw their small random inputs from it",
-    "ds_marginal_loglik": "the independent reference for the Dawid-Skene trace values",
     "read_params": "reads the --params-out sidecar back; it stays until a command "
                    "reads the sidecar",
 }

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmce import synthetic
+from mmce.confusion import Mode, RegularizerVariant
 from mmce.data import GoldLabels, from_triples
 from mmce.evaluation import error_rate
 from mmce.selection import (
@@ -239,3 +240,19 @@ class TestCVConfigValidation:
     def test_repeated_grid_value(self):
         with pytest.raises(ValueError, match="must not repeat"):
             CVConfig(gamma_grid=(0.5, 1, 1.0))
+
+    @pytest.mark.parametrize("settings", [{"tol": 0}, {"max_outer_iters": 0},
+                                          {"inner_gradient_steps": 0},
+                                          {"mode": "ordinal", "variant": "centered"}])
+    def test_solver_settings_are_checked_at_construction(self, settings):
+        # the first fit would refuse them; the config refuses them up front
+        with pytest.raises(ValueError) as want:
+            HyperParams(**settings)
+        with pytest.raises(ValueError) as got:
+            CVConfig(**settings)
+        assert str(got.value) == str(want.value)
+
+    def test_mode_and_variant_are_coerced(self):
+        config = CVConfig(mode="ordinal", variant="euclidean")
+        assert config.mode is Mode.ORDINAL
+        assert config.variant is RegularizerVariant.EUCLIDEAN

@@ -471,10 +471,9 @@ class TestModelMemo:
                           fold, wo, io, Mode.ORDINAL)
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("name", ["model", "rows", "constants"])
+    @pytest.mark.parametrize("name", ["model", "rows"])
     def test_old_value_is_dropped_before_a_new_build(self, monkeypatch, name):
         lm = synthetic.random_instance(9)
-        fold = lm.subset(np.arange(lm.num_labels) % 2 == 0)
         wp, ip, q = random_state(lm, 10)
         mode = Mode.MULTICLASS
         # how to read the stored value, the builder a rebuild calls, and a rebuild
@@ -483,8 +482,6 @@ class TestModelMemo:
                       lambda: solver._model(lm, wp + 1.0, ip, mode)),
             "rows": (lambda: solver._posterior_rows(lm, q), "gather_rows",
                      lambda: solver._posterior_rows(lm, q[:, ::-1].copy())),
-            "constants": (lambda: solver._label_constants(lm)[0], "_observed",
-                          lambda: solver._label_constants(fold)),
         }[name]
         old = weakref.ref(read())
         alive = []
@@ -525,6 +522,21 @@ class TestModelMemo:
         assert held == [True]  # the slot held this fit's values when it stopped
         assert solver._memo == [None]
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_slot_holds_only_the_model_and_rows_during_a_fit(self, monkeypatch, mode):
+        # nothing derived from the labels alone is kept between passes
+        lm, h = planted_gamma_one(mode)
+        held = []
+        e_step = solver.e_step
+
+        def probed(labels, *args):
+            held.append(set(solver._memo[0]))
+            return e_step(labels, *args)
+
+        monkeypatch.setattr(solver, "e_step", probed)
+        r = fit(lm, h)
+        assert held == [{"labels", "model", "rows"}] * r.iterations
+
 
 def counted_row_gathers(monkeypatch):
     """A list that gains one entry per posterior gather from now on (score
@@ -541,21 +553,8 @@ def counted_row_gathers(monkeypatch):
     return calls
 
 
-def counted_constant_builds(monkeypatch):
-    """A list that gains the LabelMatrix of each label-constant build from now on."""
-    builds = []
-    build = solver._observed
-
-    def counted(labels):
-        builds.append(labels)
-        return build(labels)
-
-    monkeypatch.setattr(solver, "_observed", counted)
-    return builds
-
-
 class TestFixedInputs:
-    """The posterior rows and the label constants in `_model`'s slot."""
+    """The posterior rows in `_model`'s slot."""
 
     @staticmethod
     def fresh_value(lm, q, wp, ip, h):
@@ -592,34 +591,18 @@ class TestFixedInputs:
         assert after == self.fresh_value(lm, q, wp, ip, h)
         assert np.array_equal(solver._posterior_rows(lm, q), solver.gather_rows(lm.items, q))
 
-    def test_other_labels_get_fresh_rows_and_constants(self, monkeypatch):
+    def test_other_labels_get_fresh_rows(self, monkeypatch):
         calls = counted_row_gathers(monkeypatch)
-        builds = counted_constant_builds(monkeypatch)
         lm = synthetic.random_instance(15)
         fold = lm.subset(np.arange(lm.num_labels) % 2 == 0)  # same ids, fewer labels
         wp, ip, q = random_state(lm, 16)
         h = HyperParams(alpha=0.7, beta=1.3)
         penalized_likelihood(lm, q, wp, ip, h)
         value = penalized_likelihood(fold, q, wp, ip, h)
-        constants = solver._label_constants(fold)
         rows = solver._posterior_rows(fold, q)
         assert len(calls) == 2
-        assert [b is want for b, want in zip(builds, (lm, fold))] == [True] * 2
-        assert len(builds) == 2
-        for got, want in zip(constants, solver._observed(fold)):
-            assert np.array_equal(got, want)
         assert np.array_equal(rows, solver.gather_rows(fold.items, q))
         assert value == self.fresh_value(fold, q, wp, ip, h)
-
-    def test_constants_are_the_observed_labels(self):
-        lm = synthetic.random_instance(17)
-        one_hot, obs_index = solver._label_constants(lm)
-        L = lm.num_labels
-        assert one_hot.dtype == bool and one_hot.shape == (lm.num_classes, L)
-        assert np.array_equal(np.argmax(one_hot, axis=0), lm.labels)
-        assert np.array_equal(one_hot.sum(axis=0), np.ones(L))
-        assert np.array_equal(obs_index, lm.labels * L + np.arange(L))
-        assert not one_hot.flags.writeable and not obs_index.flags.writeable
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("exact", [False, True])
@@ -631,16 +614,6 @@ class TestFixedInputs:
             h.exact_m_step, h.max_outer_iters = True, 6  # L-BFGS M-steps are slow
         r = fit(lm, h)
         assert len(calls) == r.iterations + 1
-
-    @pytest.mark.parametrize("mode", list(Mode))
-    def test_one_constant_build_per_fit(self, monkeypatch, mode):
-        builds = counted_constant_builds(monkeypatch)
-        lm, h = planted_gamma_one(mode)
-        fold = lm.subset(np.arange(lm.num_labels) % 3 != 0)
-        for labels in (lm, fold, lm):
-            fit(labels, h)
-        assert [b is want for b, want in zip(builds, (lm, fold, lm))] == [True] * 3
-        assert len(builds) == 3
 
 
 def entity_log_model(labels, worker_params, item_params, mode):

@@ -72,21 +72,18 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _aggregate_hyper(args, labels) -> solver.HyperParams:
-    """The mmce settings, checked before a resolved alpha/beta is printed."""
+def _aggregate_hyper(args) -> solver.HyperParams:
+    """The mmce settings, checked before any input is read. With --gamma,
+    alpha and beta are 0 until the labels resolve them."""
     have_ab = args.alpha is not None or args.beta is not None
     if args.gamma is not None and have_ab:
         raise UsageError("give either --gamma or --alpha/--beta, not both")
     if args.gamma is not None:
-        alpha, beta = selection.resolve_hyperparams(args.gamma, labels)
+        selection._check_gamma(args.gamma)
     elif args.alpha is None or args.beta is None:
         raise UsageError("mmce needs --gamma, or both --alpha and --beta")
-    else:
-        alpha, beta = args.alpha, args.beta
-    hyper = solver.HyperParams(alpha=alpha, beta=beta, **_solver_settings(args))
-    if args.gamma is not None:
-        print(f"resolved alpha={alpha:g} beta={beta:g} from gamma={args.gamma:g}")
-    return hyper
+    return solver.HyperParams(alpha=args.alpha or 0.0, beta=args.beta or 0.0,
+                              **_solver_settings(args))
 
 
 def cmd_aggregate(args) -> int:
@@ -95,6 +92,7 @@ def cmd_aggregate(args) -> int:
         raise UsageError(f"--params-out is written by --method mmce only, not {args.method}")
     if args.trace and args.method == "mv":
         raise UsageError("--trace is written by --method mmce or ds, not mv")
+    hyper = _aggregate_hyper(args) if args.method == "mmce" else None
     labels = _load_labels(args)
     unlabeled = labels.unlabeled_items()
     if len(unlabeled):
@@ -111,7 +109,9 @@ def cmd_aggregate(args) -> int:
         trace = (np.arange(1, len(loglik) + 1), np.full(len(loglik), "em"),
                  np.array(loglik))
     elif args.method == "mmce":
-        hyper = _aggregate_hyper(args, labels)
+        if args.gamma is not None:
+            hyper.alpha, hyper.beta = selection.resolve_hyperparams(args.gamma, labels)
+            print(f"resolved alpha={hyper.alpha:g} beta={hyper.beta:g} from gamma={args.gamma:g}")
         result = solver.fit(labels, hyper)
         posterior, predicted = result.posterior, result.predicted
         # the trace is the initial value, then one (m, e) pair per iteration
@@ -132,13 +132,13 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_select(args) -> int:
+    grid = tuple(float(g) for g in args.grid.split(","))
+    config = selection.CVConfig(  # checks every setting before any input is read
+        folds=args.folds, gamma_grid=grid, seed=args.seed,
+        heldout_scoring=args.heldout_scoring, **_solver_settings(args))
     labels = _load_labels(args)
     if args.fit_final:  # refuse ids the posterior file cannot hold before any fit
         data._check_posterior_ids(labels.item_ids)
-    grid = tuple(float(g) for g in args.grid.split(","))
-    config = selection.CVConfig(
-        folds=args.folds, gamma_grid=grid, seed=args.seed,
-        heldout_scoring=args.heldout_scoring, **_solver_settings(args))
     if args.gold:
         gold = data.load_gold(args.gold, labels.item_ids, labels.num_classes,
                               args.label_base)

@@ -140,25 +140,23 @@ class _Keys(dict):
 
     A field of at most 7 UTF-8 bytes is its own key: its length in the low
     byte, then its bytes, little-endian. A longer field's key is _LONG in the
-    low byte and, above it, its number in `texts`, the long fields in the
-    order first seen; this dict maps each of them to its key. So a key costs
-    8 bytes per row whatever a field's length, and a long field one dict
-    lookup.
+    low byte and, above it, its number in `texts`, the long fields' bytes in
+    the order first seen; this dict maps each of them to its key. So a key
+    costs 8 bytes per row whatever a field's length, and a long field one
+    bytes slice and one dict lookup.
     """
 
     def __init__(self):
         super().__init__()
         self.texts = []
 
-    def __missing__(self, text):
-        self[text] = key = len(self.texts) << 8 | _LONG
-        self.texts.append(text)
+    def __missing__(self, raw):
+        self[raw] = key = len(self.texts) << 8 | _LONG
+        self.texts.append(raw)
         return key
 
-    def pack(self, buf, starts, ends, texts) -> np.ndarray:
-        """Keys of the fields buf[starts:ends] (buf ends with _PAD). texts(k)
-        gives the fields at positions k as str; it is called only for the
-        fields longer than 7 bytes."""
+    def pack(self, buf, starts, ends) -> np.ndarray:
+        """Keys of the fields buf[starts:ends] (buf ends with _PAD)."""
         n = ends - starts
         windows = np.ndarray(len(buf) - 7, "<u8", buf, strides=(1,))  # 8 bytes from each position
         keys = windows[starts] & _MASKS.take(np.minimum(n, 7))  # take would copy `windows`
@@ -166,20 +164,23 @@ class _Keys(dict):
         keys |= n.astype(np.uint64)
         long = np.flatnonzero(n > 7)
         if len(long):
-            keys[long] = np.fromiter(map(self.__getitem__, texts(long)), np.uint64, len(long))
+            raw = buf.tobytes()
+            fields = [raw[a:b] for a, b in zip(starts[long].tolist(), ends[long].tolist())]
+            keys[long] = np.fromiter(map(self.__getitem__, fields), np.uint64, len(long))
         return keys
 
     def of(self, strings) -> np.ndarray:
         """Keys of strings."""
         raw = [s.encode("utf-8", "surrogatepass") for s in strings]
         lengths = np.fromiter(map(len, raw), np.int64, len(raw))
-        ends = np.cumsum(lengths)
         buf = np.frombuffer(b"".join(raw) + _PAD, dtype=np.uint8)
-        return self.pack(buf, ends - lengths, ends, lambda k: map(strings.__getitem__, k.tolist()))
+        del raw  # not held while pack slices the long fields from buf
+        ends = np.cumsum(lengths)
+        return self.pack(buf, ends - lengths, ends)
 
     def decode(self, keys) -> list:
-        """The fields that keys hold; the short ones hold no comma. Needs
-        only `texts`, so it works after the dict is cleared."""
+        """The fields that keys hold, as str; the short ones hold no comma.
+        Needs only `texts`, so it works after the dict is cleared."""
         n = (keys & 0xFF).astype(np.int64)
         long = np.flatnonzero(n == _LONG)
         n[long] = 0
@@ -190,7 +191,7 @@ class _Keys(dict):
         text = flat[(cols >= 1) & (cols <= n[:, None] + 1)].tobytes()
         fields = text.decode("utf-8", "surrogatepass").split(",")[:-1]
         for k, number in zip(long, keys[long] >> 8):  # numpy scalars: no list of ints
-            fields[k] = self.texts[number]
+            fields[k] = self.texts[number].decode("utf-8", "surrogatepass")
         return fields
 
 
@@ -410,11 +411,11 @@ def _triple_label(lab):
 
 
 def _chunks(fh, sep):
-    """Yield (text, buf, stops, starts, ends, widths) per chunk of a text file.
+    """Yield (buf, stops, starts, ends, widths) per chunk of a text file.
 
     A chunk is _CHUNK_CHARS characters completed to a line end; the text layer
-    has already turned every line end into "\\n". `buf` holds the UTF-8 bytes
-    of its `text`, a "\\n" after a last line that lacks one, then _PAD.
+    has already turned every line end into "\\n". `buf` holds the chunk's
+    UTF-8 bytes, a "\\n" after a last line that lacks one, then _PAD.
     `stops` are the positions of its `sep` and "\\n" bytes; each line runs
     from starts[k] to its "\\n" at ends[k] and holds widths[k] fields.
     """
@@ -426,7 +427,7 @@ def _chunks(fh, sep):
         stops = np.flatnonzero((buf == ord(sep)) | (buf == 10))
         at = np.flatnonzero(buf[stops] == 10)
         ends = stops[at]
-        yield text, buf, stops, np.concatenate(([0], ends[:-1] + 1)), ends, np.diff(at, prepend=-1)
+        yield buf, stops, np.concatenate(([0], ends[:-1] + 1)), ends, np.diff(at, prepend=-1)
 
 
 def _csv_rows(path, fields, table):
@@ -441,17 +442,15 @@ def _csv_rows(path, fields, table):
     """
     width, rows, line_no = len(fields), 0, 1
     with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not data
-        for text, buf, stops, starts, ends, widths in _chunks(fh, ","):
+        for buf, stops, starts, ends, widths in _chunks(fh, ","):
             skip = starts == ends
             if line_no == 1 and [p.strip().lower() for p in
                                  buf[:ends[0]].tobytes().decode().split(",")] == fields:
                 skip[0] = True  # optional header, skipped like a blank line
             r, field_starts, field_ends = _fields(stops, ~skip, widths, width)
             at = np.flatnonzero(skip[:r])
-            keys = []
-            for s, e in zip(field_starts.T, field_ends.T):
-                s, e = _strip(buf, s, e)
-                keys.append(table.pack(buf, s, e, lambda k: _slices(text, buf, s[k], e[k])))
+            keys = [table.pack(buf, *_strip(buf, s, e))
+                    for s, e in zip(field_starts.T, field_ends.T)]
             yield (rows + at - np.arange(len(at))).tolist(), keys
             if r < len(ends):
                 raise LabelFileError(f"expected {width} comma-separated fields, "
@@ -471,14 +470,6 @@ def _fields(stops, keep, widths, width):
     take = np.repeat(keep, widths)
     field_starts = np.concatenate(([0], stops[:-1] + 1))
     return r, field_starts[take].reshape(-1, width), stops[take].reshape(-1, width)
-
-
-def _slices(text, buf, starts, ends) -> list:
-    """The fields buf[starts:ends] as slices of `text`, whose UTF-8 bytes buf holds."""
-    if not text.isascii():  # a byte offset less the continuation bytes before it
-        skipped = np.concatenate(([0], np.cumsum((buf & 0xC0) == 0x80)))
-        starts, ends = starts - skipped[starts], ends - skipped[ends]
-    return [text[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 def _strip(buf, starts, ends):
@@ -743,7 +734,7 @@ def read_posterior(path):
             raise LabelFileError("not a posterior file: bad header", 1)
         width, line_no = len(header), 2
         ids, preds, probs = [], _Rows(np.empty(0, np.int64)), _Rows(np.empty(0))
-        for text, buf, stops, starts, ends, widths in _chunks(fh, "\t"):
+        for buf, stops, starts, ends, widths in _chunks(fh, "\t"):
             r, s, e = _fields(stops, np.ones(len(ends), dtype=bool), widths, width)
             pred, pred_ok = _digits(buf, s[:, 1], e[:, 1])
             prob, prob_ok = _fixed6(buf, s[:, 2:].ravel(), e[:, 2:].ravel())
@@ -754,6 +745,7 @@ def read_posterior(path):
                 id_bytes = buf[:-len(_PAD)][np.repeat(is_id, np.diff(stops, prepend=-1))]
                 chunk_ids = id_bytes.tobytes().decode().split("\t")[:-1]
             else:
+                text = buf[:-len(_PAD)].tobytes().decode()
                 chunk_ids, pred, prob = _posterior_lines(text, width, line_no)
             ids += chunk_ids
             preds.append(pred)

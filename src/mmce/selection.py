@@ -36,6 +36,8 @@ class CVConfig:
             raise ValueError("folds must be >= 2")
         if not self.gamma_grid:
             raise ValueError("gamma grid must be non-empty")
+        for gamma in self.gamma_grid:
+            _check_gamma(gamma)
         if len(set(self.gamma_grid)) < len(self.gamma_grid):
             raise ValueError("gamma grid must not repeat a value")
         if self.heldout_scoring not in ("marginal", "hard"):
@@ -78,8 +80,7 @@ def resolve_hyperparams(gamma: float, labels: LabelMatrix) -> tuple[float, float
     """Map a single knob to (alpha, beta): alpha scales with the squared class
     count, beta with the ratio of labels-per-worker to labels-per-item.
     Raises ValueError when gamma, or the alpha or beta it gives, is not finite."""
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
+    _check_gamma(gamma)
     if labels.num_labels == 0 or labels.num_workers == 0 or labels.num_items == 0:
         raise ValueError("cannot resolve hyperparameters on an empty dataset")
     alpha = gamma * labels.num_classes ** 2
@@ -90,6 +91,12 @@ def resolve_hyperparams(gamma: float, labels: LabelMatrix) -> tuple[float, float
         raise ValueError(f"gamma={gamma:g} is too large: it gives alpha={alpha:g} "
                          f"beta={beta:g} on this dataset, and both must be finite")
     return alpha, beta
+
+
+def _check_gamma(gamma: float) -> None:
+    """Raise ValueError unless gamma is positive and finite."""
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
 
 
 def partition_folds(num_labels: int, folds: int, seed: int) -> np.ndarray:

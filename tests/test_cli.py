@@ -352,6 +352,24 @@ def test_fewer_than_two_classes_is_usage_error(tmp_path, capsys, command, classe
     assert not (tmp_path / "post.tsv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["aggregate", "--alpha", "1", "--beta", "1", "--max-iters", "0"],
+     "iteration counts must be >= 1"),
+    (["aggregate", "--gamma", "0"], "gamma must be positive and finite"),
+    (["aggregate", "--gamma", "1", "--alpha", "1"],
+     "give either --gamma or --alpha/--beta, not both"),
+    (["select", "--tol", "0"], "tol must be positive and finite"),
+    (["select", "--folds", "1"], "folds must be >= 2"),
+    (["select", "--grid", "0,1"], "gamma must be positive and finite"),
+])
+def test_settings_are_checked_before_the_labels_are_read(tmp_path, capsys, argv, message):
+    command, *flags = argv
+    code = main([command, "--labels", str(tmp_path / "missing.csv"), "--classes", "3",
+                 "--out", str(tmp_path / "out"), *flags])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class Captured(Exception):
     pass
 

@@ -98,7 +98,7 @@ class TestLoadLabels:
         assert lm.item_ids == ("q", "b")
 
     def test_long_ids_and_trailing_nuls_stay_distinct(self, tmp_path):
-        # ids longer than 7 bytes (keyed by their text): lengths equal modulo
+        # ids longer than 7 bytes (keyed by their bytes): lengths equal modulo
         # 256, ids that differ only by NULs, and non-ASCII ids after others
         long = "a" * 300
         ids = ["x" * 254, "x" * 255, "x" * 256, long, long + "\x00", long + "\x00" * 256,
@@ -464,9 +464,12 @@ BLANKS = st.sampled_from(["", " ", "\t", "  \t "])
 # repeated entries weight the draw toward the ids and labels that collide
 # (whitespace that str.strip removes at an edge, ids longer than the 7 bytes a
 # key holds, and ids that differ only by a trailing NUL among them)
-IDS = st.sampled_from(["w1", "w1", "w2", "w2", "i1", " w1", "w2 ", "", "é", "a b",
-                       "w1 ", "\x85w1", "\x1cw1", "w1\x0b", "worker-000001", "éééé-long",
-                       "n\x00", "n\x00\x00", "\x00", "\u3000worker-000001"])
+ID_TEXTS = ["w1", "w1", "w2", "w2", "i1", " w1", "w2 ", "", "é", "a b", "w1 ", "\x85w1",
+            "\x1cw1", "w1\x0b", "worker-000001", "éééé-long", "n\x00", "n\x00\x00", "\x00",
+            "\u3000worker-000001"]
+IDS = st.sampled_from(ID_TEXTS)
+# and a long id with a lone surrogate, which triples can hold and a file cannot
+TRIPLE_IDS = st.sampled_from(ID_TEXTS + ["\ud800-surrogate-long"])
 LABEL_TEXTS = ["0", "1"] * 3 + ["2", "+1", " 1", "01", "1_0", "x", "-1", "9", "", "1.0"]
 LABELS = st.sampled_from(LABEL_TEXTS)
 
@@ -545,7 +548,8 @@ class TestReferenceEquivalence:
     def test_load_gold(self, tmp_path_factory, text, classes_base, chunk):
         path = _write_text(tmp_path_factory, text)
         # "w2" twice: a gold id joins the last of equal item ids
-        item_ids = ["i1", "w1", "w2", " w1", "é", "a b", "worker-000001", "n\x00", "w2"]
+        item_ids = ["i1", "w1", "w2", " w1", "é", "a b", "worker-000001", "éééé-long",
+                    "n\x00", "w2"]
         expected = _outcome(_reference_gold, path, item_ids, *classes_base)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data, "_CHUNK_CHARS", chunk)
@@ -571,7 +575,8 @@ class TestReferenceEquivalence:
             expected = "ok", (expected[1][0], expected[1][1], [repr(p) for p in expected[1][2]])
         assert got == expected
 
-    @given(st.lists(st.tuples(IDS, IDS, st.sampled_from([0, 1, 2, -1, "1", "x", 1.0, True])),
+    @given(st.lists(st.tuples(TRIPLE_IDS, TRIPLE_IDS,
+                              st.sampled_from([0, 1, 2, -1, "1", "x", 1.0, True])),
                     max_size=20))
     @settings(max_examples=200, deadline=None)
     def test_from_triples(self, triples):
@@ -727,11 +732,12 @@ def test_writer_output_never_needs_the_line_rule(tmp_path, monkeypatch, K, id_fo
     assert texts == []
 
 
-def test_one_odd_field_sends_only_its_chunk_to_the_line_rule(tmp_path, monkeypatch):
+@pytest.mark.parametrize("id_format", ["i{}", "élève-{}\U0001d4b3", " i{}"])
+def test_one_odd_field_sends_only_its_chunk_to_the_line_rule(tmp_path, monkeypatch, id_format):
     monkeypatch.setattr(data, "_CHUNK_CHARS", 200)
     texts = counted_line_reads(monkeypatch)
     path = tmp_path / "p.tsv"
-    _written_posterior(path, 5, [f"i{j}" for j in range(300)])
+    _written_posterior(path, 5, [id_format.format(j) for j in range(300)])
     lines = path.read_text(encoding="utf-8").split("\n")
     lines[150] = lines[150].rsplit("\t", 1)[0] + "\t1e-3"
     path.write_text("\n".join(lines), encoding="utf-8")

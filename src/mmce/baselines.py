@@ -73,6 +73,8 @@ def dawid_skene_em(labels: LabelMatrix, max_iters: int = 100, tol: float = 1e-8,
     """
     if smoothing < 0:
         raise ValueError("smoothing must be >= 0")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     if labels.num_labels == 0:
         raise ValueError("cannot fit an empty label matrix")
     posterior, _ = majority_vote(labels)

@@ -11,7 +11,8 @@ import numpy as np
 
 
 class LabelFileError(ValueError):
-    """Raised on malformed label/gold files (carries the offending line number)."""
+    """Raised on malformed labels, gold and posterior files (carries the
+    offending line number)."""
 
     def __init__(self, message, line_no=None):
         if line_no is not None:
@@ -103,34 +104,40 @@ _LONG = 0xFF
 
 
 class _LabelCodes(dict):
-    """Cache from a label as read to its 0-based class, or to -1 when it
-    faults, so each distinct label is validated once.
+    """Cache from a label as read to its 0-based class, or to a negative code
+    when it faults, so each distinct label is validated once.
 
-    A label is an integer in label_base..num_classes-1+label_base. `messages`
-    holds the formats of the two faults (not an integer, out of range); `bad`
-    maps each faulting label to its message.
+    A label is an integer in label_base..num_classes-1+label_base; a
+    label_base other than 0 or 1, or fewer than 2 classes, is refused here.
+    `messages` holds the formats of the two faults (not an integer, out of
+    range); each faulting label has its own code, with its message at
+    bad[-1 - code].
     """
 
     def __init__(self, num_classes, label_base, messages):
+        if label_base not in (0, 1):
+            raise ValueError("label_base must be 0 or 1")
+        if num_classes < 2:
+            raise ValueError(f"need at least 2 classes, got {num_classes}")
         super().__init__()
         self.base, self.top, self.messages = label_base, num_classes - 1 + label_base, messages
-        self.bad = {}
+        self.bad = []
 
     def __missing__(self, lab):
         try:
             value = int(lab)
         except ValueError:
-            self.bad[lab] = self.messages[0].format(lab)
+            self.bad.append(self.messages[0].format(lab))
         else:
             if self.base <= value <= self.top:
                 self[lab] = value - self.base
                 return value - self.base
-            self.bad[lab] = self.messages[1].format(value, self.base, self.top)
-        self[lab] = -1
-        return -1
+            self.bad.append(self.messages[1].format(value, self.base, self.top))
+        self[lab] = code = -len(self.bad)
+        return code
 
     def classes(self, labels, inverse) -> np.ndarray:
-        """The classes of rows holding labels[inverse], -1 where a label faults."""
+        """The classes of rows holding labels[inverse], negative where a label faults."""
         return np.fromiter(map(self.__getitem__, labels), np.int64, len(labels))[inverse]
 
 
@@ -249,114 +256,111 @@ def _rank(keys, codes=None):
     return codes, first[by_appearance]
 
 
-def _distinct(table, keys):
-    """(fields, inverse): the distinct fields of keys (from `table`), as str in
-    first-appearance order, and the index of each key's field."""
-    codes, first = _rank(keys)
-    return table.decode(keys[first]), codes
+def _read_rows(chunks, codes, known):
+    """(skips, columns, classes, error) of row chunks (skips, key columns,
+    labels, inverse), whose rows hold labels[inverse].
+
+    Each column holds its `known` keys, then the key of every row read;
+    `classes` holds each row's class from `codes`, negative where its label
+    faults, and `skips` the (sorted) rows before each skipped line.
+    Reading stops after the chunk that holds the first faulting label, or at
+    what the chunks raise (a ragged line, undecodable text): that error is
+    returned, not raised, as a fault on an earlier row comes first.
+    """
+    columns = [_Rows(keys) for keys in known]
+    classes = _Rows(np.empty(0, np.int64))
+    skips, error = [], None
+    try:
+        for chunk_skips, keys, labels, inverse in chunks:
+            skips += chunk_skips
+            for column, part in zip(columns, keys):
+                column.append(part)
+            classes.append(codes.classes(labels, inverse))
+            if codes.bad:  # the first faulting label is in this chunk
+                break
+    except Exception as exc:
+        error = exc
+    return skips, [column.array() for column in columns], classes.array(), error
 
 
-def _line_of(skips, row) -> int:
-    """The line number of a row, given the (sorted) rows before each skipped line."""
-    return row + 1 + bisect_right(skips, row)
+def _raise_first(skips, error, *rules) -> None:
+    """Raise the fault of the earliest faulting row, naming its line (from
+    `skips`, the sorted rows before each skipped line), else `error` if any.
+
+    Each rule is (faulting rows, message of a row): a boolean mask over the
+    rows, and a function from a row to its message. On one row the earlier
+    rule wins.
+    """
+    firsts = [(int(rows.argmax()), k) for k, (rows, _) in enumerate(rules) if rows.any()]
+    if firsts:
+        row, k = min(firsts)
+        raise LabelFileError(rules[k][1](row), row + 1 + bisect_right(skips, row))
+    if error is not None:
+        raise error
+
+
+def _repeats(keys) -> np.ndarray:
+    """Whether each row's key is on an earlier row."""
+    first = _groups(keys)[1]  # before the mask, which is not held while sorting
+    repeats = np.ones(len(keys), dtype=bool)
+    repeats[first] = False
+    return repeats
 
 
 def _intern(chunks, table, num_classes, label_base, worker_ids=None,
             item_ids=None) -> LabelMatrix:
-    """Validate row chunks (skips, worker keys, item keys, labels, inverse)
-    into a LabelMatrix; the keys are from `table`, a chunk's rows hold
-    labels[inverse], and its skips are the rows before each skipped line of
-    the file (see _line_of).
+    """Validate row chunks of worker and item keys from `table` (see
+    _read_rows) into a LabelMatrix.
 
     Every rule for one observation lives here: ids are non-empty, the label is
     an integer in label_base..num_classes-1+label_base, and a worker labels an
     item at most once. The first fault in file order is raised, naming its
-    line: the earliest faulting row of a chunk, or a repeated pair on an
-    earlier row. IDs are interned in first-appearance order, after the
-    pre-registered worker_ids/item_ids, by one sort of each id column. Fewer
-    than 2 classes is rejected before any row is read.
+    line; on one row, the first in that order. IDs are interned in
+    first-appearance order, after the pre-registered worker_ids/item_ids, by
+    one sort of each id column. Fewer than 2 classes is rejected before any
+    row is read.
     """
-    if num_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {num_classes}")
-    known = [list(dict.fromkeys(map(str, ids or ()))) for ids in (worker_ids, item_ids)]
-    keys = [_Rows(table.of(ids)) for ids in known]  # worker, then item keys
-    classes = _Rows(np.empty(0, np.int64))
     codes = _LabelCodes(num_classes, label_base, _LABEL_FAULTS)
-    skips = []
-
-    def matrix():
-        # Every row is packed, so the dict of long fields goes (decode needs
-        # only table.texts). Then results are allocated before any large
-        # temporary is freed, and ids are decoded after the last one is, so
-        # no result lies between freed temporaries, which the allocator could
-        # then not hand back.
-        table.clear()
-        labels = classes.array()
-        out = [np.empty(col.used, np.int64) for col in keys]
-        firsts = []
-        for ranks in out:  # one id column's rows at a time
-            rows = keys.pop(0).array()
-            firsts.append(rows[_rank(rows, ranks)[1]])
-            del rows
-        w_keys, i_keys = firsts
-        workers, items = out[0][len(known[0]):], out[1][len(known[1]):]
-        repeat = _first_repeat(workers, items)
-        w_ids = (*known[0], *table.decode(w_keys[len(known[0]):]))
-        i_ids = (*known[1], *table.decode(i_keys[len(known[1]):]))
-        if repeat is not None:
-            raise LabelFileError(f"duplicate observation for worker {w_ids[workers[repeat]]!r}, "
-                                 f"item {i_ids[items[repeat]]!r}", _line_of(skips, repeat))
-        return LabelMatrix(
-            num_workers=len(w_ids),
-            num_items=len(i_ids),
-            num_classes=int(num_classes),
-            workers=workers,
-            items=items,
-            labels=labels,
-            worker_ids=w_ids,
-            item_ids=i_ids,
-        )
-
-    try:
-        rows = 0
-        for chunk_skips, w_keys, i_keys, labels, inverse in chunks:
-            skips += chunk_skips
-            chunk = codes.classes(labels, inverse)
-            faults = np.flatnonzero((w_keys == 0) | (i_keys == 0) | (chunk < 0))
-            fault = None
-            if len(faults):
-                r = int(faults[0])
-                message = (codes.bad[labels[inverse[r]]] if w_keys[r] and i_keys[r]
-                           else "empty worker or item id")
-                fault = LabelFileError(message, _line_of(skips, rows + r))
-                w_keys, i_keys, chunk = w_keys[:r], i_keys[:r], chunk[:r]
-            keys[0].append(w_keys)
-            keys[1].append(i_keys)
-            classes.append(chunk)
-            rows += len(chunk)
-            if fault is not None:
-                raise fault
-    except Exception:
-        # a repeated pair before the failing row is the first fault in file order
-        matrix()
-        raise
-    return matrix()
-
-
-def _first_repeat(workers, items):
-    """The first row, in file order, that repeats a worker-item pair, or None.
-
-    Pairs are compared as one int64 key, exact below 2**31 workers and 2**32
-    items; flat arrays and one sort keep this far smaller than a set of pairs.
-    """
+    known = [list(dict.fromkeys(map(str, ids or ()))) for ids in (worker_ids, item_ids)]
+    skips, columns, labels, error = _read_rows(chunks, codes, [table.of(ids) for ids in known])
+    # Every row is packed, so the dict of long fields goes (decode needs only
+    # table.texts). Then results are allocated before any large temporary is
+    # freed, and ids are decoded after the last one is, so no result lies
+    # between freed temporaries, which the allocator could then not hand back.
+    table.clear()
+    out = [np.empty(len(column), np.int64) for column in columns]
+    firsts = []
+    for ranks in out:  # one id column's rows at a time
+        rows = columns.pop(0)
+        firsts.append(rows[_rank(rows, ranks)[1]])
+        del rows
+    w_keys, i_keys = firsts
+    workers, items = out[0][len(known[0]):], out[1][len(known[1]):]
+    # Pairs are compared as one int64 key, exact below 2**31 workers and 2**32
+    # items; flat arrays and one sort keep this far smaller than a set of pairs.
     pairs = workers << 32
     pairs |= items
-    first = _groups(pairs.view(np.uint64))[1]
-    if len(first) == len(pairs):
-        return None
-    repeats = np.ones(len(pairs), dtype=bool)
-    repeats[first] = False
-    return int(repeats.argmax())
+    repeats = _repeats(pairs)
+    del pairs
+
+    def duplicate(r):
+        pair = table.decode(np.array([w_keys[workers[r]], i_keys[items[r]]]))
+        return "duplicate observation for worker {!r}, item {!r}".format(*pair)
+
+    empty = (w_keys == 0)[workers] | (i_keys == 0)[items]
+    _raise_first(skips, error, (empty, lambda r: "empty worker or item id"),
+                 (labels < 0, lambda r: codes.bad[-1 - labels[r]]), (repeats, duplicate))
+    del empty, repeats
+    return LabelMatrix(
+        num_workers=len(w_keys),
+        num_items=len(i_keys),
+        num_classes=int(num_classes),
+        workers=workers,
+        items=items,
+        labels=labels,
+        worker_ids=(*known[0], *table.decode(w_keys[len(known[0]):])),
+        item_ids=(*known[1], *table.decode(i_keys[len(known[1]):])),
+    )
 
 
 def _unwritable(x) -> bool:
@@ -385,7 +389,7 @@ def from_triples(triples, num_classes, worker_ids=None, item_ids=None) -> LabelM
         wids, iids, labs = zip(*rows[:end]) if end else ((), (), ())
         labs = list(map(_triple_label, labs))
         index = {lab: k for k, lab in enumerate(dict.fromkeys(labs))}
-        yield ([], table.of(wids), table.of(iids), list(index),
+        yield ([], [table.of(wids), table.of(iids)], list(index),
                np.fromiter(map(index.__getitem__, labs), np.int64, len(labs)))
         if end < len(rows):
             wid, iid, lab = rows[end]
@@ -431,12 +435,13 @@ def _chunks(fh, sep):
 
 
 def _csv_rows(path, fields, table):
-    """Yield (skips, keys of each field, from `table`) per chunk of a
-    comma-separated file.
+    """Yield (skips, keys, labels, inverse) per chunk of a comma-separated
+    file whose last field is a label: keys holds the keys, from `table`, of
+    each other field, and the rows hold labels[inverse].
 
     Empty lines are skipped and a line-1 header equal to `fields` (case and
     padding aside) is dropped; `skips` holds the number of rows before each
-    skipped line, from which _line_of recovers a row's line number. Fields
+    skipped line, from which a row's line number is recovered. Fields
     are stripped as str.strip does. A line with the wrong field count raises
     after the rows before it are yielded, so callers see faults in file order.
     """
@@ -449,9 +454,11 @@ def _csv_rows(path, fields, table):
                 skip[0] = True  # optional header, skipped like a blank line
             r, field_starts, field_ends = _fields(stops, ~skip, widths, width)
             at = np.flatnonzero(skip[:r])
-            keys = [table.pack(buf, *_strip(buf, s, e))
-                    for s, e in zip(field_starts.T, field_ends.T)]
-            yield (rows + at - np.arange(len(at))).tolist(), keys
+            *keys, labels = [table.pack(buf, *_strip(buf, s, e))
+                             for s, e in zip(field_starts.T, field_ends.T)]
+            inverse, first = _rank(labels)  # only the distinct labels are decoded
+            yield ((rows + at - np.arange(len(at))).tolist(), keys, table.decode(labels[first]),
+                   inverse)
             if r < len(ends):
                 raise LabelFileError(f"expected {width} comma-separated fields, "
                                      f"got {widths[r]}", line_no + r)
@@ -493,13 +500,9 @@ def load_labels(path, num_classes, label_base=0) -> LabelMatrix:
     label_base 1 shifts incoming labels down by one for datasets encoded 1..K;
     num_classes K must be at least 2.
     """
-    if label_base not in (0, 1):
-        raise ValueError("label_base must be 0 or 1")
     table = _Keys()
-    chunks = ((skips, w_keys, i_keys, *_distinct(table, labels))
-              for skips, (w_keys, i_keys, labels)
-              in _csv_rows(path, ["worker", "item", "label"], table))
-    return _intern(chunks, table, num_classes, label_base)
+    return _intern(_csv_rows(path, ["worker", "item", "label"], table), table, num_classes,
+                   label_base)
 
 
 def _write_rows(path, header, row_format, columns) -> None:
@@ -538,54 +541,28 @@ def load_gold(path, item_ids, num_classes, label_base=0) -> GoldLabels:
     """Load an `item_id,label` CSV keyed against a known item-ID order.
 
     Per row, in order: the item is known, the label passes the labels-file
-    rule, and the item has no gold label on an earlier row. Gold ids are
-    joined to item_ids (the last of equal ids wins) by one sort of both.
+    rule, and the item has no gold label on an earlier row. The first fault in
+    file order is raised, as by load_labels. Gold ids are joined to item_ids
+    (the last of equal ids wins) by one sort of both.
     """
     codes = _LabelCodes(num_classes, label_base, _GOLD_FAULTS)
     table = _Keys()
-    keys = _Rows(table.of(item_ids))  # the item ids, then the gold rows' ids
-    known = keys.used
-    classes = _Rows(np.empty(0, np.int64))
-    skips, label_fault = [], None
+    known = len(item_ids)
+    skips, (keys,), gold, error = _read_rows(_csv_rows(path, ["item", "label"], table), codes,
+                                             [table.of(item_ids)])
+    ranks, first = _rank(keys)
+    last = np.full(len(first), -1, dtype=np.int64)  # per id, its last item index
+    np.maximum.at(last, ranks[:known], np.arange(known))
+    ranks = ranks[known:]
+    index = last[ranks]
 
-    def join():
-        ranks, first = _rank(keys.array())
-        last = np.full(len(first), -1, dtype=np.int64)  # per id, its last item index
-        np.maximum.at(last, ranks[:known], np.arange(known))
-        ranks = ranks[known:]
-        index = last[ranks]
-        gold = classes.array()
-        rows = np.arange(len(gold))
-        seen = np.full(len(first), len(gold))  # per id, its first gold row
-        np.minimum.at(seen, ranks, rows)
-        faults = np.flatnonzero((index < 0) | (gold < 0) | (seen[ranks] != rows))
-        if len(faults):
-            r = int(faults[0])
-            line, iid = _line_of(skips, r), table.decode(keys.array()[[known + r]])[0]
-            if index[r] < 0:
-                raise LabelFileError(f"unknown item id {iid!r}", line)
-            if gold[r] < 0:
-                raise LabelFileError(label_fault, line)
-            raise LabelFileError(f"second gold label for item {iid!r}", line)
-        return GoldLabels(dict(zip(index.tolist(), gold.tolist())))
+    def item(r):
+        return table.decode(keys[known + r:known + r + 1])[0]
 
-    try:
-        for chunk_skips, (item_keys, label_keys) in _csv_rows(path, ["item", "label"], table):
-            skips += chunk_skips
-            labels, inverse = _distinct(table, label_keys)
-            chunk = codes.classes(labels, inverse)
-            bad = np.flatnonzero(chunk < 0)
-            if len(bad):  # rows after the first faulting label are not read
-                label_fault = codes.bad[labels[inverse[bad[0]]]]
-                item_keys, chunk = item_keys[:bad[0] + 1], chunk[:bad[0] + 1]
-            keys.append(item_keys)
-            classes.append(chunk)
-            if len(bad):
-                break
-    except Exception:
-        join()  # a fault on an earlier row comes first in file order
-        raise
-    return join()
+    _raise_first(skips, error, (index < 0, lambda r: f"unknown item id {item(r)!r}"),
+                 (gold < 0, lambda r: codes.bad[-1 - gold[r]]),
+                 (_repeats(ranks), lambda r: f"second gold label for item {item(r)!r}"))
+    return GoldLabels(dict(zip(index.tolist(), gold.tolist())))
 
 
 @dataclass(frozen=True)

@@ -160,12 +160,16 @@ def _posterior_rows(labels: LabelMatrix, posterior) -> np.ndarray:
     """gather_rows(labels.items, posterior), read-only, behind the slot.
 
     The M-step holds the posterior fixed, so the rows are gathered once per
-    posterior, and a new score point keeps them.
+    posterior, and a new score point keeps them. A posterior that is not
+    (items, K) is refused; the slot's key holds the shape, so a stored value
+    has been checked.
     """
     return _derived(labels, "rows", _rows, np.asarray(posterior))
 
 
 def _rows(labels: LabelMatrix, posterior) -> np.ndarray:
+    if posterior.shape != (labels.num_items, labels.num_classes):
+        raise ValueError("posterior shape does not match the label matrix")
     rows = gather_rows(labels.items, posterior)
     rows.setflags(write=False)
     return rows
@@ -250,8 +254,6 @@ def m_step_gradients(labels: LabelMatrix, posterior, worker_params, item_params,
     reduction order, so results are reproducible).
     """
     K = labels.num_classes
-    if posterior.shape != (labels.num_items, K):
-        raise ValueError("posterior shape does not match the label matrix")
     prob, _ = _model(labels, worker_params, item_params, hyper.mode)
     # (K, K, L): I(x_l = k) - P(k | c), then times Q(c) in place
     per_obs = np.subtract(labels.labels == np.arange(K)[:, None], prob)

@@ -119,3 +119,9 @@ class TestDawidSkene:
         lm = from_triples([("w", "i", 0)], 2)
         with pytest.raises(ValueError):
             dawid_skene_em(lm, smoothing=-0.1)
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_fewer_than_one_iteration_rejected(self, max_iters):
+        lm = from_triples([("w", "i", 0)], 2)
+        with pytest.raises(ValueError, match="^max_iters must be >= 1$"):
+            dawid_skene_em(lm, max_iters=max_iters)

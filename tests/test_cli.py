@@ -430,6 +430,14 @@ class TestEvaluate:
                      "--gold", str(bad), "--label-base", "1"])
         assert code == EXIT_USAGE
 
+    def test_posterior_without_probability_columns_is_usage_error(self, tmp_path, capsys):
+        post = tmp_path / "p.tsv"
+        post.write_text("item\tpredicted\na\t0\n")
+        gold = write_csv(tmp_path / "g.csv", [("a", 0)])
+        code = main(["evaluate", "--predictions", str(post), "--gold", str(gold)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: need at least 2 classes, got 0\n"
+
     def test_overflowing_predicted_label_is_usage_error(self, tmp_path, capsys):
         post = tmp_path / "big.tsv"
         post.write_text("item\tpredicted\tp0\tp1\na\t99999999999999999999\t0.5\t0.5\n")

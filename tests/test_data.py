@@ -75,12 +75,20 @@ class TestLoadLabels:
         ("w1,i1,1\nw2,i1\n", "line 3: duplicate observation"),
         ("w2,i2,0\nw1,i2,0\nw2,i2,1\nw1,i1,0\n", "line 5: duplicate observation "
                                                   "for worker 'w2', item 'i2'"),
+        # on one line: an empty id, then the label, then a repeated pair
+        ("w1,i1,9\n", "line 3: label 9 out of range"),
+        ("w1,i1,x\nbroken\n", "line 3: label 'x' is not an integer"),
+        (",i1,x\n", "line 3: empty worker or item id"),
     ])
     def test_first_fault_in_file_order_is_reported(self, tmp_path, rows, message):
         p = tmp_path / "l.csv"
         p.write_text(f"worker,item,label\nw1,i1,0\n{rows}")
         with pytest.raises(LabelFileError, match=f"^{message}"):
             load_labels(p, 2)
+
+    def test_label_base_other_than_zero_or_one_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="^label_base must be 0 or 1$"):
+            load_labels(tmp_path / "missing.csv", 2, label_base=2)
 
     def test_label_base_one(self, tmp_path):
         p = write_csv(tmp_path / "l.csv", [("w", "i", 1), ("w", "j", 3)])
@@ -332,6 +340,69 @@ class TestGold:
                            match="^line 3: second gold label for item 'i1'$") as err:
             load_gold(p, three_worker_labels.item_ids, 3)
         assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("rows, message", [
+        ("i1,0\ni1,9\n", "line 2: gold label 9 out of range"),
+        ("nope,9\n", "line 1: unknown item id 'nope'"),
+        ("i1,x\nbroken\n", "line 1: gold label 'x' is not an integer"),
+        ("i1,0\ni2,1\ni1,1\nbroken\n", "line 3: second gold label for item 'i1'"),
+    ])
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, three_worker_labels, rows,
+                                                   message):
+        p = tmp_path / "g.csv"
+        p.write_text(rows)
+        with pytest.raises(LabelFileError, match=f"^{message}$"):
+            load_gold(p, three_worker_labels.item_ids, 3)
+
+    @pytest.mark.parametrize("classes, base, message", [
+        (1, 0, "need at least 2 classes, got 1"),
+        (0, 0, "need at least 2 classes, got 0"),
+        (2, 2, "label_base must be 0 or 1"),
+    ])
+    def test_label_settings_are_checked_before_the_file_is_read(self, tmp_path, classes, base,
+                                                                message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_gold(tmp_path / "missing.csv", ["i1"], classes, base)
+
+
+def counted_chunks(monkeypatch):
+    """A list that gains each chunk's buffer read from now on."""
+    bufs = []
+    read = data._chunks
+
+    def counted(fh, sep):
+        for chunk in read(fh, sep):
+            bufs.append(chunk[0])
+            yield chunk
+
+    monkeypatch.setattr(data, "_chunks", counted)
+    return bufs
+
+
+@pytest.mark.parametrize("reader", ["labels", "gold"])
+def test_reading_stops_after_the_chunk_with_the_first_faulting_label(tmp_path, monkeypatch,
+                                                                      reader):
+    bufs = counted_chunks(monkeypatch)
+    ids = [f"i{k:02d}" for k in range(60)]
+    if reader == "labels":
+        lines = [f"w{k:02d},{iid},0" for k, iid in enumerate(ids)]
+    else:
+        lines = [f"{iid},1" for iid in ids]
+
+    def load(p):
+        return load_labels(p, 2) if reader == "labels" else load_gold(p, ids, 2)
+
+    p = tmp_path / "f.csv"
+    p.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(data, "_CHUNK_CHARS", p.stat().st_size // 3)  # 20 lines a chunk
+    load(p)
+    assert len(bufs) == 3
+    lines[1] = lines[1][:-1] + "7"  # a bad label in the first chunk
+    p.write_text("\n".join(lines) + "\n")
+    bufs.clear()
+    with pytest.raises(LabelFileError, match="^line 2: "):
+        load(p)
+    assert len(bufs) == 1
 
 
 # Row-at-a-time reference readers: the rules of the chunked readers, one line

@@ -591,6 +591,16 @@ class TestFixedInputs:
         assert after == self.fresh_value(lm, q, wp, ip, h)
         assert np.array_equal(solver._posterior_rows(lm, q), solver.gather_rows(lm.items, q))
 
+    @pytest.mark.parametrize("fn", [penalized_likelihood, dual_objective, m_step_gradients])
+    @pytest.mark.parametrize("wrong", [lambda q: q[:, :1], lambda q: np.vstack([q, q[:3]])],
+                             ids=["one class", "three more items"])
+    def test_posterior_of_the_wrong_shape_is_refused(self, fn, wrong):
+        lm = synthetic.random_instance(3)
+        wp, ip, q = random_state(lm, 3)
+        fn(lm, q, wp, ip, HyperParams())  # the right shape fills the slot first
+        with pytest.raises(ValueError, match="^posterior shape does not match"):
+            fn(lm, wrong(q), wp, ip, HyperParams())
+
     def test_other_labels_get_fresh_rows(self, monkeypatch):
         calls = counted_row_gathers(monkeypatch)
         lm = synthetic.random_instance(15)

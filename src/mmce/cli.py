@@ -145,6 +145,12 @@ def cmd_select(args) -> int:
         report = selection.validation_select(labels, gold, config)
     else:
         report = selection.cross_validate(labels, config)
+    if report.unconverged_fits:
+        log.warning("%d of the %d fits that scored the grid did not converge in %d "
+                    "iterations; their scores are used as they are",
+                    report.unconverged_fits,
+                    sum(len(scores) for scores in report.per_fold.values()),
+                    config.max_outer_iters)
     if report.at_edge:
         log.warning("selected gamma=%g is at the edge of the grid %g..%g; a better "
                     "value may lie beyond it", report.selected_gamma,

@@ -4,6 +4,8 @@ validation-set selection against known labels."""
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +60,7 @@ class CVReport:
     alpha: float
     beta: float
     metric: str = "heldout_loglik"
+    unconverged_fits: int = 0                  # fits that stopped at max_outer_iters
 
     @property
     def at_edge(self) -> bool:
@@ -136,13 +139,12 @@ def cross_validate(labels: LabelMatrix, config: CVConfig) -> CVReport:
         raise ValueError(f"cannot split {labels.num_labels} labels into {config.folds} folds")
     assignment = partition_folds(labels.num_labels, config.folds, config.seed)
 
-    def score(hyper):
-        return [heldout_loglik(solver.fit(labels.subset(assignment != f), hyper),
-                               labels.subset(assignment == f), hyper,
-                               config.heldout_scoring)
-                for f in range(config.folds)]
+    def score(hyper, f):
+        result = solver.fit(labels.subset(assignment != f), hyper)
+        return (heldout_loglik(result, labels.subset(assignment == f), hyper,
+                               config.heldout_scoring), result.converged)
 
-    return _select(labels, config, score, "heldout_loglik")
+    return _select(labels, config, config.folds, score, "heldout_loglik")
 
 
 def validation_select(labels: LabelMatrix, gold: GoldLabels,
@@ -153,21 +155,79 @@ def validation_select(labels: LabelMatrix, gold: GoldLabels,
         raise ValueError("validation selection needs non-empty gold labels")
     measure, metric = ((mean_square_error, "mse") if config.mode == Mode.ORDINAL
                        else (error_rate, "error_rate"))
-    return _select(labels, config,
-                   lambda hyper: [measure(solver.fit(labels, hyper).predicted, gold)], metric)
+
+    def score(hyper, _):
+        result = solver.fit(labels, hyper)
+        return measure(result.predicted, gold), result.converged
+
+    return _select(labels, config, 1, score, metric)
 
 
-def _select(labels: LabelMatrix, config: CVConfig, score, metric: str) -> CVReport:
-    """Score each gamma of the grid with score(hyper), a list of per-fold
-    scores, and pick the best mean: the largest held-out log-likelihood or the
-    smallest error, with ties going to the smaller gamma. Every gamma is
-    resolved before the first fit."""
-    resolved = {g: resolve_hyperparams(g, labels) for g in config.gamma_grid}
-    per_fold = {g: score(config.hyper(*resolved[g])) for g in config.gamma_grid}
-    means = {g: float(np.mean(per_fold[g])) for g in config.gamma_grid}
+def _select(labels: LabelMatrix, config: CVConfig, folds: int, score,
+            metric: str) -> CVReport:
+    """Score each gamma of the grid on each of `folds` folds and pick the best
+    mean: the largest held-out log-likelihood or the smallest error, with ties
+    going to the smaller gamma. score(hyper, fold) fits one model and returns
+    its score and whether the fit converged. Every gamma is resolved before
+    the first fit; the fits run through `_map`."""
+    grid = tuple(config.gamma_grid)
+    resolved = [resolve_hyperparams(g, labels) for g in grid]
+    hypers = [config.hyper(*ab) for ab in resolved]
+    results = _map(lambda i, f: score(hypers[i], f),
+                   [(i, f) for i in range(len(grid)) for f in range(folds)])
+    per_fold = {g: [s for s, _ in results[i * folds:(i + 1) * folds]]
+                for i, g in enumerate(grid)}
+    means = {g: float(np.mean(per_fold[g])) for g in grid}
     best = (max if metric == "heldout_loglik" else min)(means.values())
-    selected = min(g for g in config.gamma_grid if means[g] == best)
-    return CVReport(gamma_grid=tuple(config.gamma_grid), per_fold=per_fold,
-                    mean_scores=means, selected_gamma=selected,
-                    alpha=resolved[selected][0], beta=resolved[selected][1],
-                    metric=metric)
+    selected = min(g for g in grid if means[g] == best)
+    alpha, beta = resolved[grid.index(selected)]
+    return CVReport(gamma_grid=grid, per_fold=per_fold, mean_scores=means,
+                    selected_gamma=selected, alpha=alpha, beta=beta, metric=metric,
+                    unconverged_fits=sum(not converged for _, converged in results))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, as `taskset` limits them; 1 where the
+    platform cannot fork or cannot tell."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+# The task of the running `_map`. It is set before the workers fork, so they
+# inherit it with everything it reads (the labels, the folds); only task
+# arguments and results are pickled.
+_task = [None]
+
+
+def _run_task(*args):
+    return _task[0](*args)
+
+
+def _map(task, args: list) -> list:
+    """[task(*a) for a in args], in order.
+
+    With two or more usable CPUs the tasks run in forked worker processes, one
+    task at a time each, and the results are collected in task order, so the
+    outcome is the one a serial run gives. A task that raises fails the map
+    with its exception, and the tasks still pending are cancelled. No worker
+    outlives the call, whether it returns or raises. A process with more than
+    one thread runs the tasks itself: a fork copies only the calling thread,
+    so a lock held by another thread would stay held in the workers. So does
+    a process whose `solver.fit` has been wrapped (`functools.wraps` marks a
+    wrapper with `__wrapped__`), as a tracer or profiler does: the wrapper
+    records into this process's memory, where a worker's calls would be lost.
+    """
+    workers = min(len(args), _usable_cpus())
+    if (workers < 2 or threading.active_count() > 1
+            or hasattr(solver.fit, "__wrapped__")):
+        return [task(*a) for a in args]
+    import multiprocessing  # here, so that a serial run never loads it
+    from concurrent.futures import ProcessPoolExecutor
+
+    _task[0] = task
+    try:
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_run_task, *zip(*args)))
+    finally:
+        _task[0] = None

@@ -113,7 +113,8 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
 
 
 # What the solver derives from one LabelMatrix object, as {"labels": labels,
-# name: (key of the inputs, value)}, or None; see `_derived`.
+# name: (key of the inputs, value)}, or None; see `_derived`. Each process has
+# its own slot: a CV fold fit in a forked worker fills and empties the worker's.
 _memo = [None]
 
 

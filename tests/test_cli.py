@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -295,6 +296,61 @@ class TestSelect:
         code = main(["select", "--labels", str(labels_csv(tmp_path)),
                      "--classes", "3", "--label-base", "1", "--grid", "abc"])
         assert code == EXIT_USAGE
+
+
+class TestSelectOnSeveralCPUs:
+    @pytest.mark.parametrize("gold", [False, True])
+    def test_outputs_equal_the_one_cpu_outputs(self, tmp_path, monkeypatch, capsys, gold):
+        extra = ["--gold", str(gold_csv(tmp_path))] if gold else []
+        outputs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(selection, "_usable_cpus", lambda cpus=cpus: cpus)
+            report = tmp_path / f"cv{cpus}.csv"
+            code = main(["select", "--labels", str(labels_csv(tmp_path)), "--classes", "3",
+                         "--label-base", "1", "--grid", "0.25,1,4", "--folds", "3",
+                         "--out", str(report), "--fit-final", *extra])
+            outputs.append((code, report.read_bytes(),
+                            Path(f"{report}.posterior.tsv").read_bytes(),
+                            capsys.readouterr().out.replace(report.name, "cv.csv")))
+        assert outputs[0] == outputs[1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_raising_fold_fit_leaves_no_worker(self, tmp_path, monkeypatch, capsys, cpus):
+        monkeypatch.setattr(selection, "_usable_cpus", lambda: cpus)
+        labels = data.load_labels(labels_csv(tmp_path), 3, 1)
+        failing_alpha, _ = selection.resolve_hyperparams(1.0, labels)
+        fit = solver.fit
+
+        def fit_or_raise(labels, hyper):
+            # of the two folds' training sets, one lacks label 0 (worker 0, item 0)
+            has_first = np.any((labels.workers == 0) & (labels.items == 0))
+            if hyper.alpha == failing_alpha and not has_first:
+                raise ValueError("fold fit failed on purpose")
+            return fit(labels, hyper)
+
+        monkeypatch.setattr(solver, "fit", fit_or_raise)
+        code = main(["select", "--labels", str(labels_csv(tmp_path)), "--classes", "3",
+                     "--label-base", "1", "--grid", "0.5,1,2", "--folds", "2",
+                     "--out", str(tmp_path / "cv.csv")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: fold fit failed on purpose\n"
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "cv.csv").exists()
+
+    @pytest.mark.parametrize("gold,fits", [(False, 4), (True, 2)])
+    def test_one_warning_for_fits_that_did_not_converge(self, tmp_path, caplog, capsys,
+                                                        gold, fits):
+        extra = ["--gold", str(gold_csv(tmp_path))] if gold else []
+        code = main(["select", "--labels", str(labels_csv(tmp_path)), "--classes", "3",
+                     "--label-base", "1", "--grid", "0.25,1", "--folds", "2",
+                     "--max-iters", "1", *extra])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.startswith("selected gamma=")
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"
+                    and "converge" in r.getMessage()]
+        assert warnings == [f"{fits} of the {fits} fits that scored the grid did not "
+                            "converge in 1 iterations; their scores are used as they are"]
 
 
 class TestSelectEdgeWarning:

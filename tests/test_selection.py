@@ -1,11 +1,15 @@
+import functools
+import multiprocessing
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmce import synthetic
+from mmce import selection, synthetic
 from mmce.confusion import Mode, RegularizerVariant
 from mmce.data import GoldLabels, from_triples
 from mmce.evaluation import error_rate
@@ -222,6 +226,87 @@ class TestValidationSelect:
         lm = synthetic.random_instance(1)
         with pytest.raises(ValueError):
             validation_select(lm, GoldLabels({}), CVConfig(folds=2))
+
+
+def planted_and_gold():
+    conf = np.stack([synthetic.diagonal_confusion(2, 0.75)] * 8)
+    return synthetic.sample_labels(8, 40, 2, 4, conf, seed=6)
+
+
+def run_selection(select, labels, gold, config):
+    return (select(labels, config) if select is cross_validate
+            else select(labels, gold, config))
+
+
+class TestFitsOnSeveralCPUs:
+    @pytest.mark.parametrize("select", [cross_validate, validation_select])
+    def test_report_equals_the_one_cpu_report(self, monkeypatch, select):
+        lm, gold = planted_and_gold()
+        config = CVConfig(folds=3, gamma_grid=(0.25, 1.0, 4.0), max_outer_iters=20)
+        reports = []
+        for cpus in (1, 3):  # three workers on a host of any size
+            monkeypatch.setattr(selection, "_usable_cpus", lambda cpus=cpus: cpus)
+            reports.append(run_selection(select, lm, gold, config))
+        assert reports[0] == reports[1]  # per-fold scores compared exactly
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("select", [cross_validate, validation_select])
+    def test_tasks_run_in_forked_workers(self, monkeypatch, select):
+        # each task scores with the id of the process that ran it
+        monkeypatch.setattr(selection, "heldout_loglik", lambda *a: float(os.getpid()))
+        monkeypatch.setattr(selection, "error_rate", lambda *a: float(os.getpid()))
+        lm, gold = planted_and_gold()
+        config = CVConfig(folds=3, gamma_grid=(0.25, 1.0, 4.0), max_outer_iters=2)
+        for cpus in (1, 2):
+            monkeypatch.setattr(selection, "_usable_cpus", lambda cpus=cpus: cpus)
+            report = run_selection(select, lm, gold, config)
+            pids = {s for scores in report.per_fold.values() for s in scores}
+            if cpus == 1:
+                assert pids == {os.getpid()}
+            else:
+                assert os.getpid() not in pids and 1 <= len(pids) <= 2
+        assert multiprocessing.active_children() == []
+
+    def test_a_process_with_threads_does_not_fork(self, monkeypatch):
+        monkeypatch.setattr(selection, "heldout_loglik", lambda *a: float(os.getpid()))
+        monkeypatch.setattr(selection, "_usable_cpus", lambda: 2)
+        lm, _ = planted_and_gold()
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            report = cross_validate(lm, CVConfig(folds=2, gamma_grid=(1.0,),
+                                                 max_outer_iters=2))
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert report.per_fold == {1.0: [float(os.getpid())] * 2}
+
+    @pytest.mark.parametrize("select", [cross_validate, validation_select])
+    def test_a_wrapped_fit_sees_every_fit_in_this_process(self, monkeypatch, select):
+        fit, pids = selection.solver.fit, []
+
+        @functools.wraps(fit)
+        def recorded(*args, **kwargs):
+            pids.append(os.getpid())
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(selection.solver, "fit", recorded)
+        monkeypatch.setattr(selection, "_usable_cpus", lambda: 2)
+        lm, gold = planted_and_gold()
+        config = CVConfig(folds=3, gamma_grid=(0.25, 1.0), max_outer_iters=2)
+        run_selection(select, lm, gold, config)
+        assert pids == [os.getpid()] * (6 if select is cross_validate else 2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("select", [cross_validate, validation_select])
+    def test_counts_the_fits_that_did_not_converge(self, select):
+        lm, gold = planted_and_gold()
+        fits = 6 if select is cross_validate else 2
+        for iters, unconverged in ((1, fits), (200, 0)):
+            config = CVConfig(folds=3, gamma_grid=(0.25, 1.0), max_outer_iters=iters)
+            assert run_selection(select, lm, gold, config).unconverged_fits == unconverged
 
 
 class TestCVConfigValidation:

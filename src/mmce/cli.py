@@ -108,7 +108,7 @@ def cmd_aggregate(args) -> int:
         predicted = np.argmax(posterior, axis=1)
         trace = (np.arange(1, len(loglik) + 1), np.full(len(loglik), "em"),
                  np.array(loglik))
-    elif args.method == "mmce":
+    else:  # mmce; argparse refuses any other method
         if args.gamma is not None:
             hyper.alpha, hyper.beta = selection.resolve_hyperparams(args.gamma, labels)
             print(f"resolved alpha={hyper.alpha:g} beta={hyper.beta:g} from gamma={args.gamma:g}")
@@ -121,8 +121,6 @@ def cmd_aggregate(args) -> int:
         if not result.converged:
             log.warning("solver did not converge in %d iterations", result.iterations)
             exit_code = EXIT_NOT_CONVERGED
-    else:
-        raise UsageError(f"unknown method {args.method!r}")
     data.write_posterior(args.out, labels, posterior, predicted)  # first: it can refuse the ids
     if args.params_out:
         write_params(args.params_out, result.worker_params, result.item_params, hyper.mode)
@@ -166,6 +164,7 @@ def cmd_select(args) -> int:
         data.write_posterior(out, labels, result.posterior, result.predicted)
         print(f"final posterior written to {out}")
         if not result.converged:
+            log.warning("solver did not converge in %d iterations", result.iterations)
             return EXIT_NOT_CONVERGED
     return EXIT_OK
 

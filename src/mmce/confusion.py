@@ -1,9 +1,10 @@
-"""Worker/item confusion parameterizations, the labeling model, and regularizers.
+"""Worker/item confusion parameterizations, the regularizers, `logsumexp`,
+and the params sidecar.
 
 Two parameterizations are supported: dense (entity, c, k) score tensors, and
 a structured ordinal form with one score per (threshold s, relation pair).
 The ordinal form expands linearly to a dense tensor, so the labeling model
-itself is shared.
+(`solver._log_model`) is shared.
 """
 
 from __future__ import annotations
@@ -98,9 +99,7 @@ def _flat_basis(K: int) -> np.ndarray:
 def center(params: np.ndarray) -> np.ndarray:
     """Subtract per-entity group means: one mean over the diagonal entries and
     one over the off-diagonal entries. A symmetric idempotent linear map."""
-    ent, K, K2 = params.shape
-    if K != K2:
-        raise ValueError("centered regularizer applies to dense square tensors only")
+    ent, K, _ = params.shape
     eye = np.eye(K, dtype=bool)
     diag_mean = params[:, eye].mean(axis=1)
     off_mean = params[:, ~eye].mean(axis=1) if K > 1 else np.zeros(ent)

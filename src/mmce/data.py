@@ -580,10 +580,8 @@ def summarize(labels: LabelMatrix, gold: GoldLabels | None = None) -> DatasetSum
     """Dataset counts, mean labels per worker/item, optional worker error vs gold."""
     avg_err = None
     if gold is not None and len(gold) > 0:
-        gold_items = np.asarray(sorted(gold.by_item), dtype=np.int64)
-        gold_vals = np.asarray([gold.by_item[i] for i in gold_items], dtype=np.int64)
         lut = np.full(labels.num_items, -1, dtype=np.int64)
-        lut[gold_items] = gold_vals
+        lut[list(gold.by_item)] = list(gold.by_item.values())
         on_gold = lut[labels.items] >= 0
         if on_gold.any():
             avg_err = float(np.mean(labels.labels[on_gold] != lut[labels.items[on_gold]]))

@@ -57,13 +57,13 @@ class EvalReport:
 
 
 def _gold_arrays(predictions, gold: GoldLabels):
-    """Gold items that have a prediction, in index order, and their true classes."""
+    """Gold items that have a prediction, in gold order, and their true classes
+    (every score is a count or a mean of small integers, so order is moot)."""
     n = len(gold.by_item)
     items = np.fromiter(gold.by_item.keys(), dtype=np.int64, count=n)
     truth = np.fromiter(gold.by_item.values(), dtype=np.int64, count=n)
     keep = items < len(predictions)
-    order = np.argsort(items[keep], kind="stable")
-    items, truth = items[keep][order], truth[keep][order]
+    items, truth = items[keep], truth[keep]
     if len(items) == 0:
         raise ValueError("no gold items have predictions")
     return items, truth

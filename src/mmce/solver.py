@@ -11,7 +11,7 @@ preconditioner alone would not ensure that (see `_curvature_bound`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -446,9 +446,8 @@ def polish_stationary_point(labels: LabelMatrix, result: FitResult,
                 scores[sat] = np.sign(scores[sat]) * 600.0
     finally:
         _memo[0] = None  # keep nothing past the polish, whether it returns or raises
-    return FitResult(posterior=q, worker_params=wp, item_params=ip,
-                     objective_trace=list(result.objective_trace),
-                     converged=result.converged, iterations=result.iterations)
+    return replace(result, posterior=q, worker_params=wp, item_params=ip,
+                   objective_trace=list(result.objective_trace))
 
 
 def _label_entropy(labels: LabelMatrix, posterior, prob) -> float:

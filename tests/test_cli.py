@@ -263,6 +263,17 @@ class TestSelect:
         assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
         assert (tmp_path / "val.csv.posterior.tsv").exists()
 
+    def test_final_fit_that_did_not_converge_is_warned(self, tmp_path, caplog, capsys):
+        code = main(["select", "--labels", str(labels_csv(tmp_path)), "--classes", "3",
+                     "--label-base", "1", "--grid", "1", "--folds", "2", "--max-iters", "1",
+                     "--out", str(tmp_path / "cv.csv"), "--fit-final"])
+        assert code == EXIT_NOT_CONVERGED
+        assert "final posterior written to" in capsys.readouterr().out
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["2 of the 2 fits that scored the grid did not converge in 1 "
+                            "iterations; their scores are used as they are",
+                            "solver did not converge in 1 iterations"]
+
     def test_more_folds_than_labels_rejected(self, tmp_path, capsys):
         labels = write_csv(tmp_path / "three.csv", [("a", "i", 1), ("b", "i", 2),
                                                     ("a", "j", 2)])

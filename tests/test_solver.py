@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 import weakref
@@ -829,6 +830,28 @@ class TestDualObjective:
     def test_entropy_zero_log_zero(self):
         assert entropy(np.array([[1.0, 0.0]])) == 0.0
 
+    @staticmethod
+    def relabeled(seed, variant):
+        """The dual before and after one shift of the true-class axis c of both
+        score tensors and of the posterior's columns."""
+        lm = synthetic.random_instance(seed)
+        wp, ip, q = random_state(lm, seed + 1)
+        h = HyperParams(alpha=0.7, beta=0.4, variant=variant)
+        perm = np.roll(np.arange(lm.num_classes), 1)
+        return (dual_objective(lm, q, wp, ip, h),
+                dual_objective(lm, q[:, perm], wp[:, perm], ip[:, perm], h))
+
+    def test_euclidean_dual_is_invariant_under_relabeling_the_true_class(self):
+        for seed in range(30):
+            before, after = self.relabeled(seed, RegularizerVariant.EUCLIDEAN)
+            assert after == pytest.approx(before, rel=1e-9, abs=0)
+
+    def test_centered_dual_is_not_invariant_under_relabeling_the_true_class(self):
+        # with K = 3 (seed 0) the shift mixes diagonal and off-diagonal scores,
+        # which the centered penalty's two group means tell apart
+        before, after = self.relabeled(0, RegularizerVariant.CENTERED)
+        assert abs(after - before) > 1e-3 * abs(before)
+
 
 class TestFit:
     def test_single_perfect_worker(self):
@@ -872,6 +895,17 @@ class TestKlIdentity:
         r = fit(labels, h)
         polished = polish_stationary_point(labels, r, h)
         assert kl_identity_check(labels, polished, h) < 1e-6
+
+    def test_polish_keeps_the_fit_record(self):
+        conf = np.array([synthetic.diagonal_confusion(2, 0.7)] * 4)
+        lm, _ = synthetic.sample_labels(4, 8, 2, 4, conf, 0)
+        h = HyperParams(alpha=0.0, beta=0.0, max_outer_iters=20)
+        r = dataclasses.replace(fit(lm, h), line_search_failures=3)
+        polished = polish_stationary_point(lm, r, h)
+        assert polished.line_search_failures == 3
+        assert (polished.converged, polished.iterations) == (r.converged, r.iterations)
+        np.testing.assert_array_equal(polished.posterior, round_posterior(r.posterior))
+        assert polished.objective_trace == r.objective_trace
 
     def test_nonzero_away_from_stationarity(self):
         lm = synthetic.random_instance(23)

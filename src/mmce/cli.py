@@ -44,7 +44,8 @@ def _add_solver_flags(p):
     p.add_argument("--variant", choices=[v.value for v in RegularizerVariant],
                    default=defaults.variant.value)
     p.add_argument("--max-iters", type=int, default=defaults.max_outer_iters)
-    p.add_argument("--inner-steps", type=int, default=defaults.inner_gradient_steps)
+    p.add_argument("--inner-steps", type=int, default=defaults.inner_gradient_steps,
+                   help="Armijo-guarded ascent steps on the scores per M-step")
     p.add_argument("--tol", type=float, default=defaults.tol)
     p.add_argument("--seed", type=int, default=selection.CVConfig.seed,
                    help="CV fold seed for select; the fit itself is deterministic")

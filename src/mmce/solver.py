@@ -1,11 +1,14 @@
 """Coordinate-ascent solver for the regularized minimax-entropy dual objective.
 
 Alternates an exact posterior update (Bayes rule with a uniform prior, the
-block maximizer in Q) with a few backtracking ascent steps on the worker/item
-scores along the gradient over a fixed diagonal preconditioner. The E-step
-maximizes its block and the Armijo search accepts only steps that raise the
-objective, so the trace is non-decreasing up to float slack; the
-preconditioner alone would not ensure that (see `_curvature_bound`).
+block maximizer in Q) with one backtracking ascent step on the worker/item
+scores along the gradient over a fixed diagonal preconditioner (more with
+`inner_gradient_steps`). The E-step maximizes its block and the Armijo search
+accepts only steps that raise the objective, so the trace is non-decreasing
+up to float slack; the preconditioner alone would not ensure that (see
+`_curvature_bound`). This is a generalized EM (Dempster, Laird & Rubin 1977):
+an M-step need only raise its block, and solving it further buys few outer
+iterations, since the alternation's rate sets their number.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ class HyperParams:
     mode: Mode = Mode.MULTICLASS
     variant: RegularizerVariant = RegularizerVariant.EUCLIDEAN
     max_outer_iters: int = 200
-    inner_gradient_steps: int = 5
+    inner_gradient_steps: int = 1
     tol: float = 1e-6
     clamp_item_params: bool = False  # freeze tau at 0 (Dawid-Skene reduction)
     exact_m_step: bool = False  # solve the M-step block to optimality via L-BFGS
@@ -324,7 +327,8 @@ def _curvature_bound(labels: LabelMatrix, posterior, hyper: HyperParams):
 
 def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
            hyper: HyperParams):
-    """A few backtracking ascent steps on the penalized likelihood.
+    """`inner_gradient_steps` backtracking ascent steps (one by default) on the
+    penalized likelihood.
 
     Each step moves along d = g / b, with b from `_curvature_bound` and d = 0
     where b = 0 (no mass and no penalty reach that score, so g = 0 there). It

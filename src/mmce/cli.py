@@ -43,18 +43,19 @@ def _add_solver_flags(p):
     p.add_argument("--mode", choices=[m.value for m in Mode], default=defaults.mode.value)
     p.add_argument("--variant", choices=[v.value for v in RegularizerVariant],
                    default=defaults.variant.value)
-    p.add_argument("--max-iters", type=int, default=defaults.max_outer_iters)
-    p.add_argument("--inner-steps", type=int, default=defaults.inner_gradient_steps,
-                   help="Armijo-guarded ascent steps on the scores per M-step")
-    p.add_argument("--tol", type=float, default=defaults.tol)
+    p.add_argument("--max-iters", type=int, default=defaults.max_outer_iters,
+                   help="outer iterations after which a fit stops unconverged "
+                        "(exit 1 for aggregate and select --fit-final)")
+    p.add_argument("--tol", type=float, default=defaults.tol,
+                   help="a fit has converged once an outer iteration (M-step, then "
+                        "E-step) moves the objective by less than tol * max(|previous|, 1e-300)")
     p.add_argument("--seed", type=int, default=selection.CVConfig.seed,
                    help="CV fold seed for select; the fit itself is deterministic")
 
 
 def _solver_settings(args) -> dict:
     """The solver flags as keyword arguments of HyperParams and CVConfig."""
-    return dict(mode=args.mode, variant=args.variant, max_outer_iters=args.max_iters,
-                inner_gradient_steps=args.inner_steps, tol=args.tol)
+    return dict(mode=args.mode, variant=args.variant, max_outer_iters=args.max_iters, tol=args.tol)
 
 
 def cmd_stats(args) -> int:

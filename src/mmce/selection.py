@@ -27,7 +27,6 @@ class CVConfig:
     mode: Mode = HyperParams.mode
     variant: RegularizerVariant = HyperParams.variant
     max_outer_iters: int = HyperParams.max_outer_iters
-    inner_gradient_steps: int = HyperParams.inner_gradient_steps
     tol: float = HyperParams.tol
     heldout_scoring: str = "marginal"  # or "hard": score against argmax labels
 
@@ -47,8 +46,7 @@ class CVConfig:
 
     def hyper(self, alpha: float, beta: float) -> HyperParams:
         return HyperParams(alpha=alpha, beta=beta, mode=self.mode, variant=self.variant,
-                           max_outer_iters=self.max_outer_iters,
-                           inner_gradient_steps=self.inner_gradient_steps, tol=self.tol)
+                           max_outer_iters=self.max_outer_iters, tol=self.tol)
 
 
 @dataclass

@@ -2,13 +2,13 @@
 
 Alternates an exact posterior update (Bayes rule with a uniform prior, the
 block maximizer in Q) with one backtracking ascent step on the worker/item
-scores along the gradient over a fixed diagonal preconditioner (more with
-`inner_gradient_steps`). The E-step maximizes its block and the Armijo search
-accepts only steps that raise the objective, so the trace is non-decreasing
-up to float slack; the preconditioner alone would not ensure that (see
-`_curvature_bound`). This is a generalized EM (Dempster, Laird & Rubin 1977):
-an M-step need only raise its block, and solving it further buys few outer
-iterations, since the alternation's rate sets their number.
+scores along the gradient over a fixed diagonal preconditioner. The E-step
+maximizes its block and the Armijo search accepts only steps that raise the
+objective, so the trace is non-decreasing up to float slack; the
+preconditioner alone would not ensure that (see `_curvature_bound`). This is
+a generalized EM (Dempster, Laird & Rubin 1977): an M-step need only raise
+its block, and solving it further buys no outer iterations, since the
+alternation's rate sets their number.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class HyperParams:
     mode: Mode = Mode.MULTICLASS
     variant: RegularizerVariant = RegularizerVariant.EUCLIDEAN
     max_outer_iters: int = 200
-    inner_gradient_steps: int = 1
     tol: float = 1e-6
     clamp_item_params: bool = False  # freeze tau at 0 (Dawid-Skene reduction)
     exact_m_step: bool = False  # solve the M-step block to optimality via L-BFGS
@@ -56,7 +55,7 @@ class HyperParams:
             raise ValueError("alpha and beta must be finite and >= 0")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if self.max_outer_iters < 1 or self.inner_gradient_steps < 1:
+        if self.max_outer_iters < 1:
             raise ValueError("iteration counts must be >= 1")
         if self.variant == RegularizerVariant.CENTERED and self.mode == Mode.ORDINAL:
             raise ValueError("the centered regularizer applies to multiclass mode only")
@@ -327,42 +326,34 @@ def _curvature_bound(labels: LabelMatrix, posterior, hyper: HyperParams):
 
 def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
            hyper: HyperParams):
-    """`inner_gradient_steps` backtracking ascent steps (one by default) on the
-    penalized likelihood.
+    """One backtracking ascent step on the penalized likelihood.
 
-    Each step moves along d = g / b, with b from `_curvature_bound` and d = 0
+    The step moves along d = g / b, with b from `_curvature_bound` and d = 0
     where b = 0 (no mass and no penalty reach that score, so g = 0 there). It
     takes the first size t = 2**-j, j = 0 .. MAX_HALVINGS - 1, usually t = 1,
     that passes the Armijo test f(x + t d) >= f(x) + ARMIJO * t * g.d, so the
     objective cannot decrease; when none does, the line search has failed and
-    the M-step stops. Through `_model`, the starting point, each trial and the
-    gradient at an accepted trial cost one model pass per point.
-    Returns (worker_params, item_params, line_search_failed).
+    the scores stay put. Through `_model`, the starting point and each trial
+    cost one model pass per point, and the accepted trial's model is the one
+    the caller reads next. Returns (worker_params, item_params,
+    line_search_failed).
     """
-    wp, ip = worker_params, item_params
     bw, bi = _curvature_bound(labels, posterior, hyper)
-    mw, mi = bw > 0, bi > 0
-    value = penalized_likelihood(labels, posterior, wp, ip, hyper)
-    failed = False
-    for _ in range(hyper.inner_gradient_steps):
-        gw, gi = m_step_gradients(labels, posterior, wp, ip, hyper)
-        dw = np.divide(gw, bw, out=np.zeros_like(gw), where=mw)
-        di = np.divide(gi, bi, out=np.zeros_like(gi), where=mi)
-        slope = float((gw * dw).sum() + (gi * di).sum())
-        if slope == 0.0:
-            break
-        step = 1.0
-        for _ in range(MAX_HALVINGS):
-            cand_w, cand_i = wp + step * dw, ip + step * di
-            cand_val = penalized_likelihood(labels, posterior, cand_w, cand_i, hyper)
-            if cand_val >= value + ARMIJO * step * slope:
-                wp, ip, value = cand_w, cand_i, cand_val
-                break
-            step *= 0.5
-        else:
-            failed = True
-            break
-    return wp, ip, failed
+    value = penalized_likelihood(labels, posterior, worker_params, item_params, hyper)
+    gw, gi = m_step_gradients(labels, posterior, worker_params, item_params, hyper)
+    dw = np.divide(gw, bw, out=np.zeros_like(gw), where=bw > 0)
+    di = np.divide(gi, bi, out=np.zeros_like(gi), where=bi > 0)
+    slope = float((gw * dw).sum() + (gi * di).sum())
+    if slope == 0.0:
+        return worker_params, item_params, False
+    step = 1.0
+    for _ in range(MAX_HALVINGS):
+        cand_w, cand_i = worker_params + step * dw, item_params + step * di
+        cand_val = penalized_likelihood(labels, posterior, cand_w, cand_i, hyper)
+        if cand_val >= value + ARMIJO * step * slope:
+            return cand_w, cand_i, False
+        step *= 0.5
+    return worker_params, item_params, True
 
 
 def m_step_exact(labels: LabelMatrix, posterior, worker_params, item_params,

@@ -1,5 +1,7 @@
+import argparse
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 
 from mmce import baselines, data, selection, solver
 from mmce.baselines import dawid_skene_em
-from mmce.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
+from mmce.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, build_parser, main
 from mmce.data import read_posterior
 from mmce.selection import CVConfig
 from mmce.solver import HyperParams, fit
@@ -461,6 +463,20 @@ def test_parsed_defaults_are_the_library_defaults(tmp_path, monkeypatch):
     with pytest.raises(Captured):
         main(["select", *common])
     assert seen["config"] == CVConfig()
+
+
+def test_readme_and_parser_name_the_same_flags():
+    # A flag the parser dropped must leave the README, and every flag the
+    # parser takes must be documented there. The README's other flags belong
+    # to pip, pytest and the benchmark.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    documented = set(re.findall(r"--[a-z][a-z-]*", readme))
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {flag for command in sub.choices.values() for action in command._actions
+              for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+    assert documented - parsed == {"--no-build-isolation", "--strict-markers",
+                                   "--workload", "--seconds"}
+    assert parsed <= documented, sorted(parsed - documented)
 
 
 class TestEvaluate:

@@ -327,7 +327,6 @@ class TestCVConfigValidation:
             CVConfig(gamma_grid=(0.5, 1, 1.0))
 
     @pytest.mark.parametrize("settings", [{"tol": 0}, {"max_outer_iters": 0},
-                                          {"inner_gradient_steps": 0},
                                           {"mode": "ordinal", "variant": "centered"}])
     def test_solver_settings_are_checked_at_construction(self, settings):
         # the first fit would refuse them; the config refuses them up front

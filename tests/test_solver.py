@@ -226,49 +226,12 @@ def counted_model_passes(monkeypatch):
 
 
 class TestMStep:
-    @staticmethod
-    def count_model_passes(monkeypatch):
-        """_log_model calls and the FitResult of one planted gamma = 1 fit with
-        five inner steps, so that the per-iteration bounds below still see the
-        passes an M-step's later steps would make."""
-        lm, h = planted_gamma_one()
-        calls = counted_model_passes(monkeypatch)
-        r = fit(lm, dataclasses.replace(h, inner_gradient_steps=5))
-        assert r.line_search_failures == 0
-        return len(calls), r
-
-    def test_model_evaluations_per_outer_iteration(self, monkeypatch):
-        # A line search that halves plain gradient steps from size 1 on every
-        # step costs about 39 evaluations per outer iteration here.
-        calls, r = self.count_model_passes(monkeypatch)
-        assert calls <= 25 * r.iterations
-
-    def test_one_model_pass_per_score_point(self, monkeypatch):
-        # Each line-search trial, each M-step start and each fitted point gets
-        # one model pass; without that sharing this case takes 23 per iteration.
-        calls, r = self.count_model_passes(monkeypatch)
-        assert calls <= 17 * r.iterations
-
-    def test_curvature_scaled_step_passes_at_size_one(self, monkeypatch):
-        # Steps scaled by the curvature bound pass at size 1 on almost every
-        # search here, about 7 passes per outer iteration; plain gradient
-        # steps need 16, because most of their sizes are found by halving.
-        calls, r = self.count_model_passes(monkeypatch)
-        assert calls <= 8 * r.iterations
-
-    def test_model_handed_between_fit_and_m_step(self, monkeypatch):
-        # fit's model at the new scores is m_step's last accepted one, and it is
-        # the next m_step's starting model; recomputing them costs two more
-        # passes per outer iteration, about 7 in all here.
-        calls, r = self.count_model_passes(monkeypatch)
-        assert calls <= 6 * r.iterations
-
     @pytest.mark.parametrize("mode", list(Mode))
     def test_default_fit_makes_about_one_model_pass_per_outer_iteration(
             self, monkeypatch, mode):
-        # One inner step that passes at size 1 is one pass per iteration, plus
+        # An ascent step that passes at size 1 is one pass per iteration, plus
         # the one at the starting scores: 6 over 5 iterations (multiclass) and
-        # 13 over 12 (ordinal). Five inner steps take 26 over 5.
+        # 13 over 12 (ordinal). Steps that mostly need halving break the bound.
         lm, h = planted_gamma_one(mode)
         calls = counted_model_passes(monkeypatch)
         r = fit(lm, h)
@@ -276,16 +239,16 @@ class TestMStep:
         assert len(calls) <= 1 + 2 * r.iterations
 
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_one_and_five_inner_steps_reach_the_same_optimum(self, mode):
-        # The inner budget changes the path, not the fixed point: run to a
-        # tight stop, the posteriors agree to 4.4e-7 (multiclass) and 1.4e-6
-        # (ordinal).
+    def test_one_step_and_exact_m_steps_reach_the_same_optimum(self, mode):
+        # One ascent step per M-step changes the path, not the fixed point: run
+        # to a tight stop, it agrees with the alternation of exact block
+        # maximizers to 4.4e-7 (multiclass) and 1.3e-6 (ordinal).
         lm, h = planted_gamma_one(mode)
         tight = dataclasses.replace(h, tol=1e-12, max_outer_iters=10_000)
         one = fit(lm, tight)
-        five = fit(lm, dataclasses.replace(tight, inner_gradient_steps=5))
-        assert one.converged and five.converged
-        assert np.max(np.abs(one.posterior - five.posterior)) <= 1e-5
+        exact = fit(lm, dataclasses.replace(tight, exact_m_step=True))
+        assert one.converged and exact.converged
+        assert np.max(np.abs(one.posterior - exact.posterior)) <= 1e-5
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_one_model_pass_per_line_search_trial(self, monkeypatch, mode):
@@ -376,7 +339,7 @@ class TestMStep:
     def test_huge_penalty_drives_params_to_zero(self):
         lm = synthetic.random_instance(5)
         wp, ip, q = random_state(lm, 6, scale=1.0)
-        h = HyperParams(alpha=1e6, beta=1e6, inner_gradient_steps=50)
+        h = HyperParams(alpha=1e6, beta=1e6)
         w2, i2, _ = m_step(lm, q, wp, ip, h)
         assert np.max(np.abs(w2)) < np.max(np.abs(wp)) * 1e-2
         assert np.max(np.abs(i2)) < np.max(np.abs(ip)) * 1e-2
@@ -932,8 +895,9 @@ class TestBasin:
         # The Euclidean objective is symmetric under swapping the true classes,
         # so a fit whose path crosses over lands on the mirrored labelling and
         # errs 100% at the same objective. Measured over these 18 fits: one
-        # inner step errs at most 1.9% (mean 0.15%) in at most 34 iterations,
-        # five steps at most 4.6%; two steps mirror 4 of the 6 fits at gamma = 1.
+        # ascent step per M-step errs at most 1.9% (mean 0.15%) in at most 34
+        # iterations, five steps at most 4.6%; two steps mirror 4 of the 6 fits
+        # at gamma = 1.
         for seed in (101, 102, 103):
             for index in (0, 1):
                 lm, truth = dense_two_coin(seed, index)

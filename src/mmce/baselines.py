@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confusion import logsumexp
 from .data import LabelMatrix
-from .solver import PROB_FLOOR, gather_rows, initialize_posterior, scatter_rows
+from .solver import (PROB_FLOOR, gather_rows, initialize_posterior, scatter_rows,
+                     softmax_in_place)
 
 
 @dataclass
@@ -58,10 +58,9 @@ def _ds_log_joint(labels: LabelMatrix, confusion, prior) -> np.ndarray:
 
 def _ds_e_step(labels: LabelMatrix, confusion, prior):
     """Posterior and the marginal log-likelihood, from one log-joint pass."""
-    log_q = _ds_log_joint(labels, confusion, prior)
-    log_norm = logsumexp(log_q, axis=1, keepdims=True)
-    log_q -= log_norm
-    return np.exp(log_q), float(np.sum(log_norm))
+    q = _ds_log_joint(labels, confusion, prior)
+    log_norm = softmax_in_place(q, axis=1)
+    return q, float(np.sum(log_norm))
 
 
 def dawid_skene_em(labels: LabelMatrix, max_iters: int = 100, tol: float = 1e-8,

@@ -89,13 +89,18 @@ def _aggregate_hyper(args) -> solver.HyperParams:
 
 
 def cmd_aggregate(args) -> int:
-    # refuse an output the method does not write before any input is read
+    # refuse an output the method does not write, or a penalty it does not
+    # read, before any input is read
     if args.params_out and args.method != "mmce":
         raise UsageError(f"--params-out is written by --method mmce only, not {args.method}")
     if args.trace and args.method == "mv":
         raise UsageError("--trace is written by --method mmce or ds, not mv")
+    for flag in ("alpha", "beta", "gamma"):
+        if args.method != "mmce" and getattr(args, flag) is not None:
+            raise UsageError(f"--{flag} is read by --method mmce only, not {args.method}")
     hyper = _aggregate_hyper(args) if args.method == "mmce" else None
     labels = _load_labels(args)
+    data._check_posterior_ids(labels.item_ids)  # before any fit: the ids must be writable
     unlabeled = labels.unlabeled_items()
     if len(unlabeled):
         ids = ", ".join(labels.item_ids[j] for j in unlabeled[:10])
@@ -123,7 +128,7 @@ def cmd_aggregate(args) -> int:
         if not result.converged:
             log.warning("solver did not converge in %d iterations", result.iterations)
             exit_code = EXIT_NOT_CONVERGED
-    data.write_posterior(args.out, labels, posterior, predicted)  # first: it can refuse the ids
+    data.write_posterior(args.out, labels, posterior, predicted)
     if args.params_out:
         write_params(args.params_out, result.worker_params, result.item_params, hyper.mode)
     if args.trace:

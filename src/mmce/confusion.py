@@ -1,5 +1,5 @@
-"""Worker/item confusion parameterizations, the regularizers, `logsumexp`,
-and the params sidecar.
+"""Worker/item confusion parameterizations, the regularizers and the params
+sidecar.
 
 Two parameterizations are supported: dense (entity, c, k) score tensors, and
 a structured ordinal form with one score per (threshold s, relation pair).
@@ -29,28 +29,6 @@ class Mode(str, enum.Enum):
 class RegularizerVariant(str, enum.Enum):
     EUCLIDEAN = "euclidean"
     CENTERED = "centered"
-
-
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> np.ndarray:
-    """log(sum(exp(a))) along `axis`, shifted by the max so nothing overflows.
-
-    Inputs must be finite: scores are, and every log in this package is
-    floored by PROB_FLOOR before it gets here. The
-    reduced axis is short (the class count), so the max and the sum run as a
-    loop of whole-array operations over its slices, in index order.
-    """
-    parts = np.moveaxis(np.asarray(a, dtype=float), axis, 0)
-    top = parts[0].copy()
-    for part in parts[1:]:
-        np.maximum(top, part, out=top)
-    total = np.zeros_like(top)
-    term = np.empty_like(top)  # reused for each slice: no per-slice temporaries
-    for part in parts:
-        np.subtract(part, top, out=term)
-        total += np.exp(term, out=term)
-    np.log(total, out=total)
-    total += top
-    return np.expand_dims(total, axis) if keepdims else total
 
 
 @functools.lru_cache(maxsize=16)

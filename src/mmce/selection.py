@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
-from .confusion import Mode, RegularizerVariant, logsumexp
+from .confusion import Mode, RegularizerVariant
 from .data import GoldLabels, LabelMatrix
 from .evaluation import error_rate, mean_square_error
 from .solver import PROB_FLOOR, HyperParams
@@ -127,7 +127,8 @@ def heldout_loglik(train_fit: solver.FitResult, heldout: LabelMatrix,
     else:
         log_q = np.log(np.maximum(solver.gather_rows(heldout.items, train_fit.posterior),
                                   PROB_FLOOR))
-        ll = logsumexp(log_obs + log_q, axis=0)
+        log_q += log_obs
+        ll = solver.softmax_in_place(log_q, axis=0)
     return float(np.mean(ll))
 
 

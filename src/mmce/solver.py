@@ -23,7 +23,6 @@ from .confusion import (
     RegularizerVariant,
     expand_ordinal,
     init_params,
-    logsumexp,
     project_ordinal,
     regularizer_gradient,
     regularizer_value,
@@ -84,10 +83,9 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     prob[c, k, l] = P(k | c), shape (K, K, L), and log_obs[c, l] = log P(x_l | c),
     shape (K, L), for the (worker, item) pair of observation l. Ordinal scores
     are expanded first. Each (c, k) row is one contiguous run over the
-    observations, so the normalizer works on whole (K, L) slices and P comes
-    from the one exp pass the normalizer needs. log_obs is z[x_l] - (log(sum_k
-    exp(z_k - top)) + top) of the logits z and their max, summed in class order.
-    The score tensors themselves keep their (entity, c, k) layout.
+    observations, so `softmax_in_place` normalizes the logits z along k in
+    whole (K, L) slices with one exp pass, and log_obs is z[x_l] minus the
+    log-normalizer it returns. The score tensors keep their (entity, c, k) layout.
     """
     K, L = labels.num_classes, labels.num_labels
     # x_l * L + l: the observed label's logit in the (K, K * L) table
@@ -98,19 +96,8 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     # the logits z[c, k, l], turned into P in place below
     prob = gather_rows(labels.workers, worker_params)
     prob += gather_rows(labels.items, item_params)
-    top = prob[:, 0].copy()
-    for k in range(1, K):
-        np.maximum(top, prob[:, k], out=top)
     log_obs = np.take(prob.reshape(K, K * L), obs_index, axis=1)
-    prob -= top[:, None, :]
-    np.exp(prob, out=prob)
-    total = prob[:, 0].copy()
-    for k in range(1, K):
-        total += prob[:, k]
-    prob /= total[:, None, :]
-    np.log(total, out=total)
-    total += top
-    log_obs -= total
+    log_obs -= softmax_in_place(prob, axis=1)
     return prob, log_obs
 
 
@@ -185,6 +172,31 @@ def gather_rows(index: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.take(rows, index, axis=1).reshape(*table.shape[1:], len(index))
 
 
+def softmax_in_place(a: np.ndarray, axis: int) -> np.ndarray:
+    """Replace `a` by its softmax along `axis` with one exp pass, shifted by
+    the max so nothing overflows, and return the log-normalizer log(sum(exp(a)))
+    along `axis`, with that axis dropped. Inputs must be finite. The axis is
+    short (the class count), so every step but the exp loops over its slices,
+    in index order, as whole-array operations; on an (n, K) array that beats
+    broadcasting along the rows.
+    """
+    parts = np.moveaxis(a, axis, 0)
+    top = parts[0].copy()
+    for part in parts[1:]:
+        np.maximum(top, part, out=top)
+    for part in parts:
+        part -= top
+    np.exp(a, out=a)
+    total = parts[0].copy()
+    for part in parts[1:]:
+        total += part
+    for part in parts:
+        part /= total
+    np.log(total, out=total)
+    total += top
+    return total
+
+
 def scatter_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
     """Sum class-major rows into `size` entity slots: out[index[l], ...] +=
     rows[..., l], the adjoint of `gather_rows`.
@@ -243,9 +255,9 @@ def e_step(labels: LabelMatrix, worker_params, item_params,
            hyper: HyperParams) -> np.ndarray:
     """Exact posterior block update: Bayes rule with a uniform prior, in log space."""
     _, log_obs = _model(labels, worker_params, item_params, hyper.mode)
-    log_q = scatter_rows(labels.items, log_obs, labels.num_items)
-    log_q -= logsumexp(log_q, axis=1, keepdims=True)
-    return np.exp(log_q)
+    q = scatter_rows(labels.items, log_obs, labels.num_items)
+    softmax_in_place(q, axis=1)
+    return q
 
 
 def m_step_gradients(labels: LabelMatrix, posterior, worker_params, item_params,

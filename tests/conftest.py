@@ -32,6 +32,23 @@ def three_worker_posterior():
     return q
 
 
+def logsumexp(a, axis, keepdims=False):
+    """log(sum(exp(a))) along `axis`, shifted by the max: the textbook
+    reference for the package's softmax kernel. For fewer than 8 classes
+    numpy sums the slices in index order, so it is bit-equal to the kernel's
+    log-normalizer."""
+    top = np.max(a, axis=axis, keepdims=True)
+    out = np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)) + top
+    return out if keepdims else np.squeeze(out, axis)
+
+
+def softmax(a, axis):
+    """exp(a - max) / sum along `axis`: the textbook reference for the
+    probabilities the softmax kernel leaves in place."""
+    e = np.exp(a - np.max(a, axis=axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
 def write_csv(path, rows, header=None):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header:

@@ -9,9 +9,10 @@ from mmce.baselines import (
     dawid_skene_em,
     majority_vote,
 )
-from mmce.confusion import logsumexp
 from mmce.data import from_triples
 from mmce.solver import HyperParams, e_step, initialize_posterior
+
+from conftest import logsumexp
 
 
 def ds_marginal_loglik(labels, params: DSParams) -> float:

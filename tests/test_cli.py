@@ -156,6 +156,22 @@ class TestAggregate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(tmp_path.iterdir()) == [labels]
 
+    @pytest.mark.parametrize("method,flags,first", [
+        ("mv", ("--gamma", "1"), "--gamma"), ("ds", ("--gamma", "1"), "--gamma"),
+        ("mv", ("--alpha", "1", "--beta", "1"), "--alpha"),
+        ("ds", ("--beta", "1", "--gamma", "1"), "--beta"),
+    ], ids=["mv-gamma", "ds-gamma", "mv-alpha-beta", "ds-beta-gamma"])
+    def test_penalty_the_method_does_not_read_is_refused(self, tmp_path, capsys,
+                                                         monkeypatch, method, flags, first):
+        labels = labels_csv(tmp_path)
+        monkeypatch.setattr(data, "load_labels",
+                            lambda *a: pytest.fail("labels read before the refusal"))
+        code, _ = self.run(tmp_path, "--method", method, *flags)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (f"error: {first} is read by --method mmce "
+                                           f"only, not {method}\n")
+        assert sorted(tmp_path.iterdir()) == [labels]
+
     def test_bad_solver_setting_prints_no_resolved_gamma(self, tmp_path, capsys):
         code, out = self.run(tmp_path, "--gamma", "1", "--max-iters", "0")
         assert code == EXIT_USAGE
@@ -241,6 +257,18 @@ def test_select_refuses_a_tabbed_item_id_before_selecting(tmp_path, capsys, monk
     assert code == EXIT_USAGE
     out, err = capsys.readouterr()
     assert "selected gamma" not in out and "has a tab" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+def test_aggregate_refuses_a_tabbed_item_id_before_fitting(tmp_path, capsys, monkeypatch):
+    labels = tmp_path / "t.csv"
+    labels.write_text("w1,it\tem,1\nw2,it\tem,1\nw1,b,0\nw2,b,0\n")
+    monkeypatch.setattr(solver, "fit", lambda *a, **k: pytest.fail("fit ran"))
+    code = main(["aggregate", "--labels", str(labels), "--classes", "2", "--gamma", "1",
+                 "--out", str(tmp_path / "t.tsv")])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "has a tab" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
 

@@ -14,7 +14,6 @@ from mmce.confusion import (
     RegularizerVariant,
     expand_ordinal,
     init_params,
-    logsumexp,
     project_ordinal,
 )
 from mmce.data import from_triples
@@ -34,6 +33,8 @@ from mmce.solver import (
     polish_stationary_point,
     round_posterior,
 )
+
+from conftest import logsumexp, softmax
 
 
 def random_state(lm, seed, mode=Mode.MULTICLASS, scale=0.5):
@@ -660,6 +661,24 @@ def kernel_cases(scale):
 
 
 class TestClassMajorKernel:
+    @pytest.mark.parametrize("K", range(2, 8))
+    @pytest.mark.parametrize("scale", [2.0, None])
+    def test_softmax_in_place_is_the_textbook_softmax(self, K, scale):
+        # scale None: +-800 with a little noise, far past exp's range
+        rng = np.random.default_rng(K)
+        for shape, axis in (((40, K), 1), ((K, 40), 0), ((K, K, 40), 1)):
+            if scale is None:
+                a = 800.0 * rng.choice([-1.0, 1.0], size=shape) + rng.normal(size=shape)
+            else:
+                a = rng.normal(scale=scale, size=shape)
+            got = a.copy()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                log_norm = solver.softmax_in_place(got, axis)
+            assert np.array_equal(log_norm, logsumexp(a, axis))
+            assert np.array_equal(got, softmax(a, axis))
+            np.testing.assert_allclose(got.sum(axis=axis), 1.0, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("scale", [2.0, None])
     def test_log_model_is_the_log_space_softmax(self, scale):
         for lm, mode, wp, ip, _ in kernel_cases(scale):
@@ -710,10 +729,9 @@ class TestClassMajorKernel:
         for lm, mode, wp, ip, _ in kernel_cases(scale):
             _, log_obs = entity_log_model(lm, wp, ip, mode)
             log_q = column_scatter(lm.items, log_obs, lm.num_items)
-            log_q -= logsumexp(log_q, axis=1, keepdims=True)
             got = e_step(lm, wp, ip, HyperParams(mode=mode))
             assert got.flags.c_contiguous
-            assert np.array_equal(got, np.exp(log_q))
+            assert np.array_equal(got, softmax(log_q, axis=1))
 
     def test_curvature_bound_is_bit_identical_to_column_scatter(self):
         for lm, mode, _, _, q in kernel_cases(1.0):

@@ -2,7 +2,7 @@
 and evaluation.
 
 Exit codes: 0 success, 1 solver did not converge (outputs still written),
-2 input or usage errors.
+2 input or usage errors, 3 internal error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import traceback
 
 import numpy as np
 
@@ -22,6 +23,7 @@ log = logging.getLogger("mmce")
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
@@ -246,6 +248,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:  # a fault of the program, not of its input
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 """Worker/item confusion parameterizations, the regularizers and the params
-sidecar.
+sidecar writer.
 
 Two parameterizations are supported: dense (entity, c, k) score tensors, and
 a structured ordinal form with one score per (threshold s, relation pair).
@@ -138,38 +138,3 @@ def write_params(path, worker_params: np.ndarray, item_params: np.ndarray,
     _write_rows(path, f"# mode={mode.value}\nkind\tentity\trow\tcol\tscore\n",
                 "%s\t%s\t%s\t%s\t%.9f\n", [np.concatenate(c) for c in zip(*columns)])
 
-
-def read_params(path):
-    """Load a params sidecar written by write_params.
-
-    Returns (worker_params, item_params, mode).
-    """
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# mode="):
-            raise ValueError("not a params sidecar: missing mode line")
-        mode = Mode(first.removeprefix("# mode="))
-        fh.readline()  # header
-        entries = {"worker": [], "item": []}
-        for line in fh:
-            if not line.strip():
-                continue
-            kind, e, r, c, v = line.rstrip("\n").split("\t")
-            entries[kind].append((int(e), r, c, float(v)))
-
-    def build(rows):
-        n_ent = max(e for e, *_ in rows) + 1
-        if mode == Mode.ORDINAL:
-            n_s = max(int(r) for _, r, _, _ in rows)
-            rel_index = {f"{rt}{ro}": i for i, (rt, ro) in enumerate(REL_PAIRS)}
-            out = np.zeros((n_ent, n_s, len(REL_PAIRS)))
-            for e, r, c, v in rows:
-                out[e, int(r) - 1, rel_index[c]] = v
-        else:
-            K = max(int(r) for _, r, _, _ in rows) + 1
-            out = np.zeros((n_ent, K, K))
-            for e, r, c, v in rows:
-                out[e, int(r), int(c)] = v
-        return out
-
-    return build(entries["worker"]), build(entries["item"]), mode

@@ -212,9 +212,10 @@ def scatter_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
 
 
 def entropy(posterior: np.ndarray) -> float:
-    """Shannon entropy of the posterior rows, with 0 * log 0 = 0."""
+    """Shannon entropy of the posterior rows, with 0 * log 0 = 0 (the floored
+    log makes each zero term -0.0)."""
     q = np.asarray(posterior)
-    return float(-np.sum(np.where(q > 0, q * np.log(np.maximum(q, PROB_FLOOR)), 0.0)))
+    return float(-np.sum(q * np.log(np.maximum(q, PROB_FLOOR))))
 
 
 def _data_term(rows, log_obs) -> float:

@@ -12,7 +12,8 @@ import pytest
 
 from mmce import baselines, data, selection, solver
 from mmce.baselines import dawid_skene_em
-from mmce.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, build_parser, main
+from mmce.cli import (EXIT_INTERNAL, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, build_parser,
+                      main)
 from mmce.data import read_posterior
 from mmce.selection import CVConfig
 from mmce.solver import HyperParams, fit
@@ -467,7 +468,8 @@ def test_settings_are_checked_before_the_labels_are_read(tmp_path, capsys, argv,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-class Captured(Exception):
+class Captured(BaseException):
+    # not an Exception, so main's internal-error handler lets it escape
     pass
 
 
@@ -491,6 +493,21 @@ def test_parsed_defaults_are_the_library_defaults(tmp_path, monkeypatch):
     with pytest.raises(Captured):
         main(["select", *common])
     assert seen["config"] == CVConfig()
+
+
+def test_an_internal_error_exits_3_with_its_traceback(tmp_path, capsys, monkeypatch):
+    # exit 1 means "did not converge, outputs written"; a crash must not read so
+    def fail(_labels, _hyper):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(solver, "fit", fail)
+    out = tmp_path / "post.tsv"
+    code = main(["aggregate", "--labels", str(labels_csv(tmp_path)), "--classes", "3",
+                 "--label-base", "1", "--gamma", "1", "--out", str(out)])
+    assert code == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.splitlines()[-1] == "RuntimeError: boom"
+    assert not out.exists()
 
 
 def test_readme_and_parser_name_the_same_flags():

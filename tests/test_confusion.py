@@ -15,7 +15,6 @@ from mmce.confusion import (
     init_params,
     ordinal_basis,
     project_ordinal,
-    read_params,
     regularizer_gradient,
     regularizer_value,
     write_params,
@@ -260,21 +259,6 @@ class TestRegularizers:
         rng = np.random.default_rng(3)
         p = rng.normal(size=(2, 4, 4))
         np.testing.assert_allclose(center(center(p)), center(p), atol=1e-12)
-
-
-class TestParamsSidecar:
-    @pytest.mark.parametrize("mode", list(Mode))
-    def test_round_trip(self, tmp_path, mode):
-        rng = np.random.default_rng(5)
-        K = 3
-        wp = rng.normal(size=init_params(mode, 2, K).shape)
-        ip = rng.normal(size=init_params(mode, 4, K).shape)
-        path = tmp_path / "params.tsv"
-        write_params(path, wp, ip, mode)
-        wp2, ip2, mode2 = read_params(path)
-        assert mode2 == mode
-        np.testing.assert_allclose(wp2, wp, atol=1e-9)
-        np.testing.assert_allclose(ip2, ip, atol=1e-9)
 
 
 def reference_write_params(path, worker_params, item_params, mode):

@@ -1,6 +1,10 @@
 """Every top-level function, class and constant of the package is used by
 the program, and every parameter default is overridden by some call.
 
+The exceptions, names that only the tests use, are listed in `TEST_ONLY`; each
+one must be imported or read as an attribute by the acceptance gate
+(`tests/test_acceptance.py`).
+
 A function or class counts as used when `src/`, `scripts/` or `perfbench/`
 refers to it outside its own definition: as a name, an attribute, an imported
 name or a string (the benchmark's tracer looks functions up by name). A
@@ -22,8 +26,6 @@ TEST_ONLY = {
     "polish_stationary_point": "acceptance test 5 imports it from mmce.solver",
     "kl_identity_check": "acceptance test 5 imports it from mmce.solver",
     "random_instance": "the acceptance tests draw their small random inputs from it",
-    "read_params": "reads the --params-out sidecar back; it stays until a command "
-                   "reads the sidecar",
 }
 
 
@@ -92,6 +94,15 @@ def test_each_test_only_name_is_still_defined_and_unused():
     used = referenced_names()
     defined = {name for _, name in definitions()}
     assert all(name in defined and name not in used for name in TEST_ONLY)
+
+
+def test_each_test_only_name_is_pinned_by_the_acceptance_gate():
+    # a helper that only the tests use stays in src only while the acceptance
+    # gate, which holds as it is, imports it or reads it as an attribute
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    pinned = {node.name if isinstance(node, ast.alias) else node.attr
+              for node in ast.walk(tree) if isinstance(node, (ast.alias, ast.Attribute))}
+    assert set(TEST_ONLY) - pinned == set()
 
 
 def test_every_constant_is_read_by_the_program():

@@ -837,6 +837,24 @@ class TestDualObjective:
     def test_entropy_zero_log_zero(self):
         assert entropy(np.array([[1.0, 0.0]])) == 0.0
 
+    def test_entropy_is_bit_equal_to_the_masked_form(self):
+        # at q = 0 the floored log gives 0 * log(1e-300) = -0.0, which adds
+        # nothing to the sum, so no mask is needed; the sign bit agrees too
+        def masked(q):
+            return float(-np.sum(np.where(q > 0, q * np.log(np.maximum(q, 1e-300)), 0.0)))
+
+        rng = np.random.default_rng(0)
+        for trial in range(300):
+            n, K = int(rng.integers(1, 300)), int(rng.integers(2, 7))
+            if trial % 10 == 0:  # one-hot rows: every term is +0.0 or -0.0
+                q = np.eye(K)[rng.integers(K, size=n)]
+            else:
+                q = rng.dirichlet(np.ones(K), size=n)
+                q[rng.random((n, K)) < 0.3] = 0.0
+                q[q.sum(axis=1) == 0, 0] = 1.0
+                q /= q.sum(axis=1, keepdims=True)
+            assert np.float64(entropy(q)).tobytes() == np.float64(masked(q)).tobytes()
+
     @staticmethod
     def relabeled(seed, variant):
         """The dual before and after one shift of the true-class axis c of both

@@ -14,6 +14,7 @@ alternation's rate sets their number.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +55,8 @@ class HyperParams:
             raise ValueError("alpha and beta must be finite and >= 0")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
+        if not isinstance(self.max_outer_iters, (int, np.integer)):
+            raise ValueError(f"max_outer_iters must be an integer, got {self.max_outer_iters!r}")
         if self.max_outer_iters < 1:
             raise ValueError("iteration counts must be >= 1")
         if self.variant == RegularizerVariant.CENTERED and self.mode == Mode.ORDINAL:
@@ -101,68 +104,48 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     return prob, log_obs
 
 
-# What the solver derives from one LabelMatrix object, as {"labels": labels,
-# name: (key of the inputs, value)}, or None; see `_derived`. Each process has
-# its own slot: a CV fold fit in a forked worker fills and empties the worker's.
-_memo = [None]
+# A running fit's shared values, or None outside `_fit_scope`, where each call fills a
+# throwaway slot: the score arrays last passed to `_model` with their model, and the
+# posterior last passed to `_posterior_rows` with its read-only rows. A scope serves one
+# fit, so one label matrix and one mode, and inputs match by identity: no array handed
+# to the slot may change in place inside it. `fit` builds every score array and
+# posterior anew, and polish pins only `_lbfgs`'s returned arrays, which are never held.
+_fit_slot = [None]
 
 
-def _derived(labels: LabelMatrix, name: str, build, *inputs):
-    """build(labels, *inputs), kept in the slot under `name`.
-
-    The stored value is returned again while `labels` is the same object and
-    the inputs have the same key: arrays by dtype, shape and bytes (so a change
-    in place rebuilds), anything else (the mode) as it is. For any other
-    LabelMatrix the slot is emptied first. A stale value is dropped before the
-    build and the key is taken after it, so neither the old value nor a copy of
-    the inputs is alive while the new value is built.
-    """
-    entry = _memo[0]
-    if entry is None or entry["labels"] is not labels:
-        entry = _memo[0] = {"labels": labels}
-    stored = entry.get(name)
-    if stored is not None and stored[0] == _key(inputs):
-        return stored[1]
-    stored = entry[name] = None
-    value = build(labels, *inputs)
-    entry[name] = (_key(inputs), value)
-    return value
-
-
-def _key(inputs) -> list:
-    key = []
-    for x in inputs:
-        key.append((x.dtype, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x)
-    return key
+@contextmanager
+def _fit_scope():
+    _fit_slot[0] = {}
+    try:
+        yield
+    finally:
+        _fit_slot[0] = None
 
 
 def _model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
-    """`_log_model` behind the slot, so each score point costs one pass.
-
-    The objective, the E-step and the gradient all read the model here; a new
-    score point, mode or LabelMatrix drops the stored model before its pass,
-    so at most one model is alive at a time.
-    """
-    return _derived(labels, "model", _log_model, worker_params, item_params, mode)
+    """`_log_model`, one pass per score point within a fit (see `_fit_slot`)."""
+    slot = _fit_slot[0] if _fit_slot[0] is not None else {}
+    held = slot.get("model")
+    if held is None or held[0] is not worker_params or held[1] is not item_params:
+        slot["model"] = held = None  # drop the old model before the pass
+        slot["model"] = (worker_params, item_params,
+                         _log_model(labels, worker_params, item_params, mode))
+    return slot["model"][2]
 
 
 def _posterior_rows(labels: LabelMatrix, posterior) -> np.ndarray:
-    """gather_rows(labels.items, posterior), read-only, behind the slot.
-
-    The M-step holds the posterior fixed, so the rows are gathered once per
-    posterior, and a new score point keeps them. A posterior that is not
-    (items, K) is refused; the slot's key holds the shape, so a stored value
-    has been checked.
-    """
-    return _derived(labels, "rows", _rows, np.asarray(posterior))
-
-
-def _rows(labels: LabelMatrix, posterior) -> np.ndarray:
-    if posterior.shape != (labels.num_items, labels.num_classes):
-        raise ValueError("posterior shape does not match the label matrix")
-    rows = gather_rows(labels.items, posterior)
-    rows.setflags(write=False)
-    return rows
+    """gather_rows(labels.items, posterior), read-only, one gather per posterior in a fit."""
+    slot = _fit_slot[0] if _fit_slot[0] is not None else {}
+    held = slot.get("rows")
+    if held is None or held[0] is not posterior:
+        posterior = np.asarray(posterior)
+        if posterior.shape != (labels.num_items, labels.num_classes):
+            raise ValueError("posterior shape does not match the label matrix")
+        slot["rows"] = held = None  # drop the old rows before the gather
+        rows = gather_rows(labels.items, posterior)
+        rows.setflags(write=False)
+        slot["rows"] = (posterior, rows)
+    return slot["rows"][1]
 
 
 def gather_rows(index: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -295,7 +278,7 @@ def _split(x, w_shape, i_shape):
 def _value_and_grad(x, labels: LabelMatrix, posterior, hyper: HyperParams,
                     w_shape, i_shape):
     """The L-BFGS objective: the negated penalized likelihood and its gradient
-    at the flat scores x, both from a single model pass."""
+    at the flat scores x, both from a single model pass within a fit or polish."""
     worker_params, item_params = _split(x, w_shape, i_shape)
     value = penalized_likelihood(labels, posterior, worker_params, item_params, hyper)
     gw, gi = m_step_gradients(labels, posterior, worker_params, item_params, hyper)
@@ -346,9 +329,9 @@ def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
     takes the first size t = 2**-j, j = 0 .. MAX_HALVINGS - 1, usually t = 1,
     that passes the Armijo test f(x + t d) >= f(x) + ARMIJO * t * g.d, so the
     objective cannot decrease; when none does, the line search has failed and
-    the scores stay put. Through `_model`, the starting point and each trial
-    cost one model pass per point, and the accepted trial's model is the one
-    the caller reads next. Returns (worker_params, item_params,
+    the scores stay put. Within a fit, the starting point and each trial cost
+    one model pass per point, and the accepted trial's model is the one the
+    caller reads next. Returns (worker_params, item_params,
     line_search_failed).
     """
     bw, bi = _curvature_bound(labels, posterior, hyper)
@@ -393,14 +376,11 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
     wp = init_params(hyper.mode, labels.num_workers, K)
     ip = init_params(hyper.mode, labels.num_items, K)
     posterior = initialize_posterior(labels)
-    # Both traces, the E-step and the next M-step's start all read the model at
-    # the current scores from `_model`'s slot, so it is computed once per point,
-    # and the posterior rows once per posterior.
     converged = False
     iterations = 0
     ls_failures = 0
     step_fn = m_step_exact if hyper.exact_m_step else m_step
-    try:
+    with _fit_scope():
         trace = [dual_objective(labels, posterior, wp, ip, hyper)]
         for it in range(1, hyper.max_outer_iters + 1):
             iterations = it
@@ -413,8 +393,6 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
             if abs(trace[-1] - prev) < hyper.tol * max(abs(prev), PROB_FLOOR):
                 converged = True
                 break
-    finally:
-        _memo[0] = None  # keep nothing past the fit, whether it returns or raises
     return FitResult(
         posterior=posterior,
         worker_params=wp,
@@ -445,15 +423,13 @@ def polish_stationary_point(labels: LabelMatrix, result: FitResult,
     """
     q = round_posterior(result.posterior)
     wp, ip = result.worker_params, result.item_params
-    try:
+    with _fit_scope():  # one model pass per L-BFGS evaluation
         for _ in range(3):  # three solve-then-pin rounds
             wp, ip = _lbfgs(labels, q, wp, ip, hyper,
                             {"maxiter": 20000, "maxfun": 50000, "gtol": 1e-14, "ftol": 0})
             for scores in (wp, ip):
                 sat = np.abs(scores) > 12.0  # runaway: far past any interior optimum
                 scores[sat] = np.sign(scores[sat]) * 600.0
-    finally:
-        _memo[0] = None  # keep nothing past the polish, whether it returns or raises
     return replace(result, posterior=q, worker_params=wp, item_params=ip,
                    objective_trace=list(result.objective_trace))
 

@@ -459,6 +459,7 @@ def test_fewer_than_two_classes_is_usage_error(tmp_path, capsys, command, classe
     (["select", "--tol", "0"], "tol must be positive and finite"),
     (["select", "--folds", "1"], "folds must be >= 2"),
     (["select", "--grid", "0,1"], "gamma must be positive and finite"),
+    (["select", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
 ])
 def test_settings_are_checked_before_the_labels_are_read(tmp_path, capsys, argv, message):
     command, *flags = argv
@@ -466,6 +467,15 @@ def test_settings_are_checked_before_the_labels_are_read(tmp_path, capsys, argv,
                  "--out", str(tmp_path / "out"), *flags])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_select_with_gold_checks_the_seed_it_does_not_read(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(data, "load_labels",
+                        lambda *a: pytest.fail("labels read before the refusal"))
+    code = main(["select", "--labels", str(labels_csv(tmp_path)), "--classes", "3",
+                 "--label-base", "1", "--gold", str(gold_csv(tmp_path)), "--seed", "-1"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
 
 
 class Captured(BaseException):

@@ -314,6 +314,21 @@ class TestCVConfigValidation:
         with pytest.raises(ValueError):
             CVConfig(folds=1)
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"folds": 2.5}, "folds must be an integer, got 2.5"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        ({"seed": None}, "seed must be an integer >= 0, got None"),
+    ])
+    def test_folds_and_seed_are_checked_at_construction(self, settings, message):
+        # refused up front, not by numpy or range() in the middle of a run
+        with pytest.raises(ValueError) as got:
+            CVConfig(**settings)
+        assert str(got.value) == message
+
+    def test_numpy_integers_are_integers(self):
+        CVConfig(folds=np.int64(3), seed=np.int64(0), max_outer_iters=np.int64(5))
+
     def test_bad_scoring(self):
         with pytest.raises(ValueError):
             CVConfig(heldout_scoring="soft")
@@ -327,7 +342,8 @@ class TestCVConfigValidation:
             CVConfig(gamma_grid=(0.5, 1, 1.0))
 
     @pytest.mark.parametrize("settings", [{"tol": 0}, {"max_outer_iters": 0},
-                                          {"mode": "ordinal", "variant": "centered"}])
+                                          {"mode": "ordinal", "variant": "centered"},
+                                          {"max_outer_iters": 2.5}])
     def test_solver_settings_are_checked_at_construction(self, settings):
         # the first fit would refuse them; the config refuses them up front
         with pytest.raises(ValueError) as want:

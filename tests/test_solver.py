@@ -2,7 +2,6 @@ import dataclasses
 import tracemalloc
 import warnings
 import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -78,6 +77,7 @@ class TestHyperParams:
         ("tol", 0.0, "tol"),
         ("tol", float("nan"), "tol"),
         ("tol", float("inf"), "tol"),
+        ("max_outer_iters", 2.5, "^max_outer_iters must be an integer, got 2.5$"),
     ])
     def test_out_of_range_values_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -298,7 +298,9 @@ class TestMStep:
     def test_model_passes_run_inside_objective_or_gradient(self, monkeypatch, mode):
         # The benchmark tracer counts line-search trials and accepted steps from
         # the objective and gradient calls under m_step, so m_step must make its
-        # model passes through those two functions only.
+        # model passes through those two functions only. This also keeps the
+        # benchmark self-test's solver.linesearch_evals > 0 on fit-multiclass
+        # (perfbench/selftest.py, NONZERO), so m_step keeps this call shape.
         stack, parents = [], []
 
         def probe(name, fn):
@@ -375,13 +377,12 @@ class TestMStep:
             assert after >= before - 1e-9
 
 
-LOG_MODEL = solver._log_model  # the model pass itself, never memoized or counted
+LOG_MODEL = solver._log_model  # the model pass itself, never counted
 
 
-@mock.patch.object(solver, "_model", LOG_MODEL)
 def reference_fit(labels, hyper):
-    """The fit loop with every trace, E-step and M-step evaluation making its
-    own model pass."""
+    """The fit loop outside a fit's scope, so every trace, E-step and M-step
+    evaluation makes its own model pass."""
     K = labels.num_classes
     wp = init_params(hyper.mode, labels.num_workers, K)
     ip = init_params(hyper.mode, labels.num_items, K)
@@ -408,59 +409,45 @@ def assert_fit_equals_reference(labels, hyper):
     assert np.array_equal(r.objective_trace, trace)
 
 
+# Every entry point of the solver, called as (labels, posterior, worker scores,
+# item scores, hyper).
+ENTRY_POINTS = {
+    "penalized_likelihood": penalized_likelihood,
+    "dual_objective": dual_objective,
+    "m_step_gradients": m_step_gradients,
+    "e_step": lambda lm, q, wp, ip, h: e_step(lm, wp, ip, h),
+    "m_step": m_step,
+    "m_step_exact": solver.m_step_exact,
+    "fit": lambda lm, q, wp, ip, h: fit(lm, h),
+    "polish_stationary_point": lambda lm, q, wp, ip, h: polish_stationary_point(
+        lm, FitResult(q, wp, ip, [], False, 0), h),
+    "kl_identity_check": lambda lm, q, wp, ip, h: kl_identity_check(
+        lm, FitResult(q, wp, ip, [], False, 0), h),
+}
+
+
 class TestModelMemo:
-    @staticmethod
-    def assert_fresh(got, labels, wp, ip, mode):
-        want = LOG_MODEL(labels, wp, ip, mode)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    """The slot that shares the model and the posterior rows within a fit."""
 
     def test_same_labels_and_scores_make_one_pass(self, monkeypatch):
         calls = counted_model_passes(monkeypatch)
         lm = synthetic.random_instance(3)
         wp, ip, q = random_state(lm, 4)
         h = HyperParams(alpha=0.7, beta=1.3)
-        value = penalized_likelihood(lm, q, wp, ip, h)
-        grads = m_step_gradients(lm, q, wp, ip, h)
-        posterior = e_step(lm, wp.copy(), ip.copy(), h)  # equal by value is enough
-        dual_objective(lm, q, wp, ip, h)
-        assert len(calls) == 1
-        with mock.patch.object(solver, "_model", LOG_MODEL):
-            assert value == penalized_likelihood(lm, q, wp, ip, h)
-            for got, want in zip(grads, m_step_gradients(lm, q, wp, ip, h)):
-                assert np.array_equal(got, want)
-            assert np.array_equal(posterior, e_step(lm, wp, ip, h))
-
-    def test_scores_changed_in_place_make_a_fresh_pass(self, monkeypatch):
-        calls = counted_model_passes(monkeypatch)
-        lm = synthetic.random_instance(5)
-        wp, ip, q = random_state(lm, 6)
-        h = HyperParams(alpha=0.7, beta=1.3)
-        before = penalized_likelihood(lm, q, wp, ip, h)
-        wp[0, 0, 0] += 1.0
-        changed_w = solver._model(lm, wp, ip, h.mode)
-        self.assert_fresh(changed_w, lm, wp, ip, h.mode)
-        ip[-1, 1, 0] -= 1.0
-        changed_i = solver._model(lm, wp, ip, h.mode)
-        self.assert_fresh(changed_i, lm, wp, ip, h.mode)
-        assert len(calls) == 3
-        ip[-1, 1, 0] += 1.0
-        wp[0, 0, 0] -= 1.0
-        assert penalized_likelihood(lm, q, wp, ip, h) == before
-        assert len(calls) == 4
-
-    def test_other_labels_or_mode_make_a_fresh_pass(self, monkeypatch):
-        calls = counted_model_passes(monkeypatch)
-        lm = synthetic.random_instance(7)
-        fold = lm.subset(np.arange(lm.num_labels) % 2 == 0)  # same ids, fewer labels
-        wp, ip, _ = random_state(lm, 8)
-        solver._model(lm, wp, ip, Mode.MULTICLASS)
-        self.assert_fresh(solver._model(fold, wp, ip, Mode.MULTICLASS),
-                          fold, wp, ip, Mode.MULTICLASS)
-        assert len(calls) == 2
-        wo, io, _ = random_state(fold, 8, mode=Mode.ORDINAL)
-        self.assert_fresh(solver._model(fold, wo, io, Mode.ORDINAL),
-                          fold, wo, io, Mode.ORDINAL)
-        assert len(calls) == 3
+        with solver._fit_scope():
+            value = penalized_likelihood(lm, q, wp, ip, h)
+            grads = m_step_gradients(lm, q, wp, ip, h)
+            posterior = e_step(lm, wp, ip, h)
+            dual_objective(lm, q, wp, ip, h)
+            assert len(calls) == 1
+            e_step(lm, wp.copy(), ip, h)  # equal values, other arrays: a new point
+            assert len(calls) == 2
+        # outside the scope each call makes its own pass, to the same values
+        assert value == penalized_likelihood(lm, q, wp, ip, h)
+        for got, want in zip(grads, m_step_gradients(lm, q, wp, ip, h)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(posterior, e_step(lm, wp, ip, h))
+        assert len(calls) == 5
 
     @pytest.mark.parametrize("name", ["model", "rows"])
     def test_old_value_is_dropped_before_a_new_build(self, monkeypatch, name):
@@ -474,7 +461,6 @@ class TestModelMemo:
             "rows": (lambda: solver._posterior_rows(lm, q), "gather_rows",
                      lambda: solver._posterior_rows(lm, q[:, ::-1].copy())),
         }[name]
-        old = weakref.ref(read())
         alive = []
         build = getattr(solver, builder)
 
@@ -482,36 +468,43 @@ class TestModelMemo:
             alive.append(old() is not None)
             return build(*args)
 
-        monkeypatch.setattr(solver, builder, probed)
-        rebuild()
+        with solver._fit_scope():
+            old = weakref.ref(read())
+            assert old() is not None  # the slot holds it
+            monkeypatch.setattr(solver, builder, probed)
+            rebuild()
         assert alive == [False]
 
-    @pytest.mark.parametrize("mode", list(Mode))
-    def test_slot_is_empty_after_fit(self, mode):
-        lm, h = planted_gamma_one(mode)
-        fit(lm, h)
-        assert solver._memo == [None]
-
-    def test_slot_is_empty_after_polish(self):
-        conf = np.array([synthetic.diagonal_confusion(2, 0.7)] * 4)
-        lm, _ = synthetic.sample_labels(4, 8, 2, 4, conf, 0)
-        h = HyperParams(alpha=0.0, beta=0.0, max_outer_iters=20)
-        polish_stationary_point(lm, fit(lm, h), h)
-        assert solver._memo == [None]
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_nothing_is_kept_after_an_entry_point(self, entry):
+        # After any call the slot is empty, so a model or rows computed after the
+        # scores and the posterior change in place are fresh, not stale.
+        lm = synthetic.random_instance(5)
+        wp, ip, q = random_state(lm, 6)
+        h = HyperParams(alpha=0.7, beta=1.3, max_outer_iters=5)
+        ENTRY_POINTS[entry](lm, q, wp, ip, h)
+        assert solver._fit_slot == [None]
+        wp[0, 0, 0] += 1.0
+        ip[-1, 1, 0] -= 1.0
+        q[0] = q[0, ::-1].copy()
+        for got, want in zip(solver._model(lm, wp, ip, h.mode),
+                             LOG_MODEL(lm, wp, ip, h.mode)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(solver._posterior_rows(lm, q), solver.gather_rows(lm.items, q))
 
     def test_slot_is_empty_after_a_fit_that_raises(self, monkeypatch):
         lm, h = planted_gamma_one(Mode.MULTICLASS)
         held = []
 
         def interrupted(labels, *args):
-            held.append(solver._memo[0] is not None and solver._memo[0]["labels"] is labels)
+            held.append(solver._fit_slot[0] is not None and "model" in solver._fit_slot[0])
             raise KeyboardInterrupt
 
         monkeypatch.setattr(solver, "e_step", interrupted)
         with pytest.raises(KeyboardInterrupt):
             fit(lm, h)
         assert held == [True]  # the slot held this fit's values when it stopped
-        assert solver._memo == [None]
+        assert solver._fit_slot == [None]
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_slot_holds_only_the_model_and_rows_during_a_fit(self, monkeypatch, mode):
@@ -521,12 +514,12 @@ class TestModelMemo:
         e_step = solver.e_step
 
         def probed(labels, *args):
-            held.append(set(solver._memo[0]))
+            held.append(set(solver._fit_slot[0]))
             return e_step(labels, *args)
 
         monkeypatch.setattr(solver, "e_step", probed)
         r = fit(lm, h)
-        assert held == [{"labels", "model", "rows"}] * r.iterations
+        assert held == [{"model", "rows"}] * r.iterations
 
 
 def counted_row_gathers(monkeypatch):
@@ -545,42 +538,25 @@ def counted_row_gathers(monkeypatch):
 
 
 class TestFixedInputs:
-    """The posterior rows in `_model`'s slot."""
-
-    @staticmethod
-    def fresh_value(lm, q, wp, ip, h):
-        solver._memo[0] = None
-        return penalized_likelihood(lm, q, wp, ip, h)
+    """The posterior rows in the fit's slot."""
 
     def test_rows_are_kept_across_score_points(self, monkeypatch):
         calls = counted_row_gathers(monkeypatch)
         lm = synthetic.random_instance(11)
         wp, ip, q = random_state(lm, 12)
         h = HyperParams(alpha=0.7, beta=1.3)
-        penalized_likelihood(lm, q, wp, ip, h)
-        grads = m_step_gradients(lm, q, wp + 1.0, ip, h)
-        value = penalized_likelihood(lm, q.copy(), wp, ip - 1.0, h)  # equal bytes
-        solver._curvature_bound(lm, q, h)
-        assert len(calls) == 1
-        assert not solver._posterior_rows(lm, q).flags.writeable
-        with mock.patch.object(solver, "_model", LOG_MODEL):
-            solver._memo[0] = None
-            for got, want in zip(grads, m_step_gradients(lm, q, wp + 1.0, ip, h)):
-                assert np.array_equal(got, want)
-        assert value == self.fresh_value(lm, q, wp, ip - 1.0, h)
-
-    def test_posterior_changed_in_place_gets_fresh_rows(self, monkeypatch):
-        calls = counted_row_gathers(monkeypatch)
-        lm = synthetic.random_instance(13)
-        wp, ip, q = random_state(lm, 14)
-        h = HyperParams(alpha=0.7, beta=1.3)
-        before = penalized_likelihood(lm, q, wp, ip, h)
-        q[0] = q[0, ::-1].copy()
-        after = penalized_likelihood(lm, q, wp, ip, h)
-        assert len(calls) == 2
-        assert after != before
-        assert after == self.fresh_value(lm, q, wp, ip, h)
-        assert np.array_equal(solver._posterior_rows(lm, q), solver.gather_rows(lm.items, q))
+        with solver._fit_scope():
+            penalized_likelihood(lm, q, wp, ip, h)
+            grads = m_step_gradients(lm, q, wp + 1.0, ip, h)
+            value = penalized_likelihood(lm, q, wp, ip - 1.0, h)
+            solver._curvature_bound(lm, q, h)
+            assert len(calls) == 1
+            assert not solver._posterior_rows(lm, q).flags.writeable
+        # outside the scope each call gathers its own rows, to the same values
+        for got, want in zip(grads, m_step_gradients(lm, q, wp + 1.0, ip, h)):
+            assert np.array_equal(got, want)
+        assert value == penalized_likelihood(lm, q, wp, ip - 1.0, h)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("fn", [penalized_likelihood, dual_objective, m_step_gradients])
     @pytest.mark.parametrize("wrong", [lambda q: q[:, :1], lambda q: np.vstack([q, q[:3]])],
@@ -588,22 +564,10 @@ class TestFixedInputs:
     def test_posterior_of_the_wrong_shape_is_refused(self, fn, wrong):
         lm = synthetic.random_instance(3)
         wp, ip, q = random_state(lm, 3)
-        fn(lm, q, wp, ip, HyperParams())  # the right shape fills the slot first
-        with pytest.raises(ValueError, match="^posterior shape does not match"):
-            fn(lm, wrong(q), wp, ip, HyperParams())
-
-    def test_other_labels_get_fresh_rows(self, monkeypatch):
-        calls = counted_row_gathers(monkeypatch)
-        lm = synthetic.random_instance(15)
-        fold = lm.subset(np.arange(lm.num_labels) % 2 == 0)  # same ids, fewer labels
-        wp, ip, q = random_state(lm, 16)
-        h = HyperParams(alpha=0.7, beta=1.3)
-        penalized_likelihood(lm, q, wp, ip, h)
-        value = penalized_likelihood(fold, q, wp, ip, h)
-        rows = solver._posterior_rows(fold, q)
-        assert len(calls) == 2
-        assert np.array_equal(rows, solver.gather_rows(fold.items, q))
-        assert value == self.fresh_value(fold, q, wp, ip, h)
+        with solver._fit_scope():
+            fn(lm, q, wp, ip, HyperParams())  # the right shape fills the slot first
+            with pytest.raises(ValueError, match="^posterior shape does not match"):
+                fn(lm, wrong(q), wp, ip, HyperParams())
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("exact", [False, True])

@@ -33,11 +33,12 @@ class CVConfig:
     def __post_init__(self):
         settings = self.hyper(0.0, 0.0)  # HyperParams checks the solver settings
         self.mode, self.variant = settings.mode, settings.variant
-        if not isinstance(self.folds, (int, np.integer)):
+        if not isinstance(self.folds, (int, np.integer)) or isinstance(self.folds, bool):
             raise ValueError(f"folds must be an integer, got {self.folds!r}")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if (not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool)
+                or self.seed < 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not self.gamma_grid:
             raise ValueError("gamma grid must be non-empty")

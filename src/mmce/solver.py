@@ -2,13 +2,13 @@
 
 Alternates an exact posterior update (Bayes rule with a uniform prior, the
 block maximizer in Q) with one backtracking ascent step on the worker/item
-scores along the gradient over a fixed diagonal preconditioner. The E-step
-maximizes its block and the Armijo search accepts only steps that raise the
-objective, so the trace is non-decreasing up to float slack; the
-preconditioner alone would not ensure that (see `_curvature_bound`). This is
-a generalized EM (Dempster, Laird & Rubin 1977): an M-step need only raise
-its block, and solving it further buys no outer iterations, since the
-alternation's rate sets their number.
+scores along the gradient over a fixed diagonal preconditioner, retried once
+at its parabola's peak when it overshoots. The E-step maximizes its block and
+the Armijo search accepts only steps that raise the objective, and a retry
+only a point above an accepted one, so the trace is non-decreasing up to
+float slack; the preconditioner alone would not ensure that (see
+`_curvature_bound`). This is a generalized EM (Dempster, Laird & Rubin 1977):
+an M-step need only raise its block.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .confusion import (
     RegularizerVariant,
     expand_ordinal,
     init_params,
+    ordinal_basis,
     project_ordinal,
     regularizer_gradient,
     regularizer_value,
@@ -35,6 +36,13 @@ PROB_FLOOR = 1e-300  # floor before logs; invisible at output precision
 # M-step line search: trials per search, sufficient-increase factor
 MAX_HALVINGS = 50
 ARMIJO = 1e-4
+# An accepted step is retried once at the peak of the parabola through f(0), f'(0)
+# and f(step) when that peak lies below this fraction of the step. On the benchmark
+# inputs (seeds 101-110) ordinal peaks sit at 0.63-0.76 of the step and dense CV
+# folds at gamma = 2 near 0.5, while sparse multiclass peaks sit at 0.78-1.12, so
+# 3/4 halves the ordinal outer iterations (498 -> 250) and leaves multiclass fits
+# unchanged; 0.7 and 0.8 took 258 and 274, an exact line search (1.0) 293.
+PEAK_RETRY = 0.75
 
 
 @dataclass
@@ -55,7 +63,8 @@ class HyperParams:
             raise ValueError("alpha and beta must be finite and >= 0")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if not isinstance(self.max_outer_iters, (int, np.integer)):
+        if (not isinstance(self.max_outer_iters, (int, np.integer))
+                or isinstance(self.max_outer_iters, bool)):
             raise ValueError(f"max_outer_iters must be an integer, got {self.max_outer_iters!r}")
         if self.max_outer_iters < 1:
             raise ValueError("iteration counts must be >= 1")
@@ -299,10 +308,15 @@ def _lbfgs(labels: LabelMatrix, posterior, worker_params, item_params,
 
 
 def _curvature_bound(labels: LabelMatrix, posterior, hyper: HyperParams):
-    """The M-step's diagonal preconditioner (workers, items): P(1 - P) <= 1/4
-    (Boehning's multinomial-logit bound, diagonal form) gives 1/4 sum_l Q_l(c)
-    for each dense score (c, k) of an entity, pooled onto ordinal scores, plus
-    alpha or beta. No model pass is needed.
+    """The M-step's diagonal preconditioner (workers, items): 1/4 sum_l Q_l(c)
+    summed over the true-class rows c a score touches, plus alpha or beta. No
+    model pass is needed.
+
+    Moving one score by t adds t to the logits of a set S_c of observed labels
+    in each row c it touches (one cell in multiclass mode, the grades on one
+    side of a threshold in ordinal mode), and along that score the row's
+    log-softmax has curvature P(S_c)(1 - P(S_c)) <= 1/4 (Boehning's
+    multinomial-logit bound, diagonal form), however large S_c is.
 
     Each value bounds the penalized likelihood's curvature along its own score
     only. Along directions that move a worker's and an item's scores together
@@ -310,14 +324,16 @@ def _curvature_bound(labels: LabelMatrix, posterior, hyper: HyperParams):
     10-worker, 40-item, 3-class instance, by up to 1.36x), so a full step can
     overshoot; the Armijo search in m_step is what keeps the trace monotone."""
     K = labels.num_classes
+    if hyper.mode == Mode.ORDINAL:
+        touches = ordinal_basis(K).any(axis=-1)  # [s, r, c]: score (s, r) touches row c
+    else:
+        touches = np.broadcast_to(np.eye(K, dtype=bool)[:, None, :], (K, K, K))
+    rows = touches.reshape(-1, K).T.astype(float)  # (row c, score)
     mass = 0.25 * _posterior_rows(labels, posterior)  # (K, L)
-    bounds = []
-    for index, size, ridge in ((labels.workers, labels.num_workers, hyper.alpha),
-                               (labels.items, labels.num_items, hyper.beta)):
-        dense = np.repeat(scatter_rows(index, mass, size)[:, :, None], K, axis=2)
-        bounds.append((project_ordinal(dense, K) if hyper.mode == Mode.ORDINAL
-                       else dense) + ridge)
-    return bounds
+    return [(scatter_rows(index, mass, size) @ rows).reshape(size, *touches.shape[:2])
+            + ridge
+            for index, size, ridge in ((labels.workers, labels.num_workers, hyper.alpha),
+                                       (labels.items, labels.num_items, hyper.beta))]
 
 
 def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
@@ -329,9 +345,12 @@ def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
     takes the first size t = 2**-j, j = 0 .. MAX_HALVINGS - 1, usually t = 1,
     that passes the Armijo test f(x + t d) >= f(x) + ARMIJO * t * g.d, so the
     objective cannot decrease; when none does, the line search has failed and
-    the scores stay put. Within a fit, the starting point and each trial cost
-    one model pass per point, and the accepted trial's model is the one the
-    caller reads next. Returns (worker_params, item_params,
+    the scores stay put. When the parabola through f(x), the slope g.d and
+    f(x + t d) peaks below PEAK_RETRY * t, the peak is tried once and taken if
+    it beats the accepted trial, which keeps the ascent. Within a fit, the
+    starting point and each trial cost one model pass per point, and the
+    returned point's model is the one the caller reads next: a refused peak
+    re-evaluates the accepted trial. Returns (worker_params, item_params,
     line_search_failed).
     """
     bw, bi = _curvature_bound(labels, posterior, hyper)
@@ -347,6 +366,14 @@ def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
         cand_w, cand_i = worker_params + step * dw, item_params + step * di
         cand_val = penalized_likelihood(labels, posterior, cand_w, cand_i, hyper)
         if cand_val >= value + ARMIJO * step * slope:
+            curv = value + step * slope - cand_val
+            peak = step * step * slope / (2 * curv) if curv > 0 else step
+            if peak < PEAK_RETRY * step:
+                peak_w, peak_i = worker_params + peak * dw, item_params + peak * di
+                if penalized_likelihood(labels, posterior, peak_w, peak_i,
+                                        hyper) > cand_val:
+                    return peak_w, peak_i, False
+                penalized_likelihood(labels, posterior, cand_w, cand_i, hyper)
             return cand_w, cand_i, False
         step *= 0.5
     return worker_params, item_params, True

@@ -319,6 +319,9 @@ class TestCVConfigValidation:
         ({"seed": -1}, "seed must be an integer >= 0, got -1"),
         ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
         ({"seed": None}, "seed must be an integer >= 0, got None"),
+        ({"folds": True}, "folds must be an integer, got True"),
+        ({"seed": False}, "seed must be an integer >= 0, got False"),
+        ({"seed": True}, "seed must be an integer >= 0, got True"),
     ])
     def test_folds_and_seed_are_checked_at_construction(self, settings, message):
         # refused up front, not by numpy or range() in the middle of a run
@@ -343,7 +346,8 @@ class TestCVConfigValidation:
 
     @pytest.mark.parametrize("settings", [{"tol": 0}, {"max_outer_iters": 0},
                                           {"mode": "ordinal", "variant": "centered"},
-                                          {"max_outer_iters": 2.5}])
+                                          {"max_outer_iters": 2.5},
+                                          {"max_outer_iters": True}])
     def test_solver_settings_are_checked_at_construction(self, settings):
         # the first fit would refuse them; the config refuses them up front
         with pytest.raises(ValueError) as want:

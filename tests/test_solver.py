@@ -13,10 +13,11 @@ from mmce.confusion import (
     RegularizerVariant,
     expand_ordinal,
     init_params,
+    ordinal_basis,
     project_ordinal,
 )
 from mmce.data import from_triples
-from mmce.selection import resolve_hyperparams
+from mmce.selection import partition_folds, resolve_hyperparams
 from mmce.solver import (
     FitResult,
     HyperParams,
@@ -78,6 +79,7 @@ class TestHyperParams:
         ("tol", float("nan"), "tol"),
         ("tol", float("inf"), "tol"),
         ("max_outer_iters", 2.5, "^max_outer_iters must be an integer, got 2.5$"),
+        ("max_outer_iters", True, "^max_outer_iters must be an integer, got True$"),
     ])
     def test_out_of_range_values_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -204,6 +206,52 @@ class TestCurvatureBound:
                     assert d2.shape == b.shape
                     assert np.all(d2 >= -b - 1e-5 * (1 + b))
 
+    def test_multiclass_and_binary_ordinal_bounds_equal_the_pooled_bound(self):
+        # Multiclass scores and K = 2 ordinal scores each touch one cell per
+        # true-class row, so the per-score bound is the pooled one bit for bit.
+        for K, mode in ((2, Mode.ORDINAL), (2, Mode.MULTICLASS), (3, Mode.MULTICLASS),
+                        (5, Mode.MULTICLASS)):
+            lm, q = planted_with_posterior(K)
+            h = HyperParams(alpha=0.7, beta=1.3, mode=mode)
+            for got, want in zip(solver._curvature_bound(lm, q, h), pooled_bound(lm, q, h)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("K", range(3, 7))
+    def test_ordinal_bound_is_at_most_the_pooled_bound(self, K):
+        # An ordinal score touching a row at several cells counts that row's
+        # mass once, where pooling counted it once per cell. Where the two add
+        # the same terms, their order may differ in the last bit.
+        lm, q = planted_with_posterior(K)
+        h = HyperParams(alpha=0.7, beta=1.3, mode=Mode.ORDINAL)
+        below = []
+        for got, want in zip(solver._curvature_bound(lm, q, h), pooled_bound(lm, q, h)):
+            assert got.shape == want.shape
+            assert np.all(got <= want * (1 + 1e-15))
+            below.append(np.any(got < want))
+        assert all(below)
+
+
+def planted_with_posterior(K):
+    """A planted 8 x 30 instance with K classes and a random posterior."""
+    conf = np.stack([synthetic.diagonal_confusion(K, 0.7)] * 8)
+    lm, _ = synthetic.sample_labels(8, 30, K, 4, conf, seed=K)
+    q = np.random.default_rng(K).random((lm.num_items, K))
+    return lm, q / q.sum(axis=1, keepdims=True)
+
+
+def pooled_bound(lm, q, h):
+    """The dense-cell bound 1/4 sum_l Q_l(c) + ridge at every cell (c, k),
+    pooled onto ordinal scores with `project_ordinal`."""
+    K = lm.num_classes
+    mass = 0.25 * np.take(q, lm.items, axis=0)
+    bounds = []
+    for index, size, ridge in ((lm.workers, lm.num_workers, h.alpha),
+                               (lm.items, lm.num_items, h.beta)):
+        dense = np.repeat(column_scatter(index, mass, size)[:, :, None], K, axis=2)
+        bounds.append((project_ordinal(dense, K) if h.mode == Mode.ORDINAL
+                       else dense) + ridge)
+    return bounds
+
 
 def planted_gamma_one(mode=Mode.MULTICLASS):
     """A planted 30 x 200, K = 3 instance and its gamma = 1 hyperparameters."""
@@ -226,13 +274,67 @@ def counted_model_passes(monkeypatch):
     return calls
 
 
+def count_line_search(monkeypatch, refuse_peaks=False):
+    """Counts, over what follows, of model passes, m_step calls, objective
+    calls inside m_step, parabola retries among those ("peaks": a point whose
+    step along the first trial's direction is not a power of two) and repeated
+    evaluations of one point. With refuse_peaks each retried peak scores -inf,
+    after its model pass, so m_step must keep its accepted trial."""
+    counts = {"model": 0, "objective": 0, "m_step": 0, "peaks": 0, "repeats": 0}
+    inside, points = [False], []  # the flat score points of the running m_step's calls
+    model, objective, step = solver._log_model, solver.penalized_likelihood, solver.m_step
+
+    def counted_model(*args):
+        counts["model"] += 1
+        return model(*args)
+
+    def counted_step(*args):
+        counts["m_step"] += 1
+        inside[0], points[:] = True, []
+        try:
+            return step(*args)
+        finally:
+            inside[0] = False
+
+    def counted_objective(labels, posterior, wp, ip, hyper):
+        value = objective(labels, posterior, wp, ip, hyper)
+        if not inside[0]:
+            return value
+        counts["objective"] += 1
+        x = np.concatenate([wp.ravel(), ip.ravel()])
+        counts["repeats"] += any(np.array_equal(x, p) for p in points)
+        if len(points) >= 2:
+            d = points[1] - points[0]
+            t = float((x - points[0]) @ d / (d @ d))
+            if abs(np.log2(t) - np.round(np.log2(t))) > 0.1:
+                counts["peaks"] += 1
+                value = -np.inf if refuse_peaks else value
+        points.append(x)
+        return value
+
+    monkeypatch.setattr(solver, "_log_model", counted_model)
+    monkeypatch.setattr(solver, "m_step", counted_step)
+    monkeypatch.setattr(solver, "penalized_likelihood", counted_objective)
+    return counts
+
+
+def dense_fold(seed, index, gamma):
+    """`dense_two_coin(seed, index)` without CV fold 0 of select's default
+    split, with the gamma resolved on the whole input as select does."""
+    lm, _ = dense_two_coin(seed, index)
+    alpha, beta = resolve_hyperparams(gamma, lm)
+    train = partition_folds(lm.num_labels, 5, 42) != 0
+    return lm.subset(train), HyperParams(alpha=alpha, beta=beta)
+
+
 class TestMStep:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_default_fit_makes_about_one_model_pass_per_outer_iteration(
             self, monkeypatch, mode):
         # An ascent step that passes at size 1 is one pass per iteration, plus
-        # the one at the starting scores: 6 over 5 iterations (multiclass) and
-        # 13 over 12 (ordinal). Steps that mostly need halving break the bound.
+        # the one at the starting scores, and a parabola retry one more: 6 over
+        # 5 iterations (multiclass) and 10 over 6 (ordinal). Steps that mostly
+        # need halving break the bound.
         lm, h = planted_gamma_one(mode)
         calls = counted_model_passes(monkeypatch)
         r = fit(lm, h)
@@ -251,32 +353,27 @@ class TestMStep:
         assert one.converged and exact.converged
         assert np.max(np.abs(one.posterior - exact.posterior)) <= 1e-5
 
-    @pytest.mark.parametrize("mode", list(Mode))
-    def test_one_model_pass_per_line_search_trial(self, monkeypatch, mode):
+    @pytest.mark.parametrize("case", [*Mode, "retried peaks", "refused peaks"])
+    def test_one_model_pass_per_line_search_trial(self, monkeypatch, case):
         # Across a whole fit, the only model pass outside a line-search trial
-        # is the one at the starting scores.
-        stack, counts = [], {"model": 0, "objective": 0, "m_step": 0}
-
-        def probe(name, fn):
-            def wrapped(*args, **kwargs):
-                if name != "objective" or "m_step" in stack:
-                    counts[name] += 1
-                stack.append(name)
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    stack.pop()
-            return wrapped
-
-        for attr, name in (("penalized_likelihood", "objective"), ("m_step", "m_step"),
-                           ("_log_model", "model")):
-            monkeypatch.setattr(solver, attr, probe(name, getattr(solver, attr)))
-        lm, h = planted_gamma_one(mode)
+        # is the one at the starting scores. A parabola retry is a trial, and
+        # so is the accepted trial's second evaluation after a refused peak.
+        counts = count_line_search(monkeypatch, refuse_peaks=case == "refused peaks")
+        if case == "retried peaks":
+            lm, h = dense_fold(101, 0, 2.0)
+        else:
+            lm, h = planted_gamma_one(Mode.ORDINAL if case == "refused peaks" else case)
         r = fit(lm, h)
         assert r.line_search_failures == 0
         assert counts["m_step"] == r.iterations
         trials = counts["objective"] - counts["m_step"]
         assert counts["model"] == 1 + trials
+        if case == "refused peaks":
+            assert counts["peaks"] > 0 and counts["repeats"] == counts["peaks"]
+        else:
+            assert counts["repeats"] == 0
+        if case != Mode.MULTICLASS:
+            assert counts["peaks"] > 0
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_fit_peak_memory_is_bounded_by_the_model_size(self, mode):
@@ -367,14 +464,37 @@ class TestMStep:
         np.testing.assert_array_equal(i2[2], ip[2])
 
     def test_never_decreases_objective(self):
-        for seed in range(100):
-            lm = synthetic.random_instance(seed)
-            wp, ip, q = random_state(lm, seed + 31)
-            h = HyperParams(alpha=0.5, beta=0.5)
-            before = penalized_likelihood(lm, q, wp, ip, h)
-            w2, i2, _ = m_step(lm, q, wp, ip, h)
-            after = penalized_likelihood(lm, q, w2, i2, h)
-            assert after >= before - 1e-9
+        for mode in Mode:
+            for seed in range(100):
+                lm = synthetic.random_instance(seed)
+                wp, ip, q = random_state(lm, seed + 31, mode=mode)
+                h = HyperParams(alpha=0.5, beta=0.5, mode=mode)
+                before = penalized_likelihood(lm, q, wp, ip, h)
+                w2, i2, _ = m_step(lm, q, wp, ip, h)
+                after = penalized_likelihood(lm, q, w2, i2, h)
+                assert after >= before - 1e-9
+
+    def test_sparse_multiclass_steps_pass_at_full_size(self, monkeypatch):
+        # On a fit-multiclass-shaped input (100 x 4000, K = 3, 5 labels per
+        # item) each parabola peaks past PEAK_RETRY of the step, so no step is
+        # halved or retried: one model pass per outer iteration, plus the start.
+        accuracy = 0.55 + 0.3 * (np.arange(100) + 0.5) / 100
+        conf = np.stack([synthetic.diagonal_confusion(3, a) for a in accuracy])
+        lm, _ = synthetic.sample_labels(100, 4000, 3, 5, conf, seed=0)
+        alpha, beta = resolve_hyperparams(1.0, lm)
+        calls = counted_model_passes(monkeypatch)
+        r = fit(lm, HyperParams(alpha=alpha, beta=beta))
+        assert r.converged
+        assert len(calls) == 1 + r.iterations
+
+    @pytest.mark.parametrize("seed", [101, 102, 103])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_dense_fold_fits_do_not_zigzag(self, seed, index):
+        # On a dense CV fold at gamma = 2 the parabola through each accepted
+        # step peaks near half the step, so full steps alone overshoot every
+        # time: those fits took 45-91 outer iterations; with the retry, 9.
+        r = fit(*dense_fold(seed, index, 2.0))
+        assert r.converged and r.iterations <= 20
 
 
 LOG_MODEL = solver._log_model  # the model pass itself, never counted
@@ -698,16 +818,23 @@ class TestClassMajorKernel:
             assert np.array_equal(got, softmax(log_q, axis=1))
 
     def test_curvature_bound_is_bit_identical_to_column_scatter(self):
+        # Each score's bound sums the scattered 1/4 Q of the true-class rows it
+        # touches: its own row c for a multiclass cell (c, k), and the rows on
+        # its side of the threshold for an ordinal score.
         for lm, mode, _, _, q in kernel_cases(1.0):
             h = HyperParams(alpha=0.7, beta=1.3, mode=mode)
             K = lm.num_classes
             mass = 0.25 * np.take(q, lm.items, axis=0)
+            if mode == Mode.ORDINAL:
+                touches = ordinal_basis(K).any(axis=-1)  # [s, r, c]
+            else:
+                touches = np.repeat(np.eye(K, dtype=bool)[:, None, :], K, axis=1)  # [c, k, c']
+            rows = touches.reshape(-1, K).T.astype(float)
             for got, index, size, ridge in zip(
                     solver._curvature_bound(lm, q, h),
                     (lm.workers, lm.items), (lm.num_workers, lm.num_items), (0.7, 1.3)):
-                dense = np.repeat(column_scatter(index, mass, size)[:, :, None], K, axis=2)
-                want = (project_ordinal(dense, K) if mode == Mode.ORDINAL else dense) + ridge
-                assert np.array_equal(got, want)
+                want = column_scatter(index, mass, size) @ rows + ridge
+                assert np.array_equal(got, want.reshape(size, *touches.shape[:2]))
 
     def test_dawid_skene_is_bit_identical_to_column_scatter(self):
         for lm, _, _, _, q in kernel_cases(1.0):
@@ -895,7 +1022,7 @@ class TestBasin:
         # The Euclidean objective is symmetric under swapping the true classes,
         # so a fit whose path crosses over lands on the mirrored labelling and
         # errs 100% at the same objective. Measured over these 18 fits: one
-        # ascent step per M-step errs at most 1.9% (mean 0.15%) in at most 34
+        # ascent step per M-step errs at most 1.9% (mean 0.15%) in at most 35
         # iterations, five steps at most 4.6%; two steps mirror 4 of the 6 fits
         # at gamma = 1.
         for seed in (101, 102, 103):

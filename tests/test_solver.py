@@ -15,9 +15,11 @@ from mmce.confusion import (
     init_params,
     ordinal_basis,
     project_ordinal,
+    regularizer_gradient,
+    regularizer_value,
 )
 from mmce.data import from_triples
-from mmce.selection import partition_folds, resolve_hyperparams
+from mmce.selection import CVConfig, partition_folds, resolve_hyperparams
 from mmce.solver import (
     FitResult,
     HyperParams,
@@ -492,7 +494,8 @@ class TestMStep:
     def test_dense_fold_fits_do_not_zigzag(self, seed, index):
         # On a dense CV fold at gamma = 2 the parabola through each accepted
         # step peaks near half the step, so full steps alone overshoot every
-        # time: those fits took 45-91 outer iterations; with the retry, 9.
+        # time: those fits took 45-91 outer iterations; with the retry, 9, and
+        # with each trial also on the optimal worker/item split, 6-8.
         r = fit(*dense_fold(seed, index, 2.0))
         assert r.converged and r.iterations <= 20
 
@@ -1022,8 +1025,9 @@ class TestBasin:
         # The Euclidean objective is symmetric under swapping the true classes,
         # so a fit whose path crosses over lands on the mirrored labelling and
         # errs 100% at the same objective. Measured over these 18 fits: one
-        # ascent step per M-step errs at most 1.9% (mean 0.15%) in at most 35
-        # iterations, five steps at most 4.6%; two steps mirror 4 of the 6 fits
+        # ascent step per M-step, each trial on the optimal worker/item split,
+        # errs at most 1.9% (mean 0.15%) in at most 14 iterations (35 without
+        # the split); five steps at most 4.6%; two steps mirror 4 of the 6 fits
         # at gamma = 1.
         for seed in (101, 102, 103):
             for index in (0, 1):
@@ -1032,6 +1036,116 @@ class TestBasin:
                 r = fit(lm, HyperParams(alpha=alpha, beta=beta))
                 error = np.mean(r.predicted != truth)
                 assert r.converged and error < 0.1, (seed, index, error)
+
+
+class TestRidgeSplit:
+    """Worker and item scores enter the model only through their sum, so the
+    split (sigma_w + t, tau_j - t) moves the penalty alone, and every M-step
+    trial sits at the penalty's optimum along it."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_the_split_leaves_the_model_unchanged(self, mode):
+        for seed in range(10):
+            lm = synthetic.random_instance(seed)
+            wp, ip, _ = random_state(lm, seed + 50, mode=mode)
+            t = np.random.default_rng(seed).normal(scale=2.0, size=wp.shape[1:])
+            for got, want in zip(solver._log_model(lm, wp + t, ip - t, mode),
+                                 solver._log_model(lm, wp, ip, mode)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode,variant", [
+        (Mode.MULTICLASS, RegularizerVariant.EUCLIDEAN),
+        (Mode.ORDINAL, RegularizerVariant.EUCLIDEAN),
+        (Mode.MULTICLASS, RegularizerVariant.CENTERED)])
+    def test_m_step_lands_on_the_optimal_split(self, mode, variant):
+        # The penalty's derivative along the split of one score, the worker
+        # ridge's pull summed over workers minus the item ridge's summed over
+        # items, vanishes after a step from a random start.
+        h = HyperParams(alpha=0.7, beta=1.3, mode=mode, variant=variant)
+        for seed in range(10):
+            lm = synthetic.random_instance(seed)
+            wp, ip, q = random_state(lm, seed + 60, mode=mode)
+            w2, i2, failed = m_step(lm, q, wp, ip, h)
+            assert not failed
+            pulls = (regularizer_gradient(w2, variant, h.alpha),
+                     regularizer_gradient(i2, RegularizerVariant.EUCLIDEAN, h.beta))
+            residual = np.abs(pulls[0].sum(axis=0) - pulls[1].sum(axis=0))
+            scale = sum(np.abs(pull).sum(axis=0) for pull in pulls)
+            assert np.all(residual <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_no_shift_with_clamped_items_or_without_a_penalty(self, mode):
+        # Clamped item scores stay at 0 through a whole fit. At alpha = beta = 0
+        # nothing sets the split, and the step is a plain one along d = g / b.
+        for seed in range(10):
+            lm = synthetic.random_instance(seed)
+            clamped = HyperParams(alpha=0.7, beta=1.3, mode=mode, clamp_item_params=True)
+            assert not np.any(fit(lm, clamped).item_params)
+            h = HyperParams(alpha=0.0, beta=0.0, mode=mode)
+            wp, ip, q = random_state(lm, seed + 70, mode=mode)
+            moved = np.concatenate([x.ravel() for x in m_step(lm, q, wp, ip, h)[:2]])
+            moved -= np.concatenate([wp.ravel(), ip.ravel()])
+            grads = m_step_gradients(lm, q, wp, ip, h)
+            d = np.concatenate([np.divide(g, b, out=np.zeros_like(g), where=b > 0).ravel()
+                                for g, b in zip(grads, solver._curvature_bound(lm, q, h))])
+            size = (moved @ d) / (d @ d)
+            assert size > 0
+            np.testing.assert_allclose(moved, size * d, rtol=0,
+                                       atol=1e-13 * np.abs(size * d).max())
+
+    @pytest.mark.parametrize("variant", list(RegularizerVariant))
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 0.7), (0.0, 1.3), (1.5, 0.0)])
+    def test_closed_form_is_the_least_norm_penalty_minimizer(self, variant, alpha, beta):
+        # The penalty is quadratic in t, so central differences with unit steps
+        # give its gradient and Hessian at t = 0 up to rounding, and the
+        # least-norm Newton point is the minimizer (the centered ridge at
+        # beta = 0 leaves the diagonal and off-diagonal means of t free).
+        h = HyperParams(alpha=alpha, beta=beta, variant=variant)
+        for seed in range(5):
+            lm = synthetic.random_instance(seed)
+            wp, ip, _ = random_state(lm, seed + 90, scale=1.0)
+            shape = wp.shape[1:]
+
+            def f(t):  # the penalty at (sigma_w + t, tau_j - t)
+                t = t.reshape(shape)
+                return (regularizer_value(wp + t, variant, alpha)
+                        + regularizer_value(ip - t, RegularizerVariant.EUCLIDEAN, beta))
+
+            unit = np.eye(int(np.prod(shape)))
+            grad = np.array([(f(a) - f(-a)) / 2 for a in unit])
+            hess = np.array([[(f(a + b) - f(a - b) - f(b - a) + f(-a - b)) / 4
+                              for b in unit] for a in unit])
+            want = np.linalg.lstsq(hess, -grad, rcond=1e-9)[0]
+            got = np.ravel(solver._ridge_split(wp, ip, h))
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-13 * max(1, np.abs(want).max()))
+
+    def test_dense_fits_at_small_gamma_take_few_outer_iterations(self):
+        # TestBasin's six inputs at gamma = 0.25. A step along d = g / b relaxes
+        # the split by a few percent per outer iteration (curvature there is the
+        # ridge alone, far below b): 35 iterations each. Set exactly: 12-14.
+        for seed in (101, 102, 103):
+            for index in (0, 1):
+                lm, _ = dense_two_coin(seed, index)
+                alpha, beta = resolve_hyperparams(0.25, lm)
+                r = fit(lm, HyperParams(alpha=alpha, beta=beta))
+                assert r.converged and r.iterations <= 20, (seed, index, r.iterations)
+
+    def test_default_cv_fold_fits_take_few_outer_iterations(self):
+        # The 25 fold fits of select's default 5 x 5 grid on one select-cv-shaped
+        # input, split and resolved as cross_validate does: 380 outer iterations
+        # in all with plain steps, 221 with each trial on the optimal split.
+        lm, _ = dense_two_coin(101, 0)
+        config = CVConfig()
+        assignment = partition_folds(lm.num_labels, config.folds, config.seed)
+        iterations = 0
+        for gamma in config.gamma_grid:
+            hyper = config.hyper(*resolve_hyperparams(gamma, lm))
+            for f in range(config.folds):
+                r = fit(lm.subset(assignment != f), hyper)
+                assert r.converged
+                iterations += r.iterations
+        assert iterations <= 300
 
 
 class TestKlIdentity:

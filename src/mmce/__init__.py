@@ -10,7 +10,6 @@ from .data import (
     load_gold,
     load_labels,
     summarize,
-    write_labels,
 )
 from .evaluation import EvalReport, calibration_bins, error_rate, mean_square_error
 from .selection import CVConfig, CVReport, cross_validate, resolve_hyperparams, validation_select
@@ -23,5 +22,4 @@ __all__ = [
     "e_step", "error_rate", "expand_ordinal", "fit", "from_triples",
     "initialize_posterior", "load_gold", "load_labels", "majority_vote",
     "mean_square_error", "resolve_hyperparams", "summarize", "validation_select",
-    "write_labels",
 ]

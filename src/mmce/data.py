@@ -375,9 +375,9 @@ def from_triples(triples, num_classes, worker_ids=None, item_ids=None) -> LabelM
     passed to register workers/items that have no observations. Errors name
     the triple's 1-based position. An id that a labels file cannot carry (a
     comma, a line break, or leading or trailing whitespace) is rejected, so
-    write_labels output always loads back. A label is a string, read as a
-    labels file field is, or an integral number; anything else is not an
-    integer. num_classes must be at least 2.
+    every matrix built here can be written as a labels file that loads back.
+    A label is a string, read as a labels file field is, or an integral
+    number; anything else is not an integer. num_classes must be at least 2.
     """
     rows = [(str(wid), str(iid), lab) for wid, iid, lab in triples]
     end = next((k for k, (wid, iid, _) in enumerate(rows)
@@ -517,14 +517,6 @@ def _write_rows(path, header, row_format, columns) -> None:
 def _lines(row_format, columns):
     """The `row_format % row` line of each row of the equal-length array columns."""
     return map(row_format.__mod__, zip(*(col.tolist() for col in columns)))
-
-
-def write_labels(labels: LabelMatrix, path, label_base=0) -> None:
-    """Write the canonical labels file (inverse of load_labels)."""
-    _write_rows(path, "worker,item,label\n", "%s,%s,%s\n", (
-        np.asarray(labels.worker_ids, dtype=object)[labels.workers],
-        np.asarray(labels.item_ids, dtype=object)[labels.items],
-        labels.labels + label_base))
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,14 @@ only a point above an accepted one, so the trace is non-decreasing up to
 float slack; the preconditioner alone would not ensure that (see
 `_curvature_bound`). This is a generalized EM (Dempster, Laird & Rubin 1977):
 an M-step need only raise its block.
+
+Only `fit` shares models, one per score point (`_fit_slot`); the L-BFGS objective and
+`kl_identity_check` hand one model pass of their own to `_penalized` and `_gradients`.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -114,22 +116,12 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     return prob, log_obs
 
 
-# A running fit's shared values, or None outside `_fit_scope`, where each call fills a
+# A running fit's shared values, or None outside `fit`, where each call fills a
 # throwaway slot: the score arrays last passed to `_model` with their model, and the
-# posterior last passed to `_posterior_rows` with its read-only rows. A scope serves one
-# fit, so one label matrix and one mode, and inputs match by identity: no array handed
-# to the slot may change in place inside it. `fit` builds every score array and
-# posterior anew, and polish pins only `_lbfgs`'s returned arrays, which are never held.
+# posterior last passed to `_posterior_rows` with its read-only rows. One fit has one
+# label matrix and one mode, and inputs match by identity, which holds because `fit`
+# builds every score array and posterior anew and changes none in place.
 _fit_slot = [None]
-
-
-@contextmanager
-def _fit_scope():
-    _fit_slot[0] = {}
-    try:
-        yield
-    finally:
-        _fit_slot[0] = None
 
 
 def _model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
@@ -211,19 +203,20 @@ def entropy(posterior: np.ndarray) -> float:
     return float(-np.sum(q * np.log(np.maximum(q, PROB_FLOOR))))
 
 
-def _data_term(rows, log_obs) -> float:
-    """sum_l sum_c Q_l(c) log P(x_l | c), from the posterior rows Q_l(c)."""
-    return float((rows * log_obs).sum())
+def _penalized(rows, log_obs, worker_params, item_params, hyper: HyperParams) -> float:
+    """sum_l sum_c Q_l(c) log P(x_l | c) minus the penalties, from the rows Q_l(c)."""
+    data = float((rows * log_obs).sum())
+    # the centered variant applies to worker scores only
+    return (data - regularizer_value(worker_params, hyper.variant, hyper.alpha)
+            - regularizer_value(item_params, RegularizerVariant.EUCLIDEAN, hyper.beta))
 
 
 def penalized_likelihood(labels, posterior, worker_params, item_params,
                          hyper: HyperParams) -> float:
     """The objective the M-step ascends: expected log-likelihood minus penalties."""
     _, log_obs = _model(labels, worker_params, item_params, hyper.mode)
-    data = _data_term(_posterior_rows(labels, posterior), log_obs)
-    # the centered variant applies to worker scores only
-    return (data - regularizer_value(worker_params, hyper.variant, hyper.alpha)
-            - regularizer_value(item_params, RegularizerVariant.EUCLIDEAN, hyper.beta))
+    return _penalized(_posterior_rows(labels, posterior), log_obs, worker_params,
+                      item_params, hyper)
 
 
 def dual_objective(labels, posterior, worker_params, item_params,
@@ -256,17 +249,23 @@ def e_step(labels: LabelMatrix, worker_params, item_params,
 
 def m_step_gradients(labels: LabelMatrix, posterior, worker_params, item_params,
                      hyper: HyperParams):
-    """Analytic gradients of the penalized likelihood w.r.t. both score tensors.
+    """Analytic gradients of the penalized likelihood w.r.t. both score tensors."""
+    prob, _ = _model(labels, worker_params, item_params, hyper.mode)
+    return _gradients(labels, _posterior_rows(labels, posterior), prob, worker_params,
+                      item_params, hyper)
+
+
+def _gradients(labels, rows, prob, worker_params, item_params, hyper: HyperParams):
+    """`m_step_gradients` from the posterior rows and the model's prob.
 
     The data part per observation is Q(c) * [I(x = k) - P(k | c)], accumulated
     into the observation's worker and item slots in observation order (a fixed
     reduction order, so results are reproducible).
     """
     K = labels.num_classes
-    prob, _ = _model(labels, worker_params, item_params, hyper.mode)
     # (K, K, L): I(x_l = k) - P(k | c), then times Q(c) in place
     per_obs = np.subtract(labels.labels == np.arange(K)[:, None], prob)
-    per_obs *= _posterior_rows(labels, posterior)[:, None, :]
+    per_obs *= rows[:, None, :]
     gw = scatter_rows(labels.workers, per_obs, labels.num_workers)
     gi = scatter_rows(labels.items, per_obs, labels.num_items)
     if hyper.mode == Mode.ORDINAL:
@@ -285,13 +284,13 @@ def _split(x, w_shape, i_shape):
     return x[:w_size].reshape(w_shape), x[w_size:].reshape(i_shape)
 
 
-def _value_and_grad(x, labels: LabelMatrix, posterior, hyper: HyperParams,
-                    w_shape, i_shape):
-    """The L-BFGS objective: the negated penalized likelihood and its gradient
-    at the flat scores x, both from a single model pass within a fit or polish."""
+def _value_and_grad(x, labels: LabelMatrix, rows, hyper: HyperParams, w_shape, i_shape):
+    """The L-BFGS objective: the negated penalized likelihood and its gradient at
+    the flat scores x, from the posterior rows and one model pass of its own."""
     worker_params, item_params = _split(x, w_shape, i_shape)
-    value = penalized_likelihood(labels, posterior, worker_params, item_params, hyper)
-    gw, gi = m_step_gradients(labels, posterior, worker_params, item_params, hyper)
+    prob, log_obs = _log_model(labels, worker_params, item_params, hyper.mode)
+    value = _penalized(rows, log_obs, worker_params, item_params, hyper)
+    gw, gi = _gradients(labels, rows, prob, worker_params, item_params, hyper)
     return -value, -np.concatenate([gw.ravel(), gi.ravel()])
 
 
@@ -303,8 +302,8 @@ def _lbfgs(labels: LabelMatrix, posterior, worker_params, item_params,
 
     shapes = (worker_params.shape, item_params.shape)
     x0 = np.concatenate([worker_params.ravel(), item_params.ravel()])
-    res = minimize(_value_and_grad, x0, args=(labels, posterior, hyper, *shapes),
-                   jac=True, method="L-BFGS-B", options=options)
+    res = minimize(_value_and_grad, x0, jac=True, method="L-BFGS-B", options=options,
+                   args=(labels, _posterior_rows(labels, posterior), hyper, *shapes))
     return _split(res.x, *shapes)
 
 
@@ -433,7 +432,8 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
     iterations = 0
     ls_failures = 0
     step_fn = m_step_exact if hyper.exact_m_step else m_step
-    with _fit_scope():
+    _fit_slot[0] = {}
+    try:
         trace = [dual_objective(labels, posterior, wp, ip, hyper)]
         for it in range(1, hyper.max_outer_iters + 1):
             iterations = it
@@ -446,6 +446,8 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
             if abs(trace[-1] - prev) < hyper.tol * max(abs(prev), PROB_FLOOR):
                 converged = True
                 break
+    finally:
+        _fit_slot[0] = None
     return FitResult(
         posterior=posterior,
         worker_params=wp,
@@ -476,22 +478,20 @@ def polish_stationary_point(labels: LabelMatrix, result: FitResult,
     """
     q = round_posterior(result.posterior)
     wp, ip = result.worker_params, result.item_params
-    with _fit_scope():  # one model pass per L-BFGS evaluation
-        for _ in range(3):  # three solve-then-pin rounds
-            wp, ip = _lbfgs(labels, q, wp, ip, hyper,
-                            {"maxiter": 20000, "maxfun": 50000, "gtol": 1e-14, "ftol": 0})
-            for scores in (wp, ip):
-                sat = np.abs(scores) > 12.0  # runaway: far past any interior optimum
-                scores[sat] = np.sign(scores[sat]) * 600.0
+    for _ in range(3):  # three solve-then-pin rounds
+        wp, ip = _lbfgs(labels, q, wp, ip, hyper,
+                        {"maxiter": 20000, "maxfun": 50000, "gtol": 1e-14, "ftol": 0})
+        for scores in (wp, ip):
+            sat = np.abs(scores) > 12.0  # runaway: far past any interior optimum
+            scores[sat] = np.sign(scores[sat]) * 600.0
     return replace(result, posterior=q, worker_params=wp, item_params=ip,
                    objective_trace=list(result.objective_trace))
 
 
-def _label_entropy(labels: LabelMatrix, posterior, prob) -> float:
-    """H(observed labels | true labels) under the model prob and posterior,
-    with 0 * log 0 = 0."""
+def _label_entropy(rows, prob) -> float:
+    """H(observed labels | true labels) under prob and the posterior rows; 0 log 0 = 0."""
     per_pair = -np.sum(prob * np.log(np.maximum(prob, PROB_FLOOR)), axis=1)  # (K, L)
-    return float(np.sum(gather_rows(labels.items, posterior) * per_pair))
+    return float(np.sum(rows * per_pair))
 
 
 def kl_identity_check(labels: LabelMatrix, result: FitResult,
@@ -505,8 +505,7 @@ def kl_identity_check(labels: LabelMatrix, result: FitResult,
     divergence at the point mass is -sum log P(x_l | y*) + n*log K, so the
     n*log K terms cancel and the residual is |-sum log P(x_l | y*) - H(X|Y)|.
     """
-    q = round_posterior(result.posterior)
+    rows = gather_rows(labels.items, round_posterior(result.posterior))
     prob, log_obs = _log_model(labels, result.worker_params, result.item_params,
                                hyper.mode)
-    data = _data_term(gather_rows(labels.items, q), log_obs)
-    return abs(-data - _label_entropy(labels, q, prob))
+    return abs(-float((rows * log_obs).sum()) - _label_entropy(rows, prob))

@@ -15,11 +15,18 @@ from mmce.data import (
     load_labels,
     read_posterior,
     summarize,
-    write_labels,
     write_posterior,
 )
 
 from conftest import write_csv
+
+
+def write_labels_file(lm, path, label_base=0):
+    """Write the labels file of `lm`, one `worker,item,label` row per observation."""
+    rows = zip(np.asarray(lm.worker_ids, dtype=object)[lm.workers],
+               np.asarray(lm.item_ids, dtype=object)[lm.items],
+               (lm.labels + label_base).tolist())
+    return write_csv(path, rows, header="worker,item,label")
 
 
 class TestLoadLabels:
@@ -136,7 +143,7 @@ class TestLoadLabels:
                       header="worker,item,label")
         lm = load_labels(p, 2)
         out = tmp_path / "out.csv"
-        write_labels(lm, out)
+        write_labels_file(lm, out)
         assert out.read_bytes() == p.read_bytes()
 
     def test_one_based_round_trip_is_byte_identical(self, tmp_path):
@@ -145,7 +152,7 @@ class TestLoadLabels:
         lm = load_labels(p, 3, label_base=1)
         assert lm.labels.tolist() == [0, 2, 1]
         out = tmp_path / "out.csv"
-        write_labels(lm, out, label_base=1)
+        write_labels_file(lm, out, label_base=1)
         assert out.read_bytes() == p.read_bytes()
 
 
@@ -193,7 +200,7 @@ class TestFromTriples:
         triples = [("a b", "i;1", 0), ("c", "i;1", 1), ("\u00e9", "j k", 1), (7, 8, 0)]
         lm = from_triples(triples, 2)
         path = tmp_path / "l.csv"
-        write_labels(lm, path)
+        write_labels_file(lm, path)
         back = load_labels(path, 2)
         assert (back.worker_ids, back.item_ids) == (lm.worker_ids, lm.item_ids)
         for name in ("workers", "items", "labels"):

@@ -7,7 +7,8 @@ one must be imported or read as an attribute by the acceptance gate
 
 A function or class counts as used when `src/`, `scripts/` or `perfbench/`
 refers to it outside its own definition: as a name, an attribute, an imported
-name or a string (the benchmark's tracer looks functions up by name). A
+name or a string (the benchmark's tracer looks functions up by name). The
+package's `__init__.py` does not count: exporting a name is not using it. A
 module-level constant counts as used only where one of those directories
 reads it, as a name or an attribute: its own assignment and imports of it do
 not count. A parameter with a default counts as passed when a call to a
@@ -25,6 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TEST_ONLY = {
     "polish_stationary_point": "acceptance test 5 imports it from mmce.solver",
     "kl_identity_check": "acceptance test 5 imports it from mmce.solver",
+    "calibration_bins": "acceptance 7 imports it",
     "random_instance": "the acceptance tests draw their small random inputs from it",
 }
 
@@ -52,7 +54,8 @@ def constants():
 def program_trees():
     for top_dir in ("src", "scripts", "perfbench"):
         for path in sorted((ROOT / top_dir).rglob("*.py")):
-            yield ast.parse(path.read_text(encoding="utf-8"))
+            if path != ROOT / "src" / "mmce" / "__init__.py":
+                yield ast.parse(path.read_text(encoding="utf-8"))
 
 
 def loaded_names() -> set:

@@ -2,6 +2,7 @@ import dataclasses
 import tracemalloc
 import warnings
 import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -549,6 +550,16 @@ ENTRY_POINTS = {
 }
 
 
+@contextmanager
+def fit_scope():
+    """The slot held open as `fit` holds it, for calls made outside a fit."""
+    solver._fit_slot[0] = {}
+    try:
+        yield
+    finally:
+        solver._fit_slot[0] = None
+
+
 class TestModelMemo:
     """The slot that shares the model and the posterior rows within a fit."""
 
@@ -557,7 +568,7 @@ class TestModelMemo:
         lm = synthetic.random_instance(3)
         wp, ip, q = random_state(lm, 4)
         h = HyperParams(alpha=0.7, beta=1.3)
-        with solver._fit_scope():
+        with fit_scope():
             value = penalized_likelihood(lm, q, wp, ip, h)
             grads = m_step_gradients(lm, q, wp, ip, h)
             posterior = e_step(lm, wp, ip, h)
@@ -591,7 +602,7 @@ class TestModelMemo:
             alive.append(old() is not None)
             return build(*args)
 
-        with solver._fit_scope():
+        with fit_scope():
             old = weakref.ref(read())
             assert old() is not None  # the slot holds it
             monkeypatch.setattr(solver, builder, probed)
@@ -668,7 +679,7 @@ class TestFixedInputs:
         lm = synthetic.random_instance(11)
         wp, ip, q = random_state(lm, 12)
         h = HyperParams(alpha=0.7, beta=1.3)
-        with solver._fit_scope():
+        with fit_scope():
             penalized_likelihood(lm, q, wp, ip, h)
             grads = m_step_gradients(lm, q, wp + 1.0, ip, h)
             value = penalized_likelihood(lm, q, wp, ip - 1.0, h)
@@ -687,7 +698,7 @@ class TestFixedInputs:
     def test_posterior_of_the_wrong_shape_is_refused(self, fn, wrong):
         lm = synthetic.random_instance(3)
         wp, ip, q = random_state(lm, 3)
-        with solver._fit_scope():
+        with fit_scope():
             fn(lm, q, wp, ip, HyperParams())  # the right shape fills the slot first
             with pytest.raises(ValueError, match="^posterior shape does not match"):
                 fn(lm, wrong(q), wp, ip, HyperParams())
@@ -702,6 +713,52 @@ class TestFixedInputs:
             h.exact_m_step, h.max_outer_iters = True, 6  # L-BFGS M-steps are slow
         r = fit(lm, h)
         assert len(calls) == r.iterations + 1
+
+
+def counted_evaluations(monkeypatch):
+    """A list that gains, per L-BFGS evaluation from now on, the fit slot's
+    value at that call."""
+    slots = []
+    value_and_grad = solver._value_and_grad
+
+    def counted(*args):
+        slots.append(solver._fit_slot[0])
+        return value_and_grad(*args)
+
+    monkeypatch.setattr(solver, "_value_and_grad", counted)
+    return slots
+
+
+class TestOwnModelPasses:
+    """Outside `fit`, the L-BFGS paths and the KL check make one model pass per
+    evaluation by themselves and open no slot."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_direct_exact_m_step_makes_one_pass_per_evaluation(self, monkeypatch, mode):
+        lm = synthetic.random_instance(2)
+        wp, ip, q = random_state(lm, 3, mode=mode)
+        passes, slots = counted_model_passes(monkeypatch), counted_evaluations(monkeypatch)
+        solver.m_step_exact(lm, q, wp, ip, HyperParams(alpha=0.5, beta=0.5, mode=mode))
+        assert len(slots) > 1 and len(passes) == len(slots)
+        assert slots == [None] * len(slots)
+
+    def test_polish_makes_one_pass_per_evaluation_with_no_slot_open(self, monkeypatch):
+        # acceptance 5's first input
+        conf = np.array([synthetic.diagonal_confusion(2, 0.7)] * 8)
+        lm, _ = synthetic.sample_labels(8, 16, 2, 8, conf, 0)
+        h = HyperParams(alpha=0.0, beta=0.0, max_outer_iters=300, tol=1e-10)
+        r = fit(lm, h)
+        passes, slots = counted_model_passes(monkeypatch), counted_evaluations(monkeypatch)
+        polish_stationary_point(lm, r, h)
+        assert len(slots) > 3 and len(passes) == len(slots)
+        assert slots == [None] * len(slots)
+
+    def test_kl_check_makes_one_pass_and_one_posterior_gather(self, monkeypatch):
+        lm = synthetic.random_instance(23)
+        wp, ip, q = random_state(lm, 24)
+        passes, gathers = counted_model_passes(monkeypatch), counted_row_gathers(monkeypatch)
+        kl_identity_check(lm, FitResult(q, wp, ip, [], False, 0), HyperParams())
+        assert (len(passes), len(gathers)) == (1, 1)
 
 
 def entity_log_model(labels, worker_params, item_params, mode):
@@ -885,7 +942,8 @@ class TestSharedModel:
             lm = synthetic.random_instance(seed)
             wp, ip, q = random_state(lm, seed + 60, mode=mode)
             x = np.concatenate([wp.ravel(), ip.ravel()])
-            value, grad = solver._value_and_grad(x, lm, q, h, wp.shape, ip.shape)
+            rows = solver.gather_rows(lm.items, q)
+            value, grad = solver._value_and_grad(x, lm, rows, h, wp.shape, ip.shape)
             gw, gi = m_step_gradients(lm, q, wp, ip, h)
             assert value == -penalized_likelihood(lm, q, wp, ip, h)
             assert np.array_equal(grad, -np.concatenate([gw.ravel(), gi.ravel()]))
@@ -1189,4 +1247,4 @@ class TestKlIdentity:
                 for k in range(lm.num_classes):
                     p = prob[c, k, l]
                     direct -= q[lm.items[l], c] * p * np.log(p)
-        assert _label_entropy(lm, q, prob) == pytest.approx(direct)
+        assert _label_entropy(solver.gather_rows(lm.items, q), prob) == pytest.approx(direct)

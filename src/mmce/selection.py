@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import struct
 import threading
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,40 +201,110 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-# The task of the running `_map`. It is set before the workers fork, so they
-# inherit it with everything it reads (the labels, the folds); only task
-# arguments and results are pickled.
-_task = [None]
-
-
-def _run_task(*args):
-    return _task[0](*args)
+# One task index in the deal pipe of `_map`. Every read takes one whole record,
+# so each task goes to exactly one process.
+_RECORD = struct.Struct("=I")
+# Tasks dealt per fork: 4 KiB of records, which any pipe holds unread, so the
+# records are all written before a worker starts.
+_DEAL = 1024
 
 
 def _map(task, args: list) -> list:
     """[task(*a) for a in args], in order.
 
-    With two or more usable CPUs the tasks run in forked worker processes, one
-    task at a time each, and the results are collected in task order, so the
-    outcome is the one a serial run gives. A task that raises fails the map
-    with its exception, and the tasks still pending are cancelled. No worker
-    outlives the call, whether it returns or raises. A process with more than
-    one thread runs the tasks itself: a fork copies only the calling thread,
-    so a lock held by another thread would stay held in the workers. So does
-    a process whose `solver.fit` has been wrapped (`functools.wraps` marks a
-    wrapper with `__wrapped__`), as a tracer or profiler does: the wrapper
-    records into this process's memory, where a worker's calls would be lost.
+    With two or more usable CPUs the calling process forks one worker for each
+    further CPU and takes tasks alongside them. Every task index is written
+    to a pipe before the fork, and each process reads the next one whenever
+    it is free, so a slow task holds up only its own process. Each worker
+    sends its results back pickled, through a pipe of its own, once the task
+    pipe is empty; the caller reads them, reaps the worker and puts the
+    results in task order, so the outcome is the one a serial run gives.
+
+    A process whose task raises empties the task pipe, so no further task
+    starts, and the call raises the exception of the lowest-numbered task
+    that raised, as a serial run does. A worker that dies, or sends results
+    that cannot be read, fails the call with a RuntimeError that names its
+    exit status (not an OSError, which the command line reports as a usage
+    error). No worker outlives the call, whether it returns or raises.
+
+    A process with more than one thread runs the tasks itself: a fork copies
+    only the calling thread, so a lock held by another thread would stay held
+    in the workers. So does a process whose `solver.fit` has been wrapped
+    (`functools.wraps` marks a wrapper with `__wrapped__`), as a tracer or
+    profiler does: the wrapper records into this process's memory, where a
+    worker's calls would be lost.
     """
     workers = min(len(args), _usable_cpus())
     if (workers < 2 or threading.active_count() > 1
             or hasattr(solver.fit, "__wrapped__")):
         return [task(*a) for a in args]
-    import multiprocessing  # here, so that a serial run never loads it
-    from concurrent.futures import ProcessPoolExecutor
-
-    _task[0] = task
+    if len(args) > _DEAL:
+        return [result for start in range(0, len(args), _DEAL)
+                for result in _map(task, args[start:start + _DEAL])]
+    deal, dealer = os.pipe()
+    os.write(dealer, b"".join(_RECORD.pack(i) for i in range(len(args))))
+    os.close(dealer)
+    children = {}  # pid -> the read end of its result pipe, until it is reaped
     try:
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(_run_task, *zip(*args)))
+        for _ in range(workers - 1):
+            fd, out = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(task, args, deal, out)
+            os.close(out)
+            children[pid] = open(fd, "rb")
+        records = _take(task, args, deal)
+        for pid, pipe in list(children.items()):
+            with pipe:
+                sent = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            try:
+                records += pickle.loads(sent)
+            except Exception:
+                raise RuntimeError(f"a worker process ended with exit status {status} "
+                                   "without sending its results")
+        records.sort(key=lambda record: record[0])
+        for _, raised, value in records:
+            if raised:
+                raise value
+        return [value for _, _, value in records]
     finally:
-        _task[0] = None
+        os.close(deal)
+        for pid, pipe in children.items():  # left when the call fails before reaping them
+            import signal  # here, so that only this rare path loads it
+
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _take(task, args: list, deal: int) -> list:
+    """Run the tasks dealt from the pipe `deal` until it is empty; returns an
+    (index, raised, result or exception) record per task run. A task that
+    raises empties the pipe, so that no further task starts."""
+    records = []
+    while record := os.read(deal, _RECORD.size):
+        (i,) = _RECORD.unpack(record)
+        try:
+            records.append((i, False, task(*args[i])))
+        except Exception as exc:
+            records.append((i, True, exc))
+            while os.read(deal, _DEAL * _RECORD.size):
+                pass
+    return records
+
+
+def _work(task, args: list, deal: int, out: int):
+    """A forked worker of `_map`: take tasks, write their records pickled to
+    `out`, and end through `os._exit` on every path, so that nothing the
+    parent set up (exit handlers, buffered output) runs twice."""
+    status = 1
+    try:
+        with open(out, "wb") as fh:
+            fh.write(pickle.dumps(_take(task, args, deal)))
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(status)

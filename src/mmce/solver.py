@@ -438,6 +438,8 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
         for it in range(1, hyper.max_outer_iters + 1):
             iterations = it
             prev = trace[-1]
+            if hyper.exact_m_step:  # L-BFGS makes its own passes: free the held model
+                _fit_slot[0].pop("model", None)
             wp, ip, failed = step_fn(labels, posterior, wp, ip, hyper)
             ls_failures += failed
             trace.append(dual_objective(labels, posterior, wp, ip, hyper))

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -56,3 +58,10 @@ def write_csv(path, rows, header=None):
         for row in rows:
             fh.write(",".join(str(x) for x in row) + "\n")
     return path
+
+
+def assert_no_child_left():
+    """Fail if this process has a child, running or ended but not reaped:
+    `os.waitpid` raises ChildProcessError only when there is none."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

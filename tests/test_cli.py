@@ -1,10 +1,11 @@
 import argparse
-import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
+from select import select as select_fds
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from mmce.data import read_posterior
 from mmce.selection import CVConfig
 from mmce.solver import HyperParams, fit
 
-from conftest import THREE_WORKER_ROWS, THREE_WORKER_TRUTH, write_csv
+from conftest import THREE_WORKER_ROWS, THREE_WORKER_TRUTH, assert_no_child_left, write_csv
 
 
 def labels_csv(tmp_path):
@@ -355,7 +356,7 @@ class TestSelectOnSeveralCPUs:
                             Path(f"{report}.posterior.tsv").read_bytes(),
                             capsys.readouterr().out.replace(report.name, "cv.csv")))
         assert outputs[0] == outputs[1]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_raising_fold_fit_leaves_no_worker(self, tmp_path, monkeypatch, capsys, cpus):
@@ -377,8 +378,90 @@ class TestSelectOnSeveralCPUs:
                      "--out", str(tmp_path / "cv.csv")])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: fold fit failed on purpose\n"
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert not (tmp_path / "cv.csv").exists()
+
+    def test_a_fit_that_raises_in_a_worker_reads_as_on_one_cpu(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # on 2 CPUs only the worker's fits raise, and the caller's wait until
+        # one has, so that the worker surely takes a fit; on 1 CPU every fit raises
+        caller, (raised, raising) = os.getpid(), os.pipe()
+        fit = solver.fit
+
+        def fit_or_raise(labels, hyper):
+            if os.getpid() != caller:
+                os.write(raising, b"x")
+            elif selection._usable_cpus() > 1:
+                assert select_fds([raised], [], [], 30)[0]
+                return fit(labels, hyper)
+            raise ValueError("fold fit failed on purpose")
+
+        monkeypatch.setattr(solver, "fit", fit_or_raise)
+        outcomes = []
+        try:
+            for cpus in (1, 2):
+                monkeypatch.setattr(selection, "_usable_cpus", lambda cpus=cpus: cpus)
+                code = main(["select", "--labels", str(labels_csv(tmp_path)), "--classes",
+                             "3", "--label-base", "1", "--grid", "0.5,1", "--folds", "2"])
+                outcomes.append((code, capsys.readouterr().err))
+        finally:
+            os.close(raised)
+            os.close(raising)
+        assert outcomes == [(EXIT_USAGE, "error: fold fit failed on purpose\n")] * 2
+        assert_no_child_left()
+
+    def test_a_worker_that_dies_makes_select_exit_3(self, tmp_path):
+        # in a fresh process, so that a hang fails the test at the timeout; the
+        # caller's fits wait until the worker has taken one and died in it
+        script = textwrap.dedent("""
+            import os, select, sys
+            from mmce import cli, selection, solver
+
+            caller, (died, dying) = os.getpid(), os.pipe()
+            fit = solver.fit
+
+            def fit_or_die(labels, hyper):
+                if os.getpid() != caller:
+                    os.write(dying, b"x")
+                    os._exit(7)
+                assert select.select([died], [], [], 30)[0]
+                return fit(labels, hyper)
+
+            solver.fit = fit_or_die
+            selection._usable_cpus = lambda: 2
+            code = cli.main(sys.argv[1:])
+            try:
+                os.waitpid(-1, os.WNOHANG)
+                code = 99  # a worker outlived the call
+            except ChildProcessError:
+                pass
+            sys.exit(code)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script, "select", "--labels",
+                               str(labels_csv(tmp_path)), "--classes", "3", "--label-base",
+                               "1", "--grid", "0.5,1", "--folds", "2"],
+                              env=src_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_INTERNAL, proc.stderr
+        assert ("RuntimeError: a worker process ended with exit status 7 without sending "
+                "its results") in proc.stderr
+
+    @pytest.mark.skipif(selection._usable_cpus() < 2, reason="needs two usable CPUs")
+    def test_the_command_on_every_usable_cpu_equals_one_cpu(self, tmp_path, monkeypatch):
+        # `_usable_cpus` unpatched: the command forks one worker per further CPU
+        args = ["select", "--labels", str(labels_csv(tmp_path)), "--classes", "3",
+                "--label-base", "1", "--grid", "0.25,1,4", "--folds", "3", "--fit-final"]
+        forked, serial = tmp_path / "forked.csv", tmp_path / "serial.csv"
+        # a worker that outlived the command would hold its stdout open, so this
+        # call would not return before the timeout
+        proc = subprocess.run([sys.executable, "-m", "mmce.cli", *args, "--out", str(forked)],
+                              env=src_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert_no_child_left()
+        monkeypatch.setattr(selection, "_usable_cpus", lambda: 1)
+        assert main([*args, "--out", str(serial)]) == EXIT_OK
+        assert forked.read_bytes() == serial.read_bytes()
+        assert (Path(f"{forked}.posterior.tsv").read_bytes()
+                == Path(f"{serial}.posterior.tsv").read_bytes())
 
     @pytest.mark.parametrize("gold,fits", [(False, 4), (True, 2)])
     def test_one_warning_for_fits_that_did_not_converge(self, tmp_path, caplog, capsys,
@@ -586,15 +669,19 @@ class TestEvaluate:
                 in capsys.readouterr().err)
 
 
+def src_env():
+    """This environment, with the package's source first on the import path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_import_does_not_load_scipy():
     # scipy is imported lazily, by the L-BFGS paths only; loading it at import
     # time would slow the start-up of every command
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, mmce, mmce.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

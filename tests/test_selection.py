@@ -1,8 +1,9 @@
 import functools
-import multiprocessing
 import os
 import re
 import threading
+import time
+from select import select as select_fds
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from mmce.selection import (
     validation_select,
 )
 from mmce.solver import HyperParams, fit
+
+from conftest import assert_no_child_left
 
 
 def grid_instance(num_classes=5, m=177, n=2665, labels=15567):
@@ -248,24 +251,83 @@ class TestFitsOnSeveralCPUs:
             monkeypatch.setattr(selection, "_usable_cpus", lambda cpus=cpus: cpus)
             reports.append(run_selection(select, lm, gold, config))
         assert reports[0] == reports[1]  # per-fold scores compared exactly
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("select", [cross_validate, validation_select])
-    def test_tasks_run_in_forked_workers(self, monkeypatch, select):
-        # each task scores with the id of the process that ran it
-        monkeypatch.setattr(selection, "heldout_loglik", lambda *a: float(os.getpid()))
-        monkeypatch.setattr(selection, "error_rate", lambda *a: float(os.getpid()))
+    def test_tasks_run_in_the_caller_and_one_worker_per_further_cpu(self, monkeypatch,
+                                                                    select):
+        # each task scores with the id of the process that ran it; on 2 CPUs the
+        # caller's scores wait until the worker has scored, so that it surely has
+        caller, (scored, scoring) = os.getpid(), os.pipe()
+
+        def score_with_pid(*args):
+            if os.getpid() != caller:
+                os.write(scoring, b"x")
+            elif selection._usable_cpus() > 1:
+                assert select_fds([scored], [], [], 30)[0]
+            return float(os.getpid())
+
+        monkeypatch.setattr(selection, "heldout_loglik", score_with_pid)
+        monkeypatch.setattr(selection, "error_rate", score_with_pid)
         lm, gold = planted_and_gold()
         config = CVConfig(folds=3, gamma_grid=(0.25, 1.0, 4.0), max_outer_iters=2)
-        for cpus in (1, 2):
-            monkeypatch.setattr(selection, "_usable_cpus", lambda cpus=cpus: cpus)
-            report = run_selection(select, lm, gold, config)
-            pids = {s for scores in report.per_fold.values() for s in scores}
-            if cpus == 1:
-                assert pids == {os.getpid()}
+        try:
+            for cpus in (1, 2):
+                monkeypatch.setattr(selection, "_usable_cpus", lambda cpus=cpus: cpus)
+                report = run_selection(select, lm, gold, config)
+                pids = {s for scores in report.per_fold.values() for s in scores}
+                assert caller in pids and len(pids) == cpus
+        finally:
+            os.close(scored)
+            os.close(scoring)
+        assert_no_child_left()
+
+    def test_of_two_raising_tasks_the_lower_one_wins(self, monkeypatch):
+        # task 1 raises first, in one process; task 0 raises after it, in the other
+        monkeypatch.setattr(selection, "_usable_cpus", lambda: 2)
+        raised, raising = os.pipe()
+
+        def task(i):
+            if i == 1:
+                os.write(raising, b"x")
             else:
-                assert os.getpid() not in pids and 1 <= len(pids) <= 2
-        assert multiprocessing.active_children() == []
+                assert select_fds([raised], [], [], 30)[0]
+            raise ValueError(f"task {i} failed")
+
+        try:
+            with pytest.raises(ValueError, match="^task 0 failed$"):
+                selection._map(task, [(0,), (1,)])
+        finally:
+            os.close(raised)
+            os.close(raising)
+        assert_no_child_left()
+
+    def test_a_raising_task_stops_the_deal(self, monkeypatch):
+        # without the stop, the other 199 tasks would take about a second each side
+        monkeypatch.setattr(selection, "_usable_cpus", lambda: 2)
+        started, starting = os.pipe()
+
+        def task(i):
+            os.write(starting, b"x")
+            if i == 0:
+                raise ValueError("task 0 failed")
+            time.sleep(0.01)
+
+        try:
+            with pytest.raises(ValueError, match="^task 0 failed$"):
+                selection._map(task, [(i,) for i in range(200)])
+        finally:
+            os.close(starting)
+        with open(started, "rb") as fh:
+            assert 1 <= len(fh.read()) < 100
+        assert_no_child_left()
+
+    def test_more_tasks_than_a_pipe_holds_run_in_order(self, monkeypatch):
+        # more task records than a default 64 KiB pipe holds unread
+        monkeypatch.setattr(selection, "_usable_cpus", lambda: 2)
+        args = [(i,) for i in range(65536 // selection._RECORD.size + 3)]
+        assert selection._map(lambda i: -i, args) == [-i for i in range(len(args))]
+        assert_no_child_left()
 
     def test_a_process_with_threads_does_not_fork(self, monkeypatch):
         monkeypatch.setattr(selection, "heldout_loglik", lambda *a: float(os.getpid()))
@@ -298,7 +360,7 @@ class TestFitsOnSeveralCPUs:
         config = CVConfig(folds=3, gamma_grid=(0.25, 1.0), max_outer_iters=2)
         run_selection(select, lm, gold, config)
         assert pids == [os.getpid()] * (6 if select is cross_validate else 2)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("select", [cross_validate, validation_select])
     def test_counts_the_fits_that_did_not_converge(self, select):

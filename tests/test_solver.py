@@ -655,6 +655,22 @@ class TestModelMemo:
         r = fit(lm, h)
         assert held == [{"model", "rows"}] * r.iterations
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_exact_m_step_runs_with_no_model_held(self, monkeypatch, mode):
+        # L-BFGS makes its own model passes, so the slot frees the pre-step model
+        held = []
+        lbfgs = solver._lbfgs
+
+        def probed(*args):
+            held.append(solver._fit_slot[0].get("model"))  # the slot is open: in a fit
+            return lbfgs(*args)
+
+        monkeypatch.setattr(solver, "_lbfgs", probed)
+        r = fit(synthetic.random_instance(3),
+                HyperParams(alpha=0.5, beta=0.5, mode=mode, max_outer_iters=3,
+                            exact_m_step=True))
+        assert held == [None] * r.iterations and r.iterations > 0
+
 
 def counted_row_gathers(monkeypatch):
     """A list that gains one entry per posterior gather from now on (score

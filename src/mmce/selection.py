@@ -227,6 +227,10 @@ def _map(task, args: list) -> list:
     exit status (not an OSError, which the command line reports as a usage
     error). No worker outlives the call, whether it returns or raises.
 
+    When a pipe or a fork fails (out of processes or file descriptors), no
+    further worker starts and the processes already running take every task,
+    with the same outcome; without a task pipe the caller runs them all.
+
     A process with more than one thread runs the tasks itself: a fork copies
     only the calling thread, so a lock held by another thread would stay held
     in the workers. So does a process whose `solver.fit` has been wrapped
@@ -241,18 +245,27 @@ def _map(task, args: list) -> list:
     if len(args) > _DEAL:
         return [result for start in range(0, len(args), _DEAL)
                 for result in _map(task, args[start:start + _DEAL])]
-    deal, dealer = os.pipe()
+    try:
+        deal, dealer = os.pipe()
+    except OSError:  # nothing to deal through
+        return [task(*a) for a in args]
     os.write(dealer, b"".join(_RECORD.pack(i) for i in range(len(args))))
     os.close(dealer)
     children = {}  # pid -> the read end of its result pipe, until it is reaped
     try:
         for _ in range(workers - 1):
-            fd, out = os.pipe()
-            pid = os.fork()
+            fds = ()
+            try:
+                fds = os.pipe()
+                pid = os.fork()
+            except OSError:  # no more workers: the caller and those started take the tasks
+                for fd in fds:
+                    os.close(fd)
+                break
             if pid == 0:
-                _work(task, args, deal, out)
-            os.close(out)
-            children[pid] = open(fd, "rb")
+                _work(task, args, deal, fds[1])
+            os.close(fds[1])
+            children[pid] = open(fds[0], "rb")
         records = _take(task, args, deal)
         for pid, pipe in list(children.items()):
             with pipe:

@@ -11,8 +11,9 @@ float slack; the preconditioner alone would not ensure that (see
 `_curvature_bound`). This is a generalized EM (Dempster, Laird & Rubin 1977):
 an M-step need only raise its block.
 
-Only `fit` shares models, one per score point (`_fit_slot`); the L-BFGS objective and
-`kl_identity_check` hand one model pass of their own to `_penalized` and `_gradients`.
+Only `fit` shares models, one per score point, on its own copy of the label
+matrix (see `_model`); the L-BFGS objective and `kl_identity_check` hand one model
+pass of their own to `_penalized` and `_gradients`.
 """
 
 from __future__ import annotations
@@ -116,38 +117,33 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     return prob, log_obs
 
 
-# A running fit's shared values, or None outside `fit`, where each call fills a
-# throwaway slot: the score arrays last passed to `_model` with their model, and the
-# posterior last passed to `_posterior_rows` with its read-only rows. One fit has one
-# label matrix and one mode, and inputs match by identity, which holds because `fit`
-# builds every score array and posterior anew and changes none in place.
-_fit_slot = [None]
-
-
 def _model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
-    """`_log_model`, one pass per score point within a fit (see `_fit_slot`)."""
-    slot = _fit_slot[0] if _fit_slot[0] is not None else {}
-    held = slot.get("model")
-    if held is None or held[0] is not worker_params or held[1] is not item_params:
-        slot["model"] = held = None  # drop the old model before the pass
-        slot["model"] = (worker_params, item_params,
-                         _log_model(labels, worker_params, item_params, mode))
-    return slot["model"][2]
+    """`_log_model`, one pass per score point within a fit: `fit`'s own copy of the
+    label matrix holds (`held`) the score arrays last passed here with their model.
+    One fit has one mode, and inputs match by identity, which holds because `fit`
+    builds every score array anew and changes none in place."""
+    held = getattr(labels, "held", {})
+    model = held.get("model")
+    if model is None or model[0] is not worker_params or model[1] is not item_params:
+        held["model"] = model = None  # drop the old model before the pass
+        held["model"] = model = (worker_params, item_params,
+                                 _log_model(labels, worker_params, item_params, mode))
+    return model[2]
 
 
 def _posterior_rows(labels: LabelMatrix, posterior) -> np.ndarray:
     """gather_rows(labels.items, posterior), read-only, one gather per posterior in a fit."""
-    slot = _fit_slot[0] if _fit_slot[0] is not None else {}
-    held = slot.get("rows")
-    if held is None or held[0] is not posterior:
+    held = getattr(labels, "held", {})
+    rows = held.get("rows")
+    if rows is None or rows[0] is not posterior:
         posterior = np.asarray(posterior)
         if posterior.shape != (labels.num_items, labels.num_classes):
             raise ValueError("posterior shape does not match the label matrix")
-        slot["rows"] = held = None  # drop the old rows before the gather
+        held["rows"] = rows = None  # drop the old rows before the gather
         rows = gather_rows(labels.items, posterior)
         rows.setflags(write=False)
-        slot["rows"] = (posterior, rows)
-    return slot["rows"][1]
+        held["rows"] = rows = (posterior, rows)
+    return rows[1]
 
 
 def gather_rows(index: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -415,8 +411,6 @@ def m_step_exact(labels: LabelMatrix, posterior, worker_params, item_params,
     """
     wp, ip = _lbfgs(labels, posterior, worker_params, item_params, hyper,
                     {"maxiter": 2000, "gtol": 1e-10, "ftol": 1e-15})
-    if hyper.clamp_item_params:
-        ip = item_params  # gradients were zeroed; keep the clamped block intact
     return wp, ip, False
 
 
@@ -432,24 +426,23 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
     iterations = 0
     ls_failures = 0
     step_fn = m_step_exact if hyper.exact_m_step else m_step
-    _fit_slot[0] = {}
-    try:
-        trace = [dual_objective(labels, posterior, wp, ip, hyper)]
-        for it in range(1, hyper.max_outer_iters + 1):
-            iterations = it
-            prev = trace[-1]
-            if hyper.exact_m_step:  # L-BFGS makes its own passes: free the held model
-                _fit_slot[0].pop("model", None)
-            wp, ip, failed = step_fn(labels, posterior, wp, ip, hyper)
-            ls_failures += failed
-            trace.append(dual_objective(labels, posterior, wp, ip, hyper))
-            posterior = e_step(labels, wp, ip, hyper)
-            trace.append(dual_objective(labels, posterior, wp, ip, hyper))
-            if abs(trace[-1] - prev) < hyper.tol * max(abs(prev), PROB_FLOOR):
-                converged = True
-                break
-    finally:
-        _fit_slot[0] = None
+    # this fit's own matrix: calls that receive it share its models and rows
+    labels = replace(labels)
+    object.__setattr__(labels, "held", {})
+    trace = [dual_objective(labels, posterior, wp, ip, hyper)]
+    for it in range(1, hyper.max_outer_iters + 1):
+        iterations = it
+        prev = trace[-1]
+        if hyper.exact_m_step:  # L-BFGS makes its own passes: free the held model
+            labels.held.pop("model", None)
+        wp, ip, failed = step_fn(labels, posterior, wp, ip, hyper)
+        ls_failures += failed
+        trace.append(dual_objective(labels, posterior, wp, ip, hyper))
+        posterior = e_step(labels, wp, ip, hyper)
+        trace.append(dual_objective(labels, posterior, wp, ip, hyper))
+        if abs(trace[-1] - prev) < hyper.tol * max(abs(prev), PROB_FLOOR):
+            converged = True
+            break
     return FitResult(
         posterior=posterior,
         worker_params=wp,

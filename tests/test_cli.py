@@ -1,4 +1,5 @@
 import argparse
+import errno
 import os
 import re
 import subprocess
@@ -408,6 +409,28 @@ class TestSelectOnSeveralCPUs:
             os.close(raised)
             os.close(raising)
         assert outcomes == [(EXIT_USAGE, "error: fold fit failed on purpose\n")] * 2
+        assert_no_child_left()
+
+    def test_a_failed_fork_leaves_the_fits_to_this_process(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # a host out of processes refuses the fork: select still succeeds, as on one CPU
+        args = ["select", "--labels", str(labels_csv(tmp_path)), "--classes", "3",
+                "--label-base", "1", "--grid", "0.25,1,4", "--folds", "3"]
+        reports = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(selection, "_usable_cpus", lambda cpus=cpus: cpus)
+            report = tmp_path / f"cv{cpus}.csv"
+            assert main([*args, "--out", str(report)]) == EXIT_OK
+            reports.append(report.read_bytes())
+
+        def failing_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing_fork)  # still on 2 CPUs
+        failed = tmp_path / "failed.csv"
+        assert main([*args, "--out", str(failed)]) == EXIT_OK
+        assert reports[0] == reports[1] == failed.read_bytes()
+        assert "error" not in capsys.readouterr().err
         assert_no_child_left()
 
     def test_a_worker_that_dies_makes_select_exit_3(self, tmp_path):

@@ -1,3 +1,4 @@
+import errno
 import functools
 import os
 import re
@@ -327,6 +328,39 @@ class TestFitsOnSeveralCPUs:
         monkeypatch.setattr(selection, "_usable_cpus", lambda: 2)
         args = [(i,) for i in range(65536 // selection._RECORD.size + 3)]
         assert selection._map(lambda i: -i, args) == [-i for i in range(len(args))]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus,forks", [(2, 0), (3, 1)], ids=["always", "second"])
+    def test_a_failed_fork_leaves_the_tasks_to_the_started_processes(self, monkeypatch,
+                                                                     cpus, forks):
+        # the fork after `forks` good ones fails as on a host out of processes
+        monkeypatch.setattr(selection, "_usable_cpus", lambda: cpus)
+        fork, calls = os.fork, []
+
+        def failing_fork():
+            calls.append(1)
+            if len(calls) > forks:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        open_fds = sorted(os.listdir("/proc/self/fd"))
+        args = [(i,) for i in range(40)]
+        assert selection._map(lambda i: -i, args) == [-i for i in range(40)]
+        assert len(calls) == forks + 1
+        assert sorted(os.listdir("/proc/self/fd")) == open_fds  # no pipe left open
+        assert_no_child_left()
+
+    def test_without_a_task_pipe_the_tasks_run_here(self, monkeypatch):
+        monkeypatch.setattr(selection, "_usable_cpus", lambda: 2)
+
+        def no_pipe():
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(os, "pipe", no_pipe)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        assert selection._map(lambda i: (i, os.getpid()), [(0,), (1,)]) == [
+            (0, os.getpid()), (1, os.getpid())]
         assert_no_child_left()
 
     def test_a_process_with_threads_does_not_fork(self, monkeypatch):

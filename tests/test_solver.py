@@ -1,8 +1,9 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -550,33 +551,45 @@ ENTRY_POINTS = {
 }
 
 
-@contextmanager
-def fit_scope():
-    """The slot held open as `fit` holds it, for calls made outside a fit."""
-    solver._fit_slot[0] = {}
-    try:
-        yield
-    finally:
-        solver._fit_slot[0] = None
+def fit_labels(lm):
+    """A copy of the label matrix that holds shared values, as `fit` makes one."""
+    lm = dataclasses.replace(lm)
+    object.__setattr__(lm, "held", {})
+    return lm
+
+
+def fits_own_labels(monkeypatch):
+    """A list that gains, per E-step from now on, a weakref to the label matrix
+    it receives and the set of keys that matrix holds."""
+    seen = []
+    step = solver.e_step
+
+    def probed(labels, *args):
+        seen.append((weakref.ref(labels), set(labels.held)))
+        return step(labels, *args)
+
+    monkeypatch.setattr(solver, "e_step", probed)
+    return seen
 
 
 class TestModelMemo:
-    """The slot that shares the model and the posterior rows within a fit."""
+    """The model and the posterior rows shared within a fit, on its own copy of
+    the label matrix."""
 
     def test_same_labels_and_scores_make_one_pass(self, monkeypatch):
         calls = counted_model_passes(monkeypatch)
         lm = synthetic.random_instance(3)
         wp, ip, q = random_state(lm, 4)
         h = HyperParams(alpha=0.7, beta=1.3)
-        with fit_scope():
-            value = penalized_likelihood(lm, q, wp, ip, h)
-            grads = m_step_gradients(lm, q, wp, ip, h)
-            posterior = e_step(lm, wp, ip, h)
-            dual_objective(lm, q, wp, ip, h)
-            assert len(calls) == 1
-            e_step(lm, wp.copy(), ip, h)  # equal values, other arrays: a new point
-            assert len(calls) == 2
-        # outside the scope each call makes its own pass, to the same values
+        own = fit_labels(lm)
+        value = penalized_likelihood(own, q, wp, ip, h)
+        grads = m_step_gradients(own, q, wp, ip, h)
+        posterior = e_step(own, wp, ip, h)
+        dual_objective(own, q, wp, ip, h)
+        assert len(calls) == 1
+        e_step(own, wp.copy(), ip, h)  # equal values, other arrays: a new point
+        assert len(calls) == 2
+        # on a matrix that holds nothing each call makes its own pass, to the same values
         assert value == penalized_likelihood(lm, q, wp, ip, h)
         for got, want in zip(grads, m_step_gradients(lm, q, wp, ip, h)):
             assert np.array_equal(got, want)
@@ -585,7 +598,7 @@ class TestModelMemo:
 
     @pytest.mark.parametrize("name", ["model", "rows"])
     def test_old_value_is_dropped_before_a_new_build(self, monkeypatch, name):
-        lm = synthetic.random_instance(9)
+        lm = fit_labels(synthetic.random_instance(9))
         wp, ip, q = random_state(lm, 10)
         mode = Mode.MULTICLASS
         # how to read the stored value, the builder a rebuild calls, and a rebuild
@@ -602,22 +615,21 @@ class TestModelMemo:
             alive.append(old() is not None)
             return build(*args)
 
-        with fit_scope():
-            old = weakref.ref(read())
-            assert old() is not None  # the slot holds it
-            monkeypatch.setattr(solver, builder, probed)
-            rebuild()
+        old = weakref.ref(read())
+        assert old() is not None  # the matrix holds it
+        monkeypatch.setattr(solver, builder, probed)
+        rebuild()
         assert alive == [False]
 
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
-    def test_nothing_is_kept_after_an_entry_point(self, entry):
-        # After any call the slot is empty, so a model or rows computed after the
-        # scores and the posterior change in place are fresh, not stale.
+    def test_nothing_is_kept_on_the_callers_matrix(self, entry):
+        # After any call the caller's matrix holds nothing, so a model or rows
+        # computed after the scores and the posterior change in place are fresh.
         lm = synthetic.random_instance(5)
         wp, ip, q = random_state(lm, 6)
         h = HyperParams(alpha=0.7, beta=1.3, max_outer_iters=5)
         ENTRY_POINTS[entry](lm, q, wp, ip, h)
-        assert solver._fit_slot == [None]
+        assert not hasattr(lm, "held")
         wp[0, 0, 0] += 1.0
         ip[-1, 1, 0] -= 1.0
         q[0] = q[0, ::-1].copy()
@@ -626,50 +638,126 @@ class TestModelMemo:
             assert np.array_equal(got, want)
         assert np.array_equal(solver._posterior_rows(lm, q), solver.gather_rows(lm.items, q))
 
-    def test_slot_is_empty_after_a_fit_that_raises(self, monkeypatch):
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_fits_own_matrix_is_freed_when_it_returns(self, monkeypatch, exact):
+        lm, h = planted_gamma_one(Mode.MULTICLASS)
+        h.exact_m_step, h.max_outer_iters = exact, 3
+        seen = fits_own_labels(monkeypatch)
+        fit(lm, h)
+        assert seen and all(ref() is None for ref, _ in seen)  # nothing outlives the fit
+        assert not hasattr(lm, "held")
+
+    def test_fits_own_matrix_is_freed_after_a_fit_that_raises(self, monkeypatch):
         lm, h = planted_gamma_one(Mode.MULTICLASS)
         held = []
 
         def interrupted(labels, *args):
-            held.append(solver._fit_slot[0] is not None and "model" in solver._fit_slot[0])
+            held.append((weakref.ref(labels), "model" in labels.held))
             raise KeyboardInterrupt
 
         monkeypatch.setattr(solver, "e_step", interrupted)
         with pytest.raises(KeyboardInterrupt):
             fit(lm, h)
-        assert held == [True]  # the slot held this fit's values when it stopped
-        assert solver._fit_slot == [None]
+        [(own, had_model)] = held
+        assert had_model  # the fit's matrix held its values when it stopped
+        assert own() is None and not hasattr(lm, "held")
 
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_slot_holds_only_the_model_and_rows_during_a_fit(self, monkeypatch, mode):
+    def test_fits_matrix_holds_only_the_model_and_rows(self, monkeypatch, mode):
         # nothing derived from the labels alone is kept between passes
         lm, h = planted_gamma_one(mode)
-        held = []
-        e_step = solver.e_step
-
-        def probed(labels, *args):
-            held.append(set(solver._fit_slot[0]))
-            return e_step(labels, *args)
-
-        monkeypatch.setattr(solver, "e_step", probed)
+        seen = fits_own_labels(monkeypatch)
         r = fit(lm, h)
-        assert held == [{"model", "rows"}] * r.iterations
+        assert [keys for _, keys in seen] == [{"model", "rows"}] * r.iterations
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_exact_m_step_runs_with_no_model_held(self, monkeypatch, mode):
-        # L-BFGS makes its own model passes, so the slot frees the pre-step model
+        # L-BFGS makes its own model passes, so the fit frees the pre-step model
         held = []
         lbfgs = solver._lbfgs
 
-        def probed(*args):
-            held.append(solver._fit_slot[0].get("model"))  # the slot is open: in a fit
-            return lbfgs(*args)
+        def probed(labels, *args):
+            held.append(labels.held.get("model"))  # the fit's own matrix
+            return lbfgs(labels, *args)
 
         monkeypatch.setattr(solver, "_lbfgs", probed)
         r = fit(synthetic.random_instance(3),
                 HyperParams(alpha=0.5, beta=0.5, mode=mode, max_outer_iters=3,
                             exact_m_step=True))
         assert held == [None] * r.iterations and r.iterations > 0
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_a_fit_paused_while_another_runs_makes_its_own_passes(self, monkeypatch,
+                                                                  exact):
+        # Fit A stops in its second model pass while this thread runs fit B
+        # through; A then goes on as if alone, with the passes and outputs of
+        # a run on its own.
+        h = HyperParams(alpha=0.5, beta=0.5, max_outer_iters=20, exact_m_step=exact)
+        first, second = synthetic.random_instance(3), synthetic.random_instance(4)
+        alone = fit(first, h)
+        passes = counted_model_passes(monkeypatch)
+        fit(first, h)
+        alone_passes, passes[:] = len(passes), []
+        by_thread, paused, resume = {}, threading.Event(), threading.Event()
+        model, caller = solver._log_model, threading.get_ident()
+
+        def paused_model(*args):
+            me = threading.get_ident()
+            by_thread[me] = by_thread.get(me, 0) + 1
+            if me != caller and by_thread[me] == 2:
+                paused.set()
+                assert resume.wait(60)
+            return model(*args)
+
+        monkeypatch.setattr(solver, "_log_model", paused_model)
+        results = []
+        thread = threading.Thread(target=lambda: results.append(fit(first, h)))
+        thread.start()
+        try:
+            assert paused.wait(60)
+            fit(second, h)
+        finally:
+            resume.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        [paused_fit] = results
+        assert by_thread[thread.ident] == alone_passes
+        for field in ("posterior", "worker_params", "item_params", "objective_trace"):
+            assert np.array_equal(getattr(paused_fit, field), getattr(alone, field))
+        assert paused_fit.iterations == alone.iterations
+
+
+    def test_fits_in_several_threads_equal_serial_fits(self):
+        # more threads than cores, switching often, so that fits interleave
+        # inside their model passes; each must still equal its serial run
+        h = HyperParams(alpha=9.0, beta=9.0)
+        conf = np.stack([synthetic.diagonal_confusion(3, 0.7)] * 10)
+        inputs = [synthetic.sample_labels(10, 60, 3, 5, conf, seed)[0] for seed in range(4)]
+        serial = [fit(lm, h) for lm in inputs]
+        outcomes = [[] for _ in inputs]
+
+        def run(k):
+            for _ in range(10):
+                try:
+                    outcomes[k].append(fit(inputs[k], h).posterior)
+                except Exception as exc:
+                    outcomes[k].append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(inputs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for runs, alone in zip(outcomes, serial):
+            assert len(runs) == 10
+            assert all(isinstance(q, np.ndarray) and np.array_equal(q, alone.posterior)
+                       for q in runs)
 
 
 def counted_row_gathers(monkeypatch):
@@ -688,21 +776,21 @@ def counted_row_gathers(monkeypatch):
 
 
 class TestFixedInputs:
-    """The posterior rows in the fit's slot."""
+    """The posterior rows held on a fit's own matrix."""
 
     def test_rows_are_kept_across_score_points(self, monkeypatch):
         calls = counted_row_gathers(monkeypatch)
         lm = synthetic.random_instance(11)
         wp, ip, q = random_state(lm, 12)
         h = HyperParams(alpha=0.7, beta=1.3)
-        with fit_scope():
-            penalized_likelihood(lm, q, wp, ip, h)
-            grads = m_step_gradients(lm, q, wp + 1.0, ip, h)
-            value = penalized_likelihood(lm, q, wp, ip - 1.0, h)
-            solver._curvature_bound(lm, q, h)
-            assert len(calls) == 1
-            assert not solver._posterior_rows(lm, q).flags.writeable
-        # outside the scope each call gathers its own rows, to the same values
+        own = fit_labels(lm)
+        penalized_likelihood(own, q, wp, ip, h)
+        grads = m_step_gradients(own, q, wp + 1.0, ip, h)
+        value = penalized_likelihood(own, q, wp, ip - 1.0, h)
+        solver._curvature_bound(own, q, h)
+        assert len(calls) == 1
+        assert not solver._posterior_rows(own, q).flags.writeable
+        # on a matrix that holds nothing each call gathers its own rows, to the same values
         for got, want in zip(grads, m_step_gradients(lm, q, wp + 1.0, ip, h)):
             assert np.array_equal(got, want)
         assert value == penalized_likelihood(lm, q, wp, ip - 1.0, h)
@@ -712,12 +800,11 @@ class TestFixedInputs:
     @pytest.mark.parametrize("wrong", [lambda q: q[:, :1], lambda q: np.vstack([q, q[:3]])],
                              ids=["one class", "three more items"])
     def test_posterior_of_the_wrong_shape_is_refused(self, fn, wrong):
-        lm = synthetic.random_instance(3)
+        lm = fit_labels(synthetic.random_instance(3))
         wp, ip, q = random_state(lm, 3)
-        with fit_scope():
-            fn(lm, q, wp, ip, HyperParams())  # the right shape fills the slot first
-            with pytest.raises(ValueError, match="^posterior shape does not match"):
-                fn(lm, wrong(q), wp, ip, HyperParams())
+        fn(lm, q, wp, ip, HyperParams())  # the right shape is held first
+        with pytest.raises(ValueError, match="^posterior shape does not match"):
+            fn(lm, wrong(q), wp, ip, HyperParams())
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("exact", [False, True])
@@ -732,42 +819,42 @@ class TestFixedInputs:
 
 
 def counted_evaluations(monkeypatch):
-    """A list that gains, per L-BFGS evaluation from now on, the fit slot's
-    value at that call."""
-    slots = []
+    """A list that gains, per L-BFGS evaluation from now on, the label matrix
+    that evaluation receives."""
+    seen = []
     value_and_grad = solver._value_and_grad
 
-    def counted(*args):
-        slots.append(solver._fit_slot[0])
-        return value_and_grad(*args)
+    def counted(x, labels, *args):
+        seen.append(labels)
+        return value_and_grad(x, labels, *args)
 
     monkeypatch.setattr(solver, "_value_and_grad", counted)
-    return slots
+    return seen
 
 
 class TestOwnModelPasses:
     """Outside `fit`, the L-BFGS paths and the KL check make one model pass per
-    evaluation by themselves and open no slot."""
+    evaluation by themselves, on the caller's matrix, which holds nothing."""
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_direct_exact_m_step_makes_one_pass_per_evaluation(self, monkeypatch, mode):
         lm = synthetic.random_instance(2)
         wp, ip, q = random_state(lm, 3, mode=mode)
-        passes, slots = counted_model_passes(monkeypatch), counted_evaluations(monkeypatch)
+        passes, seen = counted_model_passes(monkeypatch), counted_evaluations(monkeypatch)
         solver.m_step_exact(lm, q, wp, ip, HyperParams(alpha=0.5, beta=0.5, mode=mode))
-        assert len(slots) > 1 and len(passes) == len(slots)
-        assert slots == [None] * len(slots)
+        assert len(seen) > 1 and len(passes) == len(seen)
+        assert all(labels is lm for labels in seen) and not hasattr(lm, "held")
 
-    def test_polish_makes_one_pass_per_evaluation_with_no_slot_open(self, monkeypatch):
+    def test_polish_makes_one_pass_per_evaluation_on_the_callers_matrix(self, monkeypatch):
         # acceptance 5's first input
         conf = np.array([synthetic.diagonal_confusion(2, 0.7)] * 8)
         lm, _ = synthetic.sample_labels(8, 16, 2, 8, conf, 0)
         h = HyperParams(alpha=0.0, beta=0.0, max_outer_iters=300, tol=1e-10)
         r = fit(lm, h)
-        passes, slots = counted_model_passes(monkeypatch), counted_evaluations(monkeypatch)
+        passes, seen = counted_model_passes(monkeypatch), counted_evaluations(monkeypatch)
         polish_stationary_point(lm, r, h)
-        assert len(slots) > 3 and len(passes) == len(slots)
-        assert slots == [None] * len(slots)
+        assert len(seen) > 3 and len(passes) == len(seen)
+        assert all(labels is lm for labels in seen) and not hasattr(lm, "held")
 
     def test_kl_check_makes_one_pass_and_one_posterior_gather(self, monkeypatch):
         lm = synthetic.random_instance(23)
@@ -1149,12 +1236,15 @@ class TestRidgeSplit:
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_no_shift_with_clamped_items_or_without_a_penalty(self, mode):
-        # Clamped item scores stay at 0 through a whole fit. At alpha = beta = 0
-        # nothing sets the split, and the step is a plain one along d = g / b.
+        # Clamped item scores stay at 0 through a whole fit, with one-step or
+        # exact M-steps alike. At alpha = beta = 0 nothing sets the split, and the
+        # step is a plain one along d = g / b.
         for seed in range(10):
             lm = synthetic.random_instance(seed)
-            clamped = HyperParams(alpha=0.7, beta=1.3, mode=mode, clamp_item_params=True)
-            assert not np.any(fit(lm, clamped).item_params)
+            for exact in (False, True):
+                clamped = HyperParams(alpha=0.7, beta=1.3, mode=mode,
+                                      clamp_item_params=True, exact_m_step=exact)
+                assert not np.any(fit(lm, clamped).item_params)
             h = HyperParams(alpha=0.0, beta=0.0, mode=mode)
             wp, ip, q = random_state(lm, seed + 70, mode=mode)
             moved = np.concatenate([x.ravel() for x in m_step(lm, q, wp, ip, h)[:2]])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,12 @@ def dawid_skene_em(labels: LabelMatrix, max_iters: int = 100, tol: float = 1e-8,
     Laplace smoothing in the M-step avoids zero-probability lock-in; rows that
     receive no mass fall back to uniform. Returns (posterior, DSParams, trace).
     """
-    if smoothing < 0:
-        raise ValueError("smoothing must be >= 0")
+    if not 0 <= smoothing < math.inf:
+        raise ValueError("smoothing must be finite and >= 0")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    if not isinstance(max_iters, (int, np.integer)) or isinstance(max_iters, bool):
+        raise ValueError(f"max_iters must be an integer, got {max_iters!r}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if labels.num_labels == 0:

@@ -111,7 +111,7 @@ def test_3_dawid_skene_reduction():
         hyper = HyperParams(alpha=0.0, beta=0.0, clamp_item_params=True,
                             exact_m_step=True, max_outer_iters=15, tol=1e-300)
         result = fit(lm, hyper)
-        ds_posterior, _, _ = dawid_skene_em(lm, max_iters=15, tol=0.0,
+        ds_posterior, _, _ = dawid_skene_em(lm, max_iters=15, tol=1e-300,
                                             smoothing=0.0, uniform_prior=True)
         worst = max(worst, float(np.max(np.abs(result.posterior - ds_posterior))))
     _report("3 dawid-skene-reduction", worst < 1e-3, f"(max diff {worst:.2e})")

@@ -116,10 +116,30 @@ class TestDawidSkene:
         with pytest.raises(ValueError, match="empty"):
             dawid_skene_em(lm)
 
-    def test_negative_smoothing_rejected(self):
+    @pytest.mark.parametrize("smoothing", [-0.1, np.nan, np.inf])
+    def test_negative_or_non_finite_smoothing_rejected(self, smoothing):
         lm = from_triples([("w", "i", 0)], 2)
-        with pytest.raises(ValueError):
-            dawid_skene_em(lm, smoothing=-0.1)
+        with pytest.raises(ValueError, match="^smoothing must be finite and >= 0$"):
+            dawid_skene_em(lm, smoothing=smoothing)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf])
+    def test_tol_outside_zero_to_infinity_rejected(self, tol):
+        # a tol <= 0 or NaN would never stop early
+        lm = from_triples([("w", "i", 0)], 2)
+        with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+            dawid_skene_em(lm, tol=tol)
+
+    @pytest.mark.parametrize("max_iters", [True, False, 2.5, 3.0, "3"])
+    def test_non_integer_max_iters_rejected(self, max_iters):
+        # True would run one iteration, and 2.5 would fail in range() with a TypeError
+        lm = from_triples([("w", "i", 0)], 2)
+        with pytest.raises(ValueError, match="^max_iters must be an integer, got "):
+            dawid_skene_em(lm, max_iters=max_iters)
+
+    def test_numpy_integer_max_iters_accepted(self):
+        lm = synthetic.random_instance(0)
+        _, _, trace = dawid_skene_em(lm, max_iters=np.int64(1))
+        assert len(trace) == 1
 
     @pytest.mark.parametrize("max_iters", [0, -1])
     def test_fewer_than_one_iteration_rejected(self, max_iters):

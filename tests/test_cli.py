@@ -1,10 +1,13 @@
 import argparse
+import ctypes
 import errno
 import os
+import platform
 import re
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 from select import select as select_fds
 
@@ -12,7 +15,7 @@ import numpy as np
 
 import pytest
 
-from mmce import baselines, data, selection, solver
+from mmce import baselines, cli, data, selection, solver, synthetic
 from mmce.baselines import dawid_skene_em
 from mmce.cli import (EXIT_INTERNAL, EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, build_parser,
                       main)
@@ -708,3 +711,137 @@ def test_import_does_not_load_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+class TestKeepFreedHeap:
+    """The commands that fit pin glibc's malloc thresholds; nothing else does,
+    and a C library without glibc's `mallopt` leaves every command as it was."""
+
+    COMMANDS = {  # argv after the command name, and whether the command fits
+        "aggregate mmce": (["aggregate", "--labels", "{labels}", "--classes", "3",
+                            "--label-base", "1", "--alpha", "1", "--beta", "1",
+                            "--out", "{out}"], True),
+        "aggregate mv": (["aggregate", "--labels", "{labels}", "--classes", "3",
+                          "--label-base", "1", "--method", "mv", "--out", "{out}"], False),
+        "aggregate ds": (["aggregate", "--labels", "{labels}", "--classes", "3",
+                          "--label-base", "1", "--method", "ds", "--out", "{out}"], False),
+        "select cv": (["select", "--labels", "{labels}", "--classes", "3", "--label-base",
+                       "1", "--grid", "0.5,1", "--folds", "2", "--out", "{out}"], True),
+        "select gold": (["select", "--labels", "{labels}", "--classes", "3",
+                         "--label-base", "1", "--grid", "0.5,1", "--gold", "{gold}"], True),
+        "evaluate": (["evaluate", "--predictions", "{posterior}", "--gold", "{gold}",
+                      "--label-base", "1"], False),
+        "stats": (["stats", "--labels", "{labels}", "--classes", "3", "--label-base", "1"],
+                  False),
+    }
+
+    @staticmethod
+    def argv(tmp_path, command):
+        paths = dict(labels=labels_csv(tmp_path), gold=gold_csv(tmp_path),
+                     out=tmp_path / "out", posterior=tmp_path / "mv.tsv")
+        assert main(["aggregate", "--labels", str(paths["labels"]), "--classes", "3",
+                     "--label-base", "1", "--method", "mv",
+                     "--out", str(paths["posterior"])]) == EXIT_OK
+        return [arg.format(**paths) for arg in TestKeepFreedHeap.COMMANDS[command][0]]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_only_the_commands_that_fit_pin(self, tmp_path, monkeypatch, capsys, command):
+        # pinning raises the peak memory of the commands that do not fit,
+        # whose large arrays are freed once, not once per model pass
+        argv = self.argv(tmp_path, command)
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append(command))
+        assert main(argv) == EXIT_OK
+        assert len(calls) == self.COMMANDS[command][1]
+
+    @staticmethod
+    def fake_cdll(monkeypatch, calls, mallopt_returns=None, error=None):
+        """Replace `ctypes.CDLL` with a library whose `mallopt` records its
+        calls and returns `mallopt_returns`; with None it has no `mallopt`."""
+        def mallopt(option, value):
+            calls.append((option, value))
+            return mallopt_returns
+
+        def cdll(name):
+            assert name is None
+            if error is not None:
+                raise error
+            return (types.SimpleNamespace() if mallopt_returns is None
+                    else types.SimpleNamespace(mallopt=mallopt))
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+
+    @pytest.mark.parametrize("returns,expected", [(1, [(-3, 1 << 28), (-1, 1 << 28)]),
+                                                  (0, [(-3, 1 << 28)])])
+    def test_the_trim_threshold_only_follows_a_taken_mmap_threshold(
+            self, monkeypatch, returns, expected):
+        # either threshold alone makes the page faults worse
+        calls = []
+        self.fake_cdll(monkeypatch, calls, mallopt_returns=returns)
+        monkeypatch.setattr(sys, "platform", "linux")
+        cli._keep_freed_heap()
+        assert calls == expected
+
+    def test_does_nothing_off_linux(self, monkeypatch):
+        self.fake_cdll(monkeypatch, [], error=AssertionError("CDLL was called"))
+        monkeypatch.setattr(sys, "platform", "darwin")
+        cli._keep_freed_heap()
+
+    @pytest.mark.parametrize("fake", [dict(error=OSError("no C library")),
+                                      dict(mallopt_returns=None),
+                                      dict(mallopt_returns=0)],
+                             ids=["no-library", "no-mallopt", "mallopt-refuses"])
+    def test_a_library_that_does_not_pin_leaves_the_outputs_as_they_are(
+            self, tmp_path, monkeypatch, capsys, fake):
+        outputs = ("post.tsv", "params.tsv", "trace.csv")
+        argv = ["aggregate", "--labels", str(labels_csv(tmp_path)), "--classes", "3",
+                "--label-base", "1", "--gamma", "1"]
+
+        def run(name):
+            (tmp_path / name).mkdir()
+            paths = [str(tmp_path / name / output) for output in outputs]
+            assert main([*argv, "--out", paths[0], "--params-out", paths[1],
+                         "--trace", paths[2]]) == EXIT_OK
+            return [Path(path).read_bytes() for path in paths]
+
+        pinned = run("pinned")
+        monkeypatch.setattr(sys, "platform", "linux")
+        self.fake_cdll(monkeypatch, [], **fake)
+        assert run("unpinned") == pinned
+        assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc only")
+@pytest.mark.parametrize("pin", [True, False], ids=["pinned", "no-op"])
+def test_a_repeated_fit_in_one_process_does_not_fault_its_heap_in_again(tmp_path, pin):
+    # in a fresh process, since this one may have pinned already; the no-op
+    # control shows that the fit's temporaries would fault in again unpinned.
+    # A call that takes the heap to a new high-water mark faults a few dozen
+    # pages in for the first time, on a call that the heap layout decides, so
+    # the fewer of the second and third calls' faults is read.
+    conf = np.stack([synthetic.diagonal_confusion(3, a) for a in np.linspace(0.55, 0.85, 40)])
+    labels, _ = synthetic.sample_labels(40, 2000, 3, 5, conf, seed=7)
+    path = write_csv(tmp_path / "labels.csv",
+                     zip(np.take(labels.worker_ids, labels.workers),
+                         np.take(labels.item_ids, labels.items), labels.labels))
+    script = textwrap.dedent("""
+        import resource, sys
+        from mmce import cli
+
+        if sys.argv[1] == "no-op":
+            cli._keep_freed_heap = lambda: None
+        faults = []
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert cli.main(["aggregate", *sys.argv[2:]]) == 0
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        print(min(faults[1:]))
+    """)
+    env = {key: value for key, value in src_env().items()
+           if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
+    proc = subprocess.run([sys.executable, "-c", script, "pin" if pin else "no-op",
+                           "--labels", str(path), "--classes", "3", "--gamma", "1",
+                           "--out", str(tmp_path / "post.tsv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    faults = int(proc.stdout.split()[-1])
+    assert faults < 50 if pin else faults > 300

@@ -145,11 +145,15 @@ def cross_validate(labels: LabelMatrix, config: CVConfig) -> CVReport:
     if config.folds > labels.num_labels:
         raise ValueError(f"cannot split {labels.num_labels} labels into {config.folds} folds")
     assignment = partition_folds(labels.num_labels, config.folds, config.seed)
+    # (train, held-out) per fold, built once for every gamma; forked workers inherit them
+    splits = [(labels.subset(assignment != f), labels.subset(assignment == f))
+              for f in range(config.folds)]
 
     def score(hyper, f):
-        result = solver.fit(labels.subset(assignment != f), hyper)
-        return (heldout_loglik(result, labels.subset(assignment == f), hyper,
-                               config.heldout_scoring), result.converged)
+        train, heldout = splits[f]
+        result = solver.fit(train, hyper)
+        return (heldout_loglik(result, heldout, hyper, config.heldout_scoring),
+                result.converged)
 
     return _select(labels, config, config.folds, score, "heldout_loglik")
 

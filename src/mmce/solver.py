@@ -11,13 +11,17 @@ float slack; the preconditioner alone would not ensure that (see
 `_curvature_bound`). This is a generalized EM (Dempster, Laird & Rubin 1977):
 an M-step need only raise its block.
 
-Only `fit` shares models, one per score point, on its own copy of the label
-matrix (see `_model`); the L-BFGS objective and `kl_identity_check` hand one model
-pass of their own to `_penalized` and `_gradients`.
+Only `fit` shares values, on its own copy of the label matrix: one model pass
+per score point (see `_model`), one row gather and one entropy per posterior,
+the penalties once per score point and one objective value per (posterior, score
+point). A direct call off a fit computes afresh and keeps nothing; the L-BFGS
+objective and `kl_identity_check` hand one model pass of their own to
+`_penalized` and `_gradients`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -112,7 +116,7 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     # the logits z[c, k, l], turned into P in place below
     prob = gather_rows(labels.workers, worker_params)
     prob += gather_rows(labels.items, item_params)
-    log_obs = np.take(prob.reshape(K, K * L), obs_index, axis=1)
+    log_obs = prob.reshape(K, K * L).take(obs_index, axis=1)
     log_obs -= softmax_in_place(prob, axis=1)
     return prob, log_obs
 
@@ -121,7 +125,11 @@ def _model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     """`_log_model`, one pass per score point within a fit: `fit`'s own copy of the
     label matrix holds (`held`) the score arrays last passed here with their model.
     One fit has one mode, and inputs match by identity, which holds because `fit`
-    builds every score array anew and changes none in place."""
+    builds every score array and posterior anew and changes none in place. The
+    same matrix holds the posterior rows (`_posterior_rows`), the penalties and
+    the objective value (`penalized_likelihood`) and the entropy (`dual_objective`),
+    each for the inputs it was last computed with; a matrix without `held`, as
+    any caller's but `fit`'s, keeps nothing."""
     held = getattr(labels, "held", {})
     model = held.get("model")
     if model is None or model[0] is not worker_params or model[1] is not item_params:
@@ -150,7 +158,7 @@ def gather_rows(index: np.ndarray, table: np.ndarray) -> np.ndarray:
     """An (entity, ...) table read at each observation, class-major:
     out[..., l] = table[index[l]], with every row contiguous."""
     rows = np.ascontiguousarray(table.reshape(len(table), -1).T)
-    return np.take(rows, index, axis=1).reshape(*table.shape[1:], len(index))
+    return rows.take(index, axis=1).reshape(*table.shape[1:], len(index))
 
 
 def softmax_in_place(a: np.ndarray, axis: int) -> np.ndarray:
@@ -161,7 +169,8 @@ def softmax_in_place(a: np.ndarray, axis: int) -> np.ndarray:
     in index order, as whole-array operations; on an (n, K) array that beats
     broadcasting along the rows.
     """
-    parts = np.moveaxis(a, axis, 0)
+    lead = (slice(None),) * axis  # basic indexing keeps the other axes in order
+    parts = [a[lead + (i,)] for i in range(a.shape[axis])]
     top = parts[0].copy()
     for part in parts[1:]:
         np.maximum(top, part, out=top)
@@ -199,27 +208,54 @@ def entropy(posterior: np.ndarray) -> float:
     return float(-np.sum(q * np.log(np.maximum(q, PROB_FLOOR))))
 
 
-def _penalized(rows, log_obs, worker_params, item_params, hyper: HyperParams) -> float:
-    """sum_l sum_c Q_l(c) log P(x_l | c) minus the penalties, from the rows Q_l(c)."""
-    data = float((rows * log_obs).sum())
-    # the centered variant applies to worker scores only
-    return (data - regularizer_value(worker_params, hyper.variant, hyper.alpha)
-            - regularizer_value(item_params, RegularizerVariant.EUCLIDEAN, hyper.beta))
+def _penalties(worker_params, item_params, hyper: HyperParams) -> tuple[float, float]:
+    """The worker and item penalties; the centered variant applies to worker scores only."""
+    return (regularizer_value(worker_params, hyper.variant, hyper.alpha),
+            regularizer_value(item_params, RegularizerVariant.EUCLIDEAN, hyper.beta))
+
+
+def _penalized(rows, log_obs, penalties) -> float:
+    """sum_l sum_c Q_l(c) log P(x_l | c) minus the (worker, item) penalties, from
+    the rows Q_l(c)."""
+    return float((rows * log_obs).sum()) - penalties[0] - penalties[1]
 
 
 def penalized_likelihood(labels, posterior, worker_params, item_params,
                          hyper: HyperParams) -> float:
-    """The objective the M-step ascends: expected log-likelihood minus penalties."""
+    """The objective the M-step ascends: expected log-likelihood minus penalties.
+
+    Within a fit, `fit`'s own label matrix holds the value last computed with its
+    (posterior, worker scores, item scores), and the penalties last computed with
+    their score point, both matched by identity as in `_model`."""
+    held = getattr(labels, "held", {})
+    value = held.get("value")
+    if (value is not None and value[0] is posterior and value[1] is worker_params
+            and value[2] is item_params):
+        return value[3]
+    held["value"] = value = None  # drop the old value before the new one
     _, log_obs = _model(labels, worker_params, item_params, hyper.mode)
-    return _penalized(_posterior_rows(labels, posterior), log_obs, worker_params,
-                      item_params, hyper)
+    rows = _posterior_rows(labels, posterior)
+    penalties = held.get("penalties")
+    if penalties is None or penalties[0] is not worker_params or penalties[1] is not item_params:
+        held["penalties"] = penalties = None
+        held["penalties"] = penalties = (worker_params, item_params,
+                                         _penalties(worker_params, item_params, hyper))
+    value = _penalized(rows, log_obs, penalties[2])
+    held["value"] = (posterior, worker_params, item_params, value)
+    return value
 
 
 def dual_objective(labels, posterior, worker_params, item_params,
                    hyper: HyperParams) -> float:
-    """Regularized dual: expected log-likelihood + label entropy - penalties."""
+    """Regularized dual: expected log-likelihood + label entropy - penalties.
+    Within a fit, `fit`'s own label matrix holds the entropy of the last posterior."""
+    held = getattr(labels, "held", {})
+    held_entropy = held.get("entropy")
+    if held_entropy is None or held_entropy[0] is not posterior:
+        held["entropy"] = held_entropy = None
+        held["entropy"] = held_entropy = (posterior, entropy(posterior))
     return penalized_likelihood(labels, posterior, worker_params, item_params,
-                                hyper) + entropy(posterior)
+                                hyper) + held_entropy[1]
 
 
 def initialize_posterior(labels: LabelMatrix) -> np.ndarray:
@@ -285,7 +321,7 @@ def _value_and_grad(x, labels: LabelMatrix, rows, hyper: HyperParams, w_shape, i
     the flat scores x, from the posterior rows and one model pass of its own."""
     worker_params, item_params = _split(x, w_shape, i_shape)
     prob, log_obs = _log_model(labels, worker_params, item_params, hyper.mode)
-    value = _penalized(rows, log_obs, worker_params, item_params, hyper)
+    value = _penalized(rows, log_obs, _penalties(worker_params, item_params, hyper))
     gw, gi = _gradients(labels, rows, prob, worker_params, item_params, hyper)
     return -value, -np.concatenate([gw.ravel(), gi.ravel()])
 
@@ -321,17 +357,25 @@ def _curvature_bound(labels: LabelMatrix, posterior, hyper: HyperParams):
     overshoot; the Armijo search in m_step is what keeps the trace monotone.
     The extreme case is the worker/item split (`_ridge_split`): there the data
     term is flat and -f'' is the ridge alone, so m_step sets it exactly."""
-    K = labels.num_classes
-    if hyper.mode == Mode.ORDINAL:
+    rows, shape = _touch_rows(hyper.mode, labels.num_classes)
+    mass = 0.25 * _posterior_rows(labels, posterior)  # (K, L)
+    return [(scatter_rows(index, mass, size) @ rows).reshape(size, *shape) + ridge
+            for index, size, ridge in ((labels.workers, labels.num_workers, hyper.alpha),
+                                       (labels.items, labels.num_items, hyper.beta))]
+
+
+@functools.lru_cache(maxsize=16)
+def _touch_rows(mode: Mode, K: int):
+    """`_curvature_bound`'s (row c, score) matrix, 1 where the score touches
+    true-class row c, and the score shape its columns unravel to. Built once per
+    (mode, K) and shared by every caller, so the matrix is read-only."""
+    if mode == Mode.ORDINAL:
         touches = ordinal_basis(K).any(axis=-1)  # [s, r, c]: score (s, r) touches row c
     else:
         touches = np.broadcast_to(np.eye(K, dtype=bool)[:, None, :], (K, K, K))
-    rows = touches.reshape(-1, K).T.astype(float)  # (row c, score)
-    mass = 0.25 * _posterior_rows(labels, posterior)  # (K, L)
-    return [(scatter_rows(index, mass, size) @ rows).reshape(size, *touches.shape[:2])
-            + ridge
-            for index, size, ridge in ((labels.workers, labels.num_workers, hyper.alpha),
-                                       (labels.items, labels.num_items, hyper.beta))]
+    rows = touches.reshape(-1, K).T.astype(float)
+    rows.setflags(write=False)
+    return rows, touches.shape[:2]
 
 
 def _ridge_split(worker_params, item_params, hyper: HyperParams):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from mmce import selection, synthetic
 from mmce.confusion import Mode, RegularizerVariant
-from mmce.data import GoldLabels, from_triples
+from mmce.data import GoldLabels, LabelMatrix, from_triples
 from mmce.evaluation import error_rate
 from mmce.selection import (
     CVConfig,
@@ -153,6 +153,27 @@ class TestCrossValidate:
         r2 = cross_validate(lm, config)
         assert r1.per_fold == r2.per_fold
         assert r1.selected_gamma == r2.selected_gamma
+
+    def test_each_fold_split_is_built_once(self, monkeypatch):
+        # a train and a held-out subset per fold, shared by every gamma, and
+        # the scores of splits built anew for each fit
+        lm, _ = planted_and_gold()
+        config = CVConfig(folds=3, gamma_grid=(0.25, 1.0, 4.0), max_outer_iters=20)
+        assignment = partition_folds(lm.num_labels, config.folds, config.seed)
+        want, unconverged = {}, 0
+        for g in config.gamma_grid:
+            hyper = config.hyper(*resolve_hyperparams(g, lm))
+            want[g] = []
+            for f in range(config.folds):
+                result = fit(lm.subset(assignment != f), hyper)
+                want[g].append(heldout_loglik(result, lm.subset(assignment == f), hyper))
+                unconverged += not result.converged
+        calls, subset = [], LabelMatrix.subset
+        monkeypatch.setattr(LabelMatrix, "subset",
+                            lambda self, mask: calls.append(1) or subset(self, mask))
+        report = cross_validate(lm, config)
+        assert len(calls) == 2 * config.folds
+        assert report.per_fold == want and report.unconverged_fits == unconverged
 
     def test_report_csv(self, tmp_path):
         lm = synthetic.random_instance(5)

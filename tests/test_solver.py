@@ -265,17 +265,22 @@ def planted_gamma_one(mode=Mode.MULTICLASS):
     return lm, HyperParams(alpha=alpha, beta=beta, mode=mode)
 
 
-def counted_model_passes(monkeypatch):
-    """A list that gains one entry per `_log_model` call from now on."""
+def counted_calls(monkeypatch, name):
+    """A list that gains one entry per call of `solver.<name>` from now on."""
     calls = []
-    model = solver._log_model
+    fn = getattr(solver, name)
 
     def counted(*args):
         calls.append(1)
-        return model(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(solver, "_log_model", counted)
+    monkeypatch.setattr(solver, name, counted)
     return calls
+
+
+def counted_model_passes(monkeypatch):
+    """A list that gains one entry per `_log_model` call from now on."""
+    return counted_calls(monkeypatch, "_log_model")
 
 
 def count_line_search(monkeypatch, refuse_peaks=False):
@@ -596,6 +601,52 @@ class TestModelMemo:
         assert np.array_equal(posterior, e_step(lm, wp, ip, h))
         assert len(calls) == 5
 
+    def test_equal_copies_are_new_inputs(self, monkeypatch):
+        # Held values match their inputs by identity: an equal-valued copy of
+        # the posterior or of the scores is computed afresh, to the same value.
+        lm = synthetic.random_instance(3)
+        wp, ip, q = random_state(lm, 4)
+        h = HyperParams(alpha=0.7, beta=1.3)
+        own = fit_labels(lm)
+        passes, gathers = counted_model_passes(monkeypatch), counted_row_gathers(monkeypatch)
+        penalties = counted_calls(monkeypatch, "regularizer_value")
+        entropies = counted_calls(monkeypatch, "entropy")
+
+        def counts():
+            return len(passes), len(gathers), len(penalties), len(entropies)
+
+        value = dual_objective(own, q, wp, ip, h)
+        assert dual_objective(own, q, wp, ip, h) == value
+        penalized_likelihood(own, q, wp, ip, h)
+        assert counts() == (1, 1, 2, 1)
+        q_copy, wp_copy = q.copy(), wp.copy()
+        assert dual_objective(own, q_copy, wp, ip, h) == value
+        assert counts() == (1, 2, 2, 2)  # a new posterior: rows and entropy
+        assert dual_objective(own, q_copy, wp_copy, ip, h) == value
+        assert counts() == (2, 2, 4, 2)  # a new score point: model and penalties
+        # on a matrix that holds nothing each call computes everything
+        assert dual_objective(lm, q, wp, ip, h) == value
+        assert counts() == (3, 3, 6, 3)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_fit_computes_each_entropy_and_penalty_once(self, monkeypatch, mode):
+        # one entropy per posterior (the starting one and one per E-step), and
+        # the worker and item penalties once per score point the fit evaluates
+        lm, h = planted_gamma_one(mode)
+        penalties = counted_calls(monkeypatch, "regularizer_value")
+        entropies = counted_calls(monkeypatch, "entropy")
+        points, objective = [], solver.penalized_likelihood
+
+        def probed(labels, posterior, wp, ip, hyper):
+            if not any(wp is w and ip is i for w, i in points):
+                points.append((wp, ip))
+            return objective(labels, posterior, wp, ip, hyper)
+
+        monkeypatch.setattr(solver, "penalized_likelihood", probed)
+        r = fit(lm, h)
+        assert len(entropies) == r.iterations + 1
+        assert len(penalties) == 2 * len(points) and len(points) > r.iterations
+
     @pytest.mark.parametrize("name", ["model", "rows"])
     def test_old_value_is_dropped_before_a_new_build(self, monkeypatch, name):
         lm = fit_labels(synthetic.random_instance(9))
@@ -663,12 +714,14 @@ class TestModelMemo:
         assert own() is None and not hasattr(lm, "held")
 
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_fits_matrix_holds_only_the_model_and_rows(self, monkeypatch, mode):
-        # nothing derived from the labels alone is kept between passes
+    def test_fits_matrix_holds_only_values_of_its_inputs(self, monkeypatch, mode):
+        # nothing derived from the labels alone is kept between passes: every
+        # held value belongs to a posterior, a score point or both
         lm, h = planted_gamma_one(mode)
         seen = fits_own_labels(monkeypatch)
         r = fit(lm, h)
-        assert [keys for _, keys in seen] == [{"model", "rows"}] * r.iterations
+        keys = {"model", "rows", "penalties", "value", "entropy"}
+        assert [keys for _, keys in seen] == [keys] * r.iterations
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_exact_m_step_runs_with_no_model_held(self, monkeypatch, mode):
@@ -907,7 +960,48 @@ def kernel_cases(scale):
             yield lm, mode, wp, ip, q
 
 
+def moveaxis_softmax_in_place(a, axis):
+    """`softmax_in_place` as it was first written, over np.moveaxis views."""
+    parts = np.moveaxis(a, axis, 0)
+    top = parts[0].copy()
+    for part in parts[1:]:
+        np.maximum(top, part, out=top)
+    for part in parts:
+        part -= top
+    np.exp(a, out=a)
+    total = parts[0].copy()
+    for part in parts[1:]:
+        total += part
+    for part in parts:
+        part /= total
+    np.log(total, out=total)
+    total += top
+    return total
+
+
 class TestClassMajorKernel:
+    @pytest.mark.parametrize("shape,axis", [((3, 4, 5), 0), ((3, 4, 5), 1), ((3, 4, 5), 2),
+                                            ((3, 7), 0), ((3, 7), 1)])
+    def test_softmax_in_place_is_bit_equal_to_the_moveaxis_form(self, shape, axis):
+        # the other axes keep their order: swapping axes 0 and 2 would
+        # transpose the normalizer of a 3-d array softmaxed along axis 2
+        a = np.random.default_rng(len(shape) + axis).normal(scale=3.0, size=shape)
+        got, want = a.copy(), a.copy()
+        log_norm = solver.softmax_in_place(got, axis)
+        want_norm = moveaxis_softmax_in_place(want, axis)
+        assert log_norm.shape == want_norm.shape
+        assert np.array_equal(log_norm, want_norm) and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_touch_matrix_is_built_once_per_mode_and_class_count(self, mode):
+        for K in (2, 3, 5):
+            rows, shape = solver._touch_rows(mode, K)
+            assert solver._touch_rows(mode, K)[0] is rows
+            assert rows.shape == (K, int(np.prod(shape)))
+            assert shape == init_params(mode, 1, K).shape[1:]
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 2.0
+
     @pytest.mark.parametrize("K", range(2, 8))
     @pytest.mark.parametrize("scale", [2.0, None])
     def test_softmax_in_place_is_the_textbook_softmax(self, K, scale):

@@ -12,7 +12,8 @@ float slack; the preconditioner alone would not ensure that (see
 an M-step need only raise its block.
 
 Only `fit` shares values, on its own copy of the label matrix: one model pass
-per score point (see `_model`), one row gather and one entropy per posterior,
+per score point (see `_model`), where the all-zero start needs none
+(`_uniform_model`), one row gather and one entropy per posterior,
 the penalties once per score point and one objective value per (posterior, score
 point). A direct call off a fit computes afresh and keeps nothing; the L-BFGS
 objective and `kl_identity_check` hand one model pass of their own to
@@ -121,9 +122,20 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     return prob, log_obs
 
 
+def _uniform_model(K: int, L: int):
+    """`_log_model` at the all-zero scores of `init_params`, without a pass: the
+    model is uniform there, so both arrays are read-only broadcast views of one
+    (K, K, 1) `softmax_in_place` of zeros, prob = 1/K and log_obs = -log K,
+    from the same operations as the pass."""
+    prob, log_obs = np.zeros((K, K, 1)), np.zeros((K, 1))
+    log_obs -= softmax_in_place(prob, axis=1)
+    return np.broadcast_to(prob, (K, K, L)), np.broadcast_to(log_obs, (K, L))
+
+
 def _model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     """`_log_model`, one pass per score point within a fit: `fit`'s own copy of the
-    label matrix holds (`held`) the score arrays last passed here with their model.
+    label matrix holds (`held`) the score arrays last passed here with their model,
+    from the start on, where `fit` puts the all-zero scores' `_uniform_model`.
     One fit has one mode, and inputs match by identity, which holds because `fit`
     builds every score array and posterior anew and changes none in place. The
     same matrix holds the posterior rows (`_posterior_rows`), the penalties and
@@ -164,21 +176,22 @@ def gather_rows(index: np.ndarray, table: np.ndarray) -> np.ndarray:
 def softmax_in_place(a: np.ndarray, axis: int) -> np.ndarray:
     """Replace `a` by its softmax along `axis` with one exp pass, shifted by
     the max so nothing overflows, and return the log-normalizer log(sum(exp(a)))
-    along `axis`, with that axis dropped. Inputs must be finite. The axis is
-    short (the class count), so every step but the exp loops over its slices,
-    in index order, as whole-array operations; on an (n, K) array that beats
-    broadcasting along the rows.
+    along `axis`, with that axis dropped. Inputs must be finite and the axis
+    at least 2 long. The axis is short (the class count), so every step but
+    the exp loops over its slices, in index order, as whole-array operations;
+    on an (n, K) array that beats broadcasting along the rows. The max and the
+    sum start from their first two slices (one ufunc call, no seed copy).
     """
     lead = (slice(None),) * axis  # basic indexing keeps the other axes in order
     parts = [a[lead + (i,)] for i in range(a.shape[axis])]
-    top = parts[0].copy()
-    for part in parts[1:]:
+    top = np.maximum(parts[0], parts[1])
+    for part in parts[2:]:
         np.maximum(top, part, out=top)
     for part in parts:
         part -= top
     np.exp(a, out=a)
-    total = parts[0].copy()
-    for part in parts[1:]:
+    total = np.add(parts[0], parts[1])
+    for part in parts[2:]:
         total += part
     for part in parts:
         part /= total
@@ -191,14 +204,16 @@ def scatter_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
     """Sum class-major rows into `size` entity slots: out[index[l], ...] +=
     rows[..., l], the adjoint of `gather_rows`.
 
-    One np.bincount per contiguous row, each adding in observation order, so
-    the result equals np.add.at on zeros exactly.
+    One np.add.at per contiguous row into its own zeroed row of an (R, size)
+    buffer, adding in observation order from 0 (np.bincount's sums exactly,
+    without its pass for the largest index), then one transposing copy to a
+    C-contiguous (size, ...) table.
     """
     flat = rows.reshape(-1, rows.shape[-1])
-    out = np.empty((size, len(flat)))
+    out = np.zeros((len(flat), size))
     for r, row in enumerate(flat):
-        out[:, r] = np.bincount(index, weights=row, minlength=size)
-    return out.reshape((size, *rows.shape[:-1]))
+        np.add.at(out[r], index, row)
+    return np.ascontiguousarray(out.T).reshape((size, *rows.shape[:-1]))
 
 
 def entropy(posterior: np.ndarray) -> float:
@@ -264,10 +279,7 @@ def initialize_posterior(labels: LabelMatrix) -> np.ndarray:
     counts = np.bincount(labels.items * K + labels.labels,
                          minlength=n * K).reshape(n, K).astype(float)
     totals = counts.sum(axis=1, keepdims=True)
-    out = np.full((n, K), 1.0 / K)
-    labeled = totals[:, 0] > 0
-    out[labeled] = counts[labeled] / totals[labeled]
-    return out
+    return np.divide(counts, totals, out=np.full((n, K), 1 / K), where=totals > 0)
 
 
 def e_step(labels: LabelMatrix, worker_params, item_params,
@@ -470,9 +482,11 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
     iterations = 0
     ls_failures = 0
     step_fn = m_step_exact if hyper.exact_m_step else m_step
-    # this fit's own matrix: calls that receive it share its models and rows
+    # this fit's own matrix: calls that receive it share its models and rows,
+    # starting with the all-zero scores' uniform model, which needs no pass
     labels = replace(labels)
-    object.__setattr__(labels, "held", {})
+    object.__setattr__(labels, "held",
+                       {"model": (wp, ip, _uniform_model(K, labels.num_labels))})
     trace = [dual_objective(labels, posterior, wp, ip, hyper)]
     for it in range(1, hyper.max_outer_iters + 1):
         iterations = it

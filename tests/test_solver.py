@@ -99,6 +99,21 @@ class TestInitializePosterior:
         lm = from_triples([("a", "i", 0)], 4, item_ids=["i", "empty"])
         np.testing.assert_allclose(initialize_posterior(lm)[1], np.full(4, 0.25))
 
+    def test_bit_equal_to_the_masked_assignment(self):
+        # the body before one masked divide: uniform rows, then the labeled
+        # ones; every other label dropped leaves some items unlabeled
+        for seed in range(12):
+            lm = synthetic.random_instance(seed)
+            lm = lm.subset(np.arange(lm.num_labels) % 2 == 0)
+            n, K = lm.num_items, lm.num_classes
+            counts = np.zeros((n, K))
+            np.add.at(counts, (lm.items, lm.labels), 1.0)
+            totals = counts.sum(axis=1, keepdims=True)
+            want = np.full((n, K), 1.0 / K)
+            labeled = totals[:, 0] > 0
+            want[labeled] = counts[labeled] / totals[labeled]
+            assert initialize_posterior(lm).tobytes() == want.tobytes()
+
     def test_three_worker_item1(self, three_worker_labels):
         np.testing.assert_allclose(initialize_posterior(three_worker_labels)[0],
                                    [2 / 3, 1 / 3, 0.0])
@@ -340,15 +355,15 @@ class TestMStep:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_default_fit_makes_about_one_model_pass_per_outer_iteration(
             self, monkeypatch, mode):
-        # An ascent step that passes at size 1 is one pass per iteration, plus
-        # the one at the starting scores, and a parabola retry one more: 6 over
-        # 5 iterations (multiclass) and 10 over 6 (ordinal). Steps that mostly
-        # need halving break the bound.
+        # An ascent step that passes at size 1 is one pass per iteration (the
+        # all-zero start's uniform model needs none), and a parabola retry one
+        # more: 5 over 5 iterations (multiclass) and 9 over 6 (ordinal). Steps
+        # that mostly need halving break the bound.
         lm, h = planted_gamma_one(mode)
         calls = counted_model_passes(monkeypatch)
         r = fit(lm, h)
         assert r.converged and r.line_search_failures == 0
-        assert len(calls) <= 1 + 2 * r.iterations
+        assert len(calls) <= 2 * r.iterations
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_one_step_and_exact_m_steps_reach_the_same_optimum(self, mode):
@@ -364,9 +379,10 @@ class TestMStep:
 
     @pytest.mark.parametrize("case", [*Mode, "retried peaks", "refused peaks"])
     def test_one_model_pass_per_line_search_trial(self, monkeypatch, case):
-        # Across a whole fit, the only model pass outside a line-search trial
-        # is the one at the starting scores. A parabola retry is a trial, and
-        # so is the accepted trial's second evaluation after a refused peak.
+        # Across a whole fit, every model pass is a line-search trial: the
+        # all-zero start's uniform model needs none. A parabola retry is a
+        # trial, and so is the accepted trial's second evaluation after a
+        # refused peak.
         counts = count_line_search(monkeypatch, refuse_peaks=case == "refused peaks")
         if case == "retried peaks":
             lm, h = dense_fold(101, 0, 2.0)
@@ -376,7 +392,7 @@ class TestMStep:
         assert r.line_search_failures == 0
         assert counts["m_step"] == r.iterations
         trials = counts["objective"] - counts["m_step"]
-        assert counts["model"] == 1 + trials
+        assert counts["model"] == trials
         if case == "refused peaks":
             assert counts["peaks"] > 0 and counts["repeats"] == counts["peaks"]
         else:
@@ -486,7 +502,7 @@ class TestMStep:
     def test_sparse_multiclass_steps_pass_at_full_size(self, monkeypatch):
         # On a fit-multiclass-shaped input (100 x 4000, K = 3, 5 labels per
         # item) each parabola peaks past PEAK_RETRY of the step, so no step is
-        # halved or retried: one model pass per outer iteration, plus the start.
+        # halved or retried: one model pass per outer iteration, none at the start.
         accuracy = 0.55 + 0.3 * (np.arange(100) + 0.5) / 100
         conf = np.stack([synthetic.diagonal_confusion(3, a) for a in accuracy])
         lm, _ = synthetic.sample_labels(100, 4000, 3, 5, conf, seed=0)
@@ -494,7 +510,7 @@ class TestMStep:
         calls = counted_model_passes(monkeypatch)
         r = fit(lm, HyperParams(alpha=alpha, beta=beta))
         assert r.converged
-        assert len(calls) == 1 + r.iterations
+        assert len(calls) == r.iterations
 
     @pytest.mark.parametrize("seed", [101, 102, 103])
     @pytest.mark.parametrize("index", [0, 1])
@@ -518,7 +534,7 @@ def reference_fit(labels, hyper):
     ip = init_params(hyper.mode, labels.num_items, K)
     posterior = initialize_posterior(labels)
     trace = [dual_objective(labels, posterior, wp, ip, hyper)]
-    step_fn = solver.m_step_exact if hyper.exact_m_step else m_step
+    step_fn = solver.m_step_exact if hyper.exact_m_step else solver.m_step
     for _ in range(hyper.max_outer_iters):
         prev = trace[-1]
         wp, ip, _ = step_fn(labels, posterior, wp, ip, hyper)
@@ -528,6 +544,19 @@ def reference_fit(labels, hyper):
         if abs(trace[-1] - prev) < hyper.tol * max(abs(prev), solver.PROB_FLOOR):
             break
     return posterior, wp, ip, trace
+
+
+def first_step_not_taken(step):
+    """`step` except that its first call returns the scores it is given."""
+    calls = []
+
+    def held(labels, posterior, worker_params, item_params, hyper):
+        calls.append(1)
+        if len(calls) == 1:
+            return worker_params, item_params, False
+        return step(labels, posterior, worker_params, item_params, hyper)
+
+    return held
 
 
 def assert_fit_equals_reference(labels, hyper):
@@ -941,6 +970,16 @@ def column_scatter(index, values, size):
     return out.reshape((size, *tail))
 
 
+def bincount_scatter_rows(index, rows, size):
+    """`scatter_rows` as it was before np.add.at: one np.bincount per
+    contiguous row, written into a strided column."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    out = np.empty((size, len(flat)))
+    for r, row in enumerate(flat):
+        out[:, r] = np.bincount(index, weights=row, minlength=size)
+    return out.reshape((size, *rows.shape[:-1]))
+
+
 def kernel_cases(scale):
     """Random instances with scores for both modes: normal with the given
     scale, or (scale=None) +-800 with a little noise, far past exp's range."""
@@ -991,6 +1030,38 @@ class TestClassMajorKernel:
         want_norm = moveaxis_softmax_in_place(want, axis)
         assert log_norm.shape == want_norm.shape
         assert np.array_equal(log_norm, want_norm) and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["1-d", "2-d", "3-d"])
+    def test_scatter_rows_is_bit_equal_to_the_bincount_body(self, lead):
+        # runs of one repeated index, slots 3 and 9 never observed, and weights
+        # with -0.0 (alone in slot 4), subnormals and their sums
+        rng = np.random.default_rng(len(lead))
+        index = np.concatenate([[0, 0, 0, 5, 5, 4, 4], rng.choice([0, 1, 2, 5, 6, 7, 8], 33),
+                                [1, 1, 1, 1]])
+        size, L = 10, len(index)
+        rows = rng.normal(size=(*lead, L))
+        flat = rows.reshape(-1, L)
+        flat[:, [5, 6]] = -0.0
+        flat[:, 7:15] = rng.choice([5e-324, -5e-324, 1e-310, -2.2e-308, 0.0, -0.0],
+                                   size=(len(flat), 8))
+        flat[:, -4:] = [1e-320, -1e-320, 3e-321, -0.0]
+        got = solver.scatter_rows(index, rows, size)
+        want = bincount_scatter_rows(index, rows, size)
+        assert got.shape == (size, *lead) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()  # every bit, the sign of zero too
+        assert not np.signbit(got[4]).any() and not got[[3, 9]].any()
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("K", range(2, 7))
+    def test_zero_start_model_is_the_pass_at_zero_scores(self, mode, K):
+        conf = np.stack([synthetic.diagonal_confusion(K, 0.7)] * 6)
+        lm, _ = synthetic.sample_labels(6, 20, K, 3, conf, seed=K)
+        wp, ip = (init_params(mode, n, K) for n in (lm.num_workers, lm.num_items))
+        got = solver._uniform_model(K, lm.num_labels)
+        for g, want in zip(got, LOG_MODEL(lm, wp, ip, mode)):
+            assert g.shape == want.shape and np.array_equal(g, want)
+            with pytest.raises(ValueError, match="read-only"):
+                g[(0,) * g.ndim] = 0.5
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_touch_matrix_is_built_once_per_mode_and_class_count(self, mode):
@@ -1123,6 +1194,28 @@ class TestSharedModel:
         alpha, beta = resolve_hyperparams(1.0, lm)
         assert_fit_equals_reference(
             lm, HyperParams(alpha=alpha, beta=beta, mode=mode, max_outer_iters=40))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_fit_whose_first_m_step_takes_no_step_equals_reference_loop(
+            self, monkeypatch, mode):
+        # The first E-step then reads the all-zero start's uniform model, which
+        # the fit holds as read-only broadcast views and the reference computes.
+        lm, h = planted_gamma_one(mode)
+        read_only, step = [], solver.e_step
+
+        def probed(labels, *args):
+            read_only.append(not labels.held["model"][2][0].flags.writeable)
+            return step(labels, *args)
+
+        monkeypatch.setattr(solver, "m_step", first_step_not_taken(m_step))
+        monkeypatch.setattr(solver, "e_step", probed)
+        r = fit(lm, h)
+        monkeypatch.setattr(solver, "m_step", first_step_not_taken(m_step))
+        posterior, wp, ip, trace = reference_fit(lm, h)  # calls e_step unprobed
+        assert read_only[:2] == [True, False] and r.iterations > 2
+        assert np.array_equal(r.posterior, posterior)
+        assert np.array_equal(r.worker_params, wp) and np.array_equal(r.item_params, ip)
+        assert np.array_equal(r.objective_trace, trace)
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_exact_m_step_fit_equals_reference_loop(self, mode):

@@ -177,11 +177,15 @@ class _Keys(dict):
         return keys
 
     def of(self, strings) -> np.ndarray:
-        """Keys of strings."""
-        raw = [s.encode("utf-8", "surrogatepass") for s in strings]
+        """Keys of strings (a sequence of str)."""
+        if all(map(str.isascii, strings)):  # a byte per character: one encode serves all
+            raw, text = strings, "".join(strings).encode()
+        else:
+            raw = [s.encode("utf-8", "surrogatepass") for s in strings]
+            text = b"".join(raw)
         lengths = np.fromiter(map(len, raw), np.int64, len(raw))
-        buf = np.frombuffer(b"".join(raw) + _PAD, dtype=np.uint8)
-        del raw  # not held while pack slices the long fields from buf
+        buf = np.frombuffer(text + _PAD, dtype=np.uint8)
+        del raw, text  # not held while pack slices the long fields from buf
         ends = np.cumsum(lengths)
         return self.pack(buf, ends - lengths, ends)
 
@@ -300,7 +304,12 @@ def _raise_first(skips, error, *rules) -> None:
 
 
 def _repeats(keys) -> np.ndarray:
-    """Whether each row's key is on an earlier row."""
+    """Whether each row's key is on an earlier row. A sort of the values finds
+    whether any key repeats; rows are ordered only when one does."""
+    ranked = np.sort(keys)
+    if not (ranked[1:] == ranked[:-1]).any():
+        return np.zeros(len(keys), dtype=bool)
+    del ranked
     first = _groups(keys)[1]  # before the mask, which is not held while sorting
     repeats = np.ones(len(keys), dtype=bool)
     repeats[first] = False
@@ -347,7 +356,9 @@ def _intern(chunks, table, num_classes, label_base, worker_ids=None,
         pair = table.decode(np.array([w_keys[workers[r]], i_keys[items[r]]]))
         return "duplicate observation for worker {!r}, item {!r}".format(*pair)
 
-    empty = (w_keys == 0)[workers] | (i_keys == 0)[items]
+    empty = np.zeros(len(workers), dtype=bool)
+    if not (w_keys.all() and i_keys.all()):  # some distinct id is empty (key 0)
+        empty = (w_keys == 0)[workers] | (i_keys == 0)[items]
     _raise_first(skips, error, (empty, lambda r: "empty worker or item id"),
                  (labels < 0, lambda r: codes.bad[-1 - labels[r]]), (repeats, duplicate))
     del empty, repeats

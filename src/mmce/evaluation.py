@@ -98,21 +98,32 @@ def calibration_bins(posterior: np.ndarray, gold: GoldLabels,
 def evaluate(predictions: np.ndarray, gold: GoldLabels, ordinal: bool = False,
              posterior: np.ndarray | None = None) -> EvalReport:
     """Score the gold items that have a prediction: error rate, the squared
-    label gap if ordinal, and calibration bins if a posterior is given."""
+    label gap if ordinal, and calibration bins if a posterior is given.
+    Raises ValueError naming the first scored posterior row whose largest
+    probability is not in (0, 1], which no bin holds."""
     items, truth = _gold_arrays(predictions, gold)
     preds = np.asarray(predictions)[items]
     bins = []
     if posterior is not None:
-        max_prob = np.max(posterior[items], axis=1)
-        for lo, hi in zip(BIN_EDGES[:-1], BIN_EDGES[1:]):
-            in_bin = (max_prob > lo) & (max_prob <= hi)
-            count = int(in_bin.sum())
-            if count:
-                err = _error_rate(preds[in_bin], truth[in_bin])
-                mse = _mean_square_error(preds[in_bin], truth[in_bin])
-            else:
-                err = mse = None
-            bins.append(CalibrationBin(lo, hi, count, err, mse))
+        # each row's largest probability, a column at a time, in the float type
+        # that compares it to the edges; bin b holds (BIN_EDGES[b - 1],
+        # BIN_EDGES[b]], and 0 and len(BIN_EDGES) hold what is outside (0, 1]
+        top = np.full(len(posterior), -np.inf, np.result_type(posterior, 0.0))
+        for k in range(posterior.shape[1]):
+            np.maximum(top, posterior[:, k], out=top)
+        where = np.searchsorted(np.array(BIN_EDGES, top.dtype), top[items], side="left")
+        lost = items[(where == 0) | (where == len(BIN_EDGES))]
+        if len(lost):
+            raise ValueError(f"posterior row {lost.min()}: largest probability "
+                             f"{float(top[lost.min()])} is not in (0, 1]")
+        # a bin's error rate and MSE are sums of small integers over its count,
+        # so they equal means over its rows bit for bit
+        counts, errors, squares = (np.bincount(where, weights, len(BIN_EDGES)) for weights in
+                                   (None, preds != truth, (preds.astype(float) - truth) ** 2))
+        for b, (lo, hi) in enumerate(zip(BIN_EDGES[:-1], BIN_EDGES[1:]), start=1):
+            n = counts[b]
+            err, mse = (float(errors[b] / n), float(squares[b] / n)) if n else (None, None)
+            bins.append(CalibrationBin(lo, hi, int(n), err, mse))
     return EvalReport(
         error_rate=_error_rate(preds, truth),
         n_scored=len(items),

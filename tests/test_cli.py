@@ -685,6 +685,18 @@ class TestEvaluate:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: need at least 2 classes, got 0\n"
 
+    def test_row_outside_every_calibration_bin_is_usage_error(self, tmp_path, capsys):
+        post = tmp_path / "p.tsv"
+        post.write_text("item\tpredicted\tp0\tp1\na\t0\t0.900000\t0.100000\n"
+                        "b\t0\t0.000000\t0.000000\n")
+        gold = write_csv(tmp_path / "g.csv", [("a", 0), ("b", 1)])
+        args = ["evaluate", "--predictions", str(post), "--gold", str(gold)]
+        assert main(args) == EXIT_OK
+        assert "scored items   2" in capsys.readouterr().out
+        assert main([*args, "--bins"]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: posterior row 1: largest probability 0.0 "
+                                           "is not in (0, 1]\n")
+
     def test_overflowing_predicted_label_is_usage_error(self, tmp_path, capsys):
         post = tmp_path / "big.tsv"
         post.write_text("item\tpredicted\tp0\tp1\na\t99999999999999999999\t0.5\t0.5\n")

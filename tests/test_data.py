@@ -371,6 +371,83 @@ class TestGold:
         with pytest.raises(ValueError, match=f"^{message}$"):
             load_gold(tmp_path / "missing.csv", ["i1"], classes, base)
 
+    @pytest.mark.parametrize("item_ids, error, message", [
+        (["i1", 2, "i3"], TypeError, "descriptor 'isascii' for 'str' objects doesn't apply to "
+                                     "a 'int' object"),
+        (["i1", b"i2"], TypeError, "descriptor 'isascii' .* to a 'bytes' object"),
+        ([None], TypeError, "descriptor 'isascii' .* to a 'NoneType' object"),
+        (["ïd", 2], AttributeError, "'int' object has no attribute 'encode'"),
+        (["ïd", b"i2"], AttributeError, "'bytes' object has no attribute 'encode'"),
+    ])
+    def test_item_id_that_is_not_a_str_is_refused(self, tmp_path, item_ids, error, message):
+        # ids are tested with str.isascii up to the first non-ASCII one, and
+        # then each is encoded: a non-str id fails the first of the two it meets
+        p = write_csv(tmp_path / "g.csv", [("i1", 0)])
+        with pytest.raises(error, match=f"^{message}$"):
+            load_gold(p, item_ids, 3)
+
+
+def per_id_keys_of(strings):
+    """(keys, table) as `_Keys.of` made them before its one-encode ASCII
+    path: one encode per id, with lone surrogates passed through."""
+    table = data._Keys()
+    raw = [s.encode("utf-8", "surrogatepass") for s in strings]
+    lengths = np.fromiter(map(len, raw), np.int64, len(raw))
+    buf = np.frombuffer(b"".join(raw) + data._PAD, dtype=np.uint8)
+    ends = np.cumsum(lengths)
+    return table.pack(buf, ends - lengths, ends), table
+
+
+def argsort_repeats(keys):
+    """`_repeats` as it was before its value sort: every row ordered by key."""
+    first = data._groups(keys)[1]
+    repeats = np.ones(len(keys), dtype=bool)
+    repeats[first] = False
+    return repeats
+
+
+class TestKeysAndRepeatsEqualTheOldBodies:
+    @pytest.mark.parametrize("strings", [
+        [],
+        [""],
+        ["", "a", "", "a"],
+        ["w1", "i12345", "1234567", "12345678", "x" * 100, "12345678"],
+        ["ünï", "日本語のid", "é" * 4, "ab", "😀" * 2, ""],
+        ["a\udc80b", "\ud800", "long-\udfff-id", "plain", "\ud800"],
+        ["ascii-only", "then-ß"],
+        ["a\0b", "\0" * 8, "c\td", " e "],
+    ])
+    def test_keys_equal_one_encode_per_id(self, strings):
+        got_table = data._Keys()
+        got = got_table.of(strings)
+        want, want_table = per_id_keys_of(strings)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got_table.texts == want_table.texts and dict(got_table) == dict(want_table)
+        assert got_table.decode(got) == list(strings)
+
+    @given(st.lists(st.text(max_size=12), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_keys_equal_one_encode_per_id_on_any_text(self, strings):
+        got_table = data._Keys()
+        want, want_table = per_id_keys_of(strings)
+        assert got_table.of(strings).tobytes() == want.tobytes()
+        assert got_table.texts == want_table.texts
+
+    @pytest.mark.parametrize("keys", [
+        [], [7], [3, 1, 2], [3, 1, 3, 2, 1, 3], [0, 0], [2 ** 62, -1, 2 ** 62],
+    ])
+    def test_repeats_equal_the_argsort_form(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        got = data._repeats(keys)
+        assert got.dtype == bool and np.array_equal(got, argsort_repeats(keys))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repeats_equal_the_argsort_form_on_random_keys(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 3000))
+        for keys in (rng.permutation(n), rng.integers(0, n, size=n)):  # distinct, repeated
+            assert np.array_equal(data._repeats(keys), argsort_repeats(keys))
+
 
 def counted_chunks(monkeypatch):
     """A list that gains each chunk's buffer read from now on."""

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from mmce.data import GoldLabels
 from mmce.evaluation import (
+    BIN_EDGES,
+    CalibrationBin,
     calibration_bins,
     error_rate,
     evaluate,
@@ -82,6 +84,94 @@ class TestCalibrationBins:
             assert a.count == b.count
             if a.count:
                 assert a.error_rate == pytest.approx(b.error_rate)
+
+
+def mask_calibration_bins(posterior, gold, predictions):
+    """The calibration bins as `evaluate` built them before its one-pass
+    form: a row max, then one boolean mask and two means per bin."""
+    items = np.array(list(gold.by_item), dtype=np.int64)
+    truth = np.array(list(gold.by_item.values()), dtype=np.int64)
+    keep = items < len(predictions)
+    items, truth = items[keep], truth[keep]
+    preds = predictions[items]
+    max_prob = np.max(posterior[items], axis=1)
+    bins = []
+    for lo, hi in zip(BIN_EDGES[:-1], BIN_EDGES[1:]):
+        in_bin = (max_prob > lo) & (max_prob <= hi)
+        count = int(in_bin.sum())
+        if count:
+            err = float(np.mean(preds[in_bin] != truth[in_bin]))
+            mse = float(np.mean((preds[in_bin].astype(float) - truth[in_bin]) ** 2))
+        else:
+            err = mse = None
+        bins.append(CalibrationBin(lo, hi, count, err, mse))
+    return tuple(bins)
+
+
+def assert_same_bins(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.lower, g.upper, g.count) == (w.lower, w.upper, w.count)
+        for a, b in ((g.error_rate, w.error_rate), (g.mse, w.mse)):
+            assert type(a) is type(b) and (a is None or a.hex() == b.hex())
+
+
+class TestOnePassBins:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    def test_equal_to_masked_means_on_random_posteriors(self, seed, K):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        post = rng.dirichlet(np.full(K, rng.choice([0.2, 1.0, 5.0])), size=n)
+        pred = rng.integers(K, size=n)
+        gold = GoldLabels({int(i): int(rng.integers(K))
+                           for i in rng.choice(n + 5, size=int(rng.integers(1, n + 1)),
+                                               replace=False)})
+        if not (np.array(list(gold.by_item)) < n).any():
+            gold = GoldLabels({0: 0})
+        got = evaluate(pred, gold, ordinal=True, posterior=post).calibration
+        assert_same_bins(got, mask_calibration_bins(post, gold, pred))
+
+    def test_equal_at_the_edges_and_with_empty_bins(self):
+        # edges exactly, neighbours one ulp away, and no row in (0.6, 0.8]
+        tops = [0.5, 0.9, 1.0, np.nextafter(0.5, 1), np.nextafter(0.9, 0), 0.55, 0.6,
+                0.85, 5e-324, np.nextafter(1.0, 0)]
+        post = np.array([[0.0, t] for t in tops])
+        pred = np.arange(len(tops)) % 2
+        gold = GoldLabels({i: (i // 3) % 2 for i in range(len(tops))})
+        got = evaluate(pred, gold, ordinal=True, posterior=post).calibration
+        assert_same_bins(got, mask_calibration_bins(post, gold, pred))
+        assert [b.count for b in got] == [2, 3, 0, 0, 3, 2]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_equal_at_the_edges_in_a_narrower_type(self, dtype):
+        # each edge rounded to the type and its neighbours there: float32(0.6)
+        # lies above 0.6, and a row is compared to an edge in the row's type
+        edges = np.array([0.5, 0.6, 0.7, 0.8, 0.9, 1.0], dtype=dtype)
+        tops = np.concatenate([np.nextafter(edges, 0), edges, np.nextafter(edges[:-1], 1)])
+        post = np.stack([np.zeros_like(tops), tops], axis=1)
+        pred = np.arange(len(tops)) % 2
+        gold = GoldLabels({i: (i // 4) % 2 for i in range(len(tops))})
+        got = evaluate(pred, gold, ordinal=True, posterior=post).calibration
+        assert_same_bins(got, mask_calibration_bins(post, gold, pred))
+
+    @pytest.mark.parametrize("row", [
+        [0.0, 0.0], [np.nan, 0.5], [np.nan, np.nan], [1.5, -0.5], [-0.0, -1.0],
+    ])
+    def test_row_outside_every_bin_is_refused(self, row):
+        post = np.array([[0.8, 0.2], [0.3, 0.7], row, row])
+        gold = GoldLabels({3: 0, 0: 0, 2: 1, 1: 1})
+        with pytest.raises(ValueError, match=r"^posterior row 2: largest probability "
+                                             r"\S+ is not in \(0, 1\]$"):
+            evaluate(np.array([0, 1, 0, 0]), gold, posterior=post)
+        # without a posterior, or with the row unscored, nothing is binned or refused
+        assert evaluate(np.array([0, 1, 0, 0]), gold).n_scored == 4
+        bins = calibration_bins(post, GoldLabels({0: 0, 1: 1}))
+        assert sum(b.count for b in bins) == 2
+
+    def test_posterior_without_columns_is_refused(self):
+        with pytest.raises(ValueError, match=r"^posterior row 0: largest probability -inf "):
+            evaluate(np.array([0, 0]), GoldLabels({1: 0, 0: 0}), posterior=np.zeros((2, 0)))
 
 
 class TestEvaluate:

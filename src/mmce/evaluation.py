@@ -69,14 +69,6 @@ def _gold_arrays(predictions, gold: GoldLabels):
     return items, truth
 
 
-def _error_rate(preds, truth) -> float:
-    return float(np.mean(preds != truth))
-
-
-def _mean_square_error(preds, truth) -> float:
-    return float(np.mean((preds.astype(float) - truth) ** 2))
-
-
 def error_rate(predictions: np.ndarray, gold: GoldLabels) -> float:
     """Fraction of gold items whose predicted label differs from the truth."""
     return evaluate(predictions, gold).error_rate
@@ -125,8 +117,8 @@ def evaluate(predictions: np.ndarray, gold: GoldLabels, ordinal: bool = False,
             err, mse = (float(errors[b] / n), float(squares[b] / n)) if n else (None, None)
             bins.append(CalibrationBin(lo, hi, int(n), err, mse))
     return EvalReport(
-        error_rate=_error_rate(preds, truth),
+        error_rate=float(np.mean(preds != truth)),
         n_scored=len(items),
-        mse=_mean_square_error(preds, truth) if ordinal else None,
+        mse=float(np.mean((preds.astype(float) - truth) ** 2)) if ordinal else None,
         calibration=tuple(bins),
     )

@@ -11,13 +11,14 @@ float slack; the preconditioner alone would not ensure that (see
 `_curvature_bound`). This is a generalized EM (Dempster, Laird & Rubin 1977):
 an M-step need only raise its block.
 
-Only `fit` shares values, on its own copy of the label matrix: one model pass
-per score point (see `_model`), where the all-zero start needs none
-(`_uniform_model`), one row gather and one entropy per posterior,
-the penalties once per score point and one objective value per (posterior, score
-point). A direct call off a fit computes afresh and keeps nothing; the L-BFGS
-objective and `kl_identity_check` hand one model pass of their own to
-`_penalized` and `_gradients`.
+Only `fit` shares values, on its own copy of the label matrix, which holds two
+records: one for the score point (`_point`: its model, one pass per point, where
+the all-zero start needs none (`_uniform_model`), its penalties, and the
+objective value with the posterior it was computed at) and one for the
+posterior (`_posterior`: its rows, one gather per posterior, and its entropy).
+A direct call off a fit computes afresh and keeps nothing; the L-BFGS objective
+and `kl_identity_check` hand one model pass of their own to `_penalized` and
+`_gradients`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -132,38 +134,44 @@ def _uniform_model(K: int, L: int):
     return np.broadcast_to(prob, (K, K, L)), np.broadcast_to(log_obs, (K, L))
 
 
-def _model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
-    """`_log_model`, one pass per score point within a fit: `fit`'s own copy of the
-    label matrix holds (`held`) the score arrays last passed here with their model,
-    from the start on, where `fit` puts the all-zero scores' `_uniform_model`.
-    One fit has one mode, and inputs match by identity, which holds because `fit`
-    builds every score array and posterior anew and changes none in place. The
-    same matrix holds the posterior rows (`_posterior_rows`), the penalties and
-    the objective value (`penalized_likelihood`) and the entropy (`dual_objective`),
-    each for the inputs it was last computed with; a matrix without `held`, as
-    any caller's but `fit`'s, keeps nothing."""
+def _point(labels: LabelMatrix, worker_params, item_params, hyper: HyperParams,
+           model=None) -> SimpleNamespace:
+    """A score point's record: the scores, their `_log_model` pair (`model`), their
+    (worker, item) `penalties`, and the (posterior, penalized likelihood) `value`
+    last computed there (`_value`). One model pass per point within a fit: `fit`'s
+    own copy of the label matrix holds (`held`) the last record built here, from
+    the start on, where `fit` passes the all-zero scores' `_uniform_model`. One fit
+    has one mode, and inputs match by identity, which holds because `fit` builds
+    every score array and posterior anew and changes none in place. A matrix
+    without `held`, as any caller's but `fit`'s, keeps nothing."""
     held = getattr(labels, "held", {})
-    model = held.get("model")
-    if model is None or model[0] is not worker_params or model[1] is not item_params:
-        held["model"] = model = None  # drop the old model before the pass
-        held["model"] = model = (worker_params, item_params,
-                                 _log_model(labels, worker_params, item_params, mode))
-    return model[2]
+    point = held.get("point")
+    if not (point and point.worker_params is worker_params and point.item_params is item_params):
+        held["point"] = point = None  # drop the old model before the pass
+        if model is None:
+            model = _log_model(labels, worker_params, item_params, hyper.mode)
+        held["point"] = point = SimpleNamespace(
+            worker_params=worker_params, item_params=item_params, model=model,
+            penalties=_penalties(worker_params, item_params, hyper), value=None)
+    return point
 
 
-def _posterior_rows(labels: LabelMatrix, posterior) -> np.ndarray:
-    """gather_rows(labels.items, posterior), read-only, one gather per posterior in a fit."""
+def _posterior(labels: LabelMatrix, posterior) -> SimpleNamespace:
+    """A posterior's record: the `posterior`, its `rows` gather_rows(labels.items,
+    posterior), read-only, and its `entropy`. One gather and one entropy per
+    posterior within a fit, held as in `_point`."""
     held = getattr(labels, "held", {})
-    rows = held.get("rows")
-    if rows is None or rows[0] is not posterior:
-        posterior = np.asarray(posterior)
-        if posterior.shape != (labels.num_items, labels.num_classes):
+    record = held.get("posterior")
+    if not (record and record.posterior is posterior):
+        q = np.asarray(posterior)
+        if q.shape != (labels.num_items, labels.num_classes):
             raise ValueError("posterior shape does not match the label matrix")
-        held["rows"] = rows = None  # drop the old rows before the gather
-        rows = gather_rows(labels.items, posterior)
+        held["posterior"] = record = None  # drop the old rows before the gather
+        rows = gather_rows(labels.items, q)
         rows.setflags(write=False)
-        held["rows"] = rows = (posterior, rows)
-    return rows[1]
+        held["posterior"] = record = SimpleNamespace(posterior=posterior, rows=rows,
+                                                     entropy=entropy(q))
+    return record
 
 
 def gather_rows(index: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -235,42 +243,27 @@ def _penalized(rows, log_obs, penalties) -> float:
     return float((rows * log_obs).sum()) - penalties[0] - penalties[1]
 
 
+def _value(labels, posterior, worker_params, item_params, hyper: HyperParams):
+    """The penalized likelihood at (posterior, score point), kept on the point's
+    record with its posterior, and the posterior's record."""
+    point = _point(labels, worker_params, item_params, hyper)
+    record = _posterior(labels, posterior)
+    if point.value is None or point.value[0] is not posterior:
+        point.value = (posterior, _penalized(record.rows, point.model[1], point.penalties))
+    return point.value[1], record
+
+
 def penalized_likelihood(labels, posterior, worker_params, item_params,
                          hyper: HyperParams) -> float:
-    """The objective the M-step ascends: expected log-likelihood minus penalties.
-
-    Within a fit, `fit`'s own label matrix holds the value last computed with its
-    (posterior, worker scores, item scores), and the penalties last computed with
-    their score point, both matched by identity as in `_model`."""
-    held = getattr(labels, "held", {})
-    value = held.get("value")
-    if (value is not None and value[0] is posterior and value[1] is worker_params
-            and value[2] is item_params):
-        return value[3]
-    held["value"] = value = None  # drop the old value before the new one
-    _, log_obs = _model(labels, worker_params, item_params, hyper.mode)
-    rows = _posterior_rows(labels, posterior)
-    penalties = held.get("penalties")
-    if penalties is None or penalties[0] is not worker_params or penalties[1] is not item_params:
-        held["penalties"] = penalties = None
-        held["penalties"] = penalties = (worker_params, item_params,
-                                         _penalties(worker_params, item_params, hyper))
-    value = _penalized(rows, log_obs, penalties[2])
-    held["value"] = (posterior, worker_params, item_params, value)
-    return value
+    """The objective the M-step ascends: expected log-likelihood minus penalties."""
+    return _value(labels, posterior, worker_params, item_params, hyper)[0]
 
 
 def dual_objective(labels, posterior, worker_params, item_params,
                    hyper: HyperParams) -> float:
-    """Regularized dual: expected log-likelihood + label entropy - penalties.
-    Within a fit, `fit`'s own label matrix holds the entropy of the last posterior."""
-    held = getattr(labels, "held", {})
-    held_entropy = held.get("entropy")
-    if held_entropy is None or held_entropy[0] is not posterior:
-        held["entropy"] = held_entropy = None
-        held["entropy"] = held_entropy = (posterior, entropy(posterior))
-    return penalized_likelihood(labels, posterior, worker_params, item_params,
-                                hyper) + held_entropy[1]
+    """Regularized dual: expected log-likelihood + label entropy - penalties."""
+    value, record = _value(labels, posterior, worker_params, item_params, hyper)
+    return value + record.entropy
 
 
 def initialize_posterior(labels: LabelMatrix) -> np.ndarray:
@@ -285,7 +278,7 @@ def initialize_posterior(labels: LabelMatrix) -> np.ndarray:
 def e_step(labels: LabelMatrix, worker_params, item_params,
            hyper: HyperParams) -> np.ndarray:
     """Exact posterior block update: Bayes rule with a uniform prior, in log space."""
-    _, log_obs = _model(labels, worker_params, item_params, hyper.mode)
+    log_obs = _point(labels, worker_params, item_params, hyper).model[1]
     q = scatter_rows(labels.items, log_obs, labels.num_items)
     softmax_in_place(q, axis=1)
     return q
@@ -294,8 +287,8 @@ def e_step(labels: LabelMatrix, worker_params, item_params,
 def m_step_gradients(labels: LabelMatrix, posterior, worker_params, item_params,
                      hyper: HyperParams):
     """Analytic gradients of the penalized likelihood w.r.t. both score tensors."""
-    prob, _ = _model(labels, worker_params, item_params, hyper.mode)
-    return _gradients(labels, _posterior_rows(labels, posterior), prob, worker_params,
+    prob = _point(labels, worker_params, item_params, hyper).model[0]
+    return _gradients(labels, _posterior(labels, posterior).rows, prob, worker_params,
                       item_params, hyper)
 
 
@@ -347,7 +340,7 @@ def _lbfgs(labels: LabelMatrix, posterior, worker_params, item_params,
     shapes = (worker_params.shape, item_params.shape)
     x0 = np.concatenate([worker_params.ravel(), item_params.ravel()])
     res = minimize(_value_and_grad, x0, jac=True, method="L-BFGS-B", options=options,
-                   args=(labels, _posterior_rows(labels, posterior), hyper, *shapes))
+                   args=(labels, _posterior(labels, posterior).rows, hyper, *shapes))
     return _split(res.x, *shapes)
 
 
@@ -370,7 +363,7 @@ def _curvature_bound(labels: LabelMatrix, posterior, hyper: HyperParams):
     The extreme case is the worker/item split (`_ridge_split`): there the data
     term is flat and -f'' is the ridge alone, so m_step sets it exactly."""
     rows, shape = _touch_rows(hyper.mode, labels.num_classes)
-    mass = 0.25 * _posterior_rows(labels, posterior)  # (K, L)
+    mass = 0.25 * _posterior(labels, posterior).rows  # (K, L)
     return [(scatter_rows(index, mass, size) @ rows).reshape(size, *shape) + ridge
             for index, size, ridge in ((labels.workers, labels.num_workers, hyper.alpha),
                                        (labels.items, labels.num_items, hyper.beta))]
@@ -433,6 +426,7 @@ def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
     dw = np.divide(gw, bw, out=np.zeros_like(gw), where=bw > 0)
     di = np.divide(gi, bi, out=np.zeros_like(gi), where=bi > 0)
     slope = float((gw * dw).sum() + (gi * di).sum())
+    del gw, gi, bw, bi  # free them before the trials: only the direction is used
     if slope == 0.0:
         return worker_params, item_params, False
     # the split shift is affine in the step size: t0 + size * td
@@ -482,17 +476,17 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
     iterations = 0
     ls_failures = 0
     step_fn = m_step_exact if hyper.exact_m_step else m_step
-    # this fit's own matrix: calls that receive it share its models and rows,
-    # starting with the all-zero scores' uniform model, which needs no pass
+    # this fit's own matrix: calls that receive it share its point and posterior
+    # records, starting with the all-zero scores' uniform model, which needs no pass
     labels = replace(labels)
-    object.__setattr__(labels, "held",
-                       {"model": (wp, ip, _uniform_model(K, labels.num_labels))})
+    object.__setattr__(labels, "held", {})
+    _point(labels, wp, ip, hyper, _uniform_model(K, labels.num_labels))
     trace = [dual_objective(labels, posterior, wp, ip, hyper)]
     for it in range(1, hyper.max_outer_iters + 1):
         iterations = it
         prev = trace[-1]
         if hyper.exact_m_step:  # L-BFGS makes its own passes: free the held model
-            labels.held.pop("model", None)
+            labels.held.pop("point", None)
         wp, ip, failed = step_fn(labels, posterior, wp, ip, hyper)
         ls_failures += failed
         trace.append(dual_objective(labels, posterior, wp, ip, hyper))

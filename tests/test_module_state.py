@@ -3,7 +3,8 @@
 A list, dict or set bound at module level is shared by every caller in the
 process: two fits running at once in two threads would read and write the same
 one. Values a computation shares belong to an object that the computation owns
-(`solver.fit` keeps its shared model on its own copy of the label matrix).
+(`solver.fit` keeps its point and posterior records on its own copy of the
+label matrix).
 `__all__` is the one exception; `from mmce import *` reads it.
 """
 

@@ -128,11 +128,6 @@ def cmd_aggregate(args) -> int:
     hyper = _aggregate_hyper(args) if args.method == "mmce" else None
     labels = _load_labels(args)
     data._check_posterior_ids(labels.item_ids)  # before any fit: the ids must be writable
-    unlabeled = labels.unlabeled_items()
-    if len(unlabeled):
-        ids = ", ".join(labels.item_ids[j] for j in unlabeled[:10])
-        log.warning("%d items have no labels (uniform posterior emitted): %s",
-                    len(unlabeled), ids)
     exit_code = EXIT_OK
     trace = None  # the --trace columns: iteration, phase, objective
     if args.method == "mv":

@@ -46,11 +46,6 @@ class LabelMatrix:
     def num_labels(self) -> int:
         return len(self.labels)
 
-    def unlabeled_items(self) -> np.ndarray:
-        """Indices of items with zero observations (emitted with uniform posteriors)."""
-        counts = np.bincount(self.items, minlength=self.num_items)
-        return np.flatnonzero(counts == 0)
-
     def subset(self, mask: np.ndarray) -> "LabelMatrix":
         """Restrict to the observations selected by a boolean or index mask.
 
@@ -509,7 +504,9 @@ def load_labels(path, num_classes, label_base=0) -> LabelMatrix:
     """Load a `worker_id,item_id,label` CSV file into a LabelMatrix.
 
     label_base 1 shifts incoming labels down by one for datasets encoded 1..K;
-    num_classes K must be at least 2.
+    num_classes K must be at least 2. Worker and item ids come only from rows
+    that pass every rule, and a faulty row raises, so every worker and every
+    item of the result has at least one label.
     """
     table = _Keys()
     return _intern(_csv_rows(path, ["worker", "item", "label"], table), table, num_classes,
@@ -617,14 +614,16 @@ def write_posterior(path, labels: LabelMatrix, posterior: np.ndarray,
     The bytes are those of one `"%s\\t%s" + "\\t%.6f" * K` line per row: a
     block of rows is built by _posterior_block or, where it cannot, by `%`.
     Raises ValueError before the file is opened if the posterior is not
-    (items, K) or predicted not one label per item, or naming the first item
-    id that holds a tab, which would shift that row's columns.
+    (items, K), predicted not one integer label per item, or naming the first
+    item id that holds a tab, which would shift that row's columns.
     """
     n, K = labels.num_items, labels.num_classes
     posterior, predicted = np.asarray(posterior), np.asarray(predicted)
     if posterior.shape != (n, K) or predicted.shape != (n,):
         raise ValueError(f"a posterior of shape {posterior.shape} with predicted labels of "
                          f"shape {predicted.shape} does not fit {n} items and {K} classes")
+    if predicted.dtype.kind not in "iu":  # read_posterior reads integers only
+        raise ValueError(f"predicted labels of dtype {predicted.dtype} are not integers")
     _check_posterior_ids(labels.item_ids)
     header = "item\tpredicted\t" + "\t".join(f"p{k}" for k in range(K)) + "\n"
     row_format = "%s\t%s" + "\t%.6f" * K + "\n"
@@ -649,10 +648,10 @@ def _posterior_block(ids, predicted, posterior) -> np.ndarray | None:
     where 0 <= p and p * 1e6 is not within 1e-6 of a rounding tie: the product
     is below 1e7 < 2**24, so its rounding error is below 2e-9. A block holding
     another value (a near-tie, -0.0, NaN, an infinity, a negative value, one
-    that rounds to 10 or more), a negative or non-integer predicted label, or
-    a probability that float64 cannot hold exactly gives None.
+    that rounds to 10 or more), a negative predicted label, or a probability
+    that float64 cannot hold exactly gives None.
     """
-    if not (np.can_cast(posterior.dtype, np.float64) and predicted.dtype.kind in "iu"):
+    if not np.can_cast(posterior.dtype, np.float64):
         return None
     n, K = posterior.shape
     p = posterior.astype(np.float64, copy=False)

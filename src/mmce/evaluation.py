@@ -56,19 +56,6 @@ class EvalReport:
                 fh.write(f"bin({b.lower}-{b.upper}],{b.count},{err},{mse}\n")
 
 
-def _gold_arrays(predictions, gold: GoldLabels):
-    """Gold items that have a prediction, in gold order, and their true classes
-    (every score is a count or a mean of small integers, so order is moot)."""
-    n = len(gold.by_item)
-    items = np.fromiter(gold.by_item.keys(), dtype=np.int64, count=n)
-    truth = np.fromiter(gold.by_item.values(), dtype=np.int64, count=n)
-    keep = items < len(predictions)
-    items, truth = items[keep], truth[keep]
-    if len(items) == 0:
-        raise ValueError("no gold items have predictions")
-    return items, truth
-
-
 def error_rate(predictions: np.ndarray, gold: GoldLabels) -> float:
     """Fraction of gold items whose predicted label differs from the truth."""
     return evaluate(predictions, gold).error_rate
@@ -93,7 +80,14 @@ def evaluate(predictions: np.ndarray, gold: GoldLabels, ordinal: bool = False,
     label gap if ordinal, and calibration bins if a posterior is given.
     Raises ValueError naming the first scored posterior row whose largest
     probability is not in (0, 1], which no bin holds."""
-    items, truth = _gold_arrays(predictions, gold)
+    # gold items that have a prediction, in gold order, and their true classes
+    # (every score is a count or a mean of small integers, so order is moot)
+    items = np.fromiter(gold.by_item.keys(), dtype=np.int64, count=len(gold.by_item))
+    truth = np.fromiter(gold.by_item.values(), dtype=np.int64, count=len(items))
+    keep = items < len(predictions)
+    items, truth = items[keep], truth[keep]
+    if len(items) == 0:
+        raise ValueError("no gold items have predictions")
     preds = np.asarray(predictions)[items]
     bins = []
     if posterior is not None:

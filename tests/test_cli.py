@@ -84,6 +84,16 @@ class TestAggregate:
         assert code == EXIT_USAGE
         assert "empty label matrix" in capsys.readouterr().err
 
+    def test_gamma_on_empty_file_is_usage_error(self, tmp_path, capsys):
+        empty = write_csv(tmp_path / "empty.csv", [], header="worker,item,label")
+        out = tmp_path / "post.tsv"
+        code = main(["aggregate", "--labels", str(empty), "--classes", "3",
+                     "--gamma", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: cannot resolve hyperparameters "
+                                           "on an empty dataset\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["multiclass", "ordinal"])
     def test_mmce_trace_phases(self, tmp_path, mode):
         trace = tmp_path / "trace.csv"
@@ -658,6 +668,21 @@ class TestEvaluate:
         assert code == EXIT_OK
         assert "error rate" in out
         assert report.read_text().startswith("metric,value\n")
+
+    def test_ordinal_mode_reports_mean_square_error(self, tmp_path, capsys):
+        post = tmp_path / "p.tsv"
+        post.write_text("item\tpredicted\tp0\tp1\tp2\n"
+                        "a\t0\t0.6\t0.3\t0.1\nb\t2\t0.1\t0.2\t0.7\n")
+        gold = write_csv(tmp_path / "g.csv", [("a", 2), ("b", 3)])
+        report = tmp_path / "eval.csv"
+        code = main(["evaluate", "--predictions", str(post), "--gold", str(gold),
+                     "--label-base", "1", "--mode", "ordinal", "--out", str(report)])
+        assert code == EXIT_OK
+        # a is one grade off, b is right
+        assert capsys.readouterr().out.splitlines() == [
+            "scored items   2", "error rate     50.00%", "mean sq error  0.5000"]
+        assert report.read_text() == ("metric,value\nn_scored,2\nerror_rate,0.500000\n"
+                                      "mse,0.500000\n")
 
     def test_posterior_with_byte_order_mark(self, tmp_path, capsys):
         post = tmp_path / "p.tsv"

@@ -278,6 +278,16 @@ class TestPosteriorFile:
             write_posterior(path, lm, np.full(shape, 0.5), np.zeros(rows, dtype=np.int64))
         assert not path.exists()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_predicted_labels_that_are_not_integers_are_rejected_before_writing(
+            self, tmp_path, dtype):
+        # rows like "a\t0.0" or "a\tFalse" would not read back
+        lm = from_triples([("w", "a", 0), ("w", "b", 1)], 2)
+        path = tmp_path / "post.tsv"
+        with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)} are not integers"):
+            write_posterior(path, lm, np.full((2, 2), 0.5), np.zeros(2, dtype=dtype))
+        assert not path.exists()
+
     def test_byte_order_mark_is_not_data(self, tmp_path):
         p = tmp_path / "post.tsv"
         p.write_bytes(b"\xef\xbb\xbfitem\tpredicted\tp0\tp1\na\t0\t0.9\t0.1\n")
@@ -694,6 +704,9 @@ class TestReferenceEquivalence:
             got = _outcome(load_labels, path, *classes_base)
         if got[0] == "ok":
             lm = got[1]
+            # every worker and item of a loaded file has a label
+            assert set(lm.workers.tolist()) == set(range(lm.num_workers))
+            assert set(lm.items.tolist()) == set(range(lm.num_items))
             got = "ok", (lm.workers.tolist(), lm.items.tolist(), lm.labels.tolist(),
                          lm.worker_ids, lm.item_ids)
         assert got == expected

@@ -1,17 +1,18 @@
-"""Every top-level function, class and constant of the package is used by
-the program, and every parameter default is overridden by some call.
+"""Every top-level function, class and constant of the package, and every
+non-dunder method of its classes, is used by the program, and every parameter
+default is overridden by some call.
 
 The exceptions, names that only the tests use, are listed in `TEST_ONLY`; each
 one must be imported or read as an attribute by the acceptance gate
 (`tests/test_acceptance.py`).
 
-A function or class counts as used when `src/`, `scripts/` or `perfbench/`
-refers to it outside its own definition: as a name, an attribute, an imported
-name or a string (the benchmark's tracer looks functions up by name). The
-package's `__init__.py` does not count: exporting a name is not using it. A
-module-level constant counts as used only where one of those directories
-reads it, as a name or an attribute: its own assignment and imports of it do
-not count. A parameter with a default counts as passed when a call to a
+A function, class or method counts as used when `src/`, `scripts/` or
+`perfbench/` refers to it outside its own definition: as a name, an attribute,
+an imported name or a string (the benchmark's tracer looks functions up by
+name). The package's `__init__.py` does not count: exporting a name is not
+using it. A module-level constant counts as used only where one of those
+directories reads it, as a name or an attribute: its own assignment and
+imports of it do not count. A parameter with a default counts as passed when a call to a
 function of its name, in those directories or `tests/`, passes it by keyword
 or position, or passes *args or **kwargs.
 """
@@ -37,6 +38,18 @@ def definitions():
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield path.name, node.name
+
+
+def methods():
+    """(module file name, class name, name) of each non-dunder method of each
+    top-level class."""
+    for path in sorted((ROOT / "src" / "mmce").glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                            not node.name.startswith("__"):
+                        yield path.name, cls.name, node.name
 
 
 def constants():
@@ -67,22 +80,27 @@ def loaded_names() -> set:
 
 def referenced_names() -> set:
     names = set()
+
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = own | {node.name}  # a definition's own body does not count
+        if isinstance(node, ast.Name):
+            found = node.id
+        elif isinstance(node, ast.Attribute):
+            found = node.attr
+        elif isinstance(node, ast.alias):
+            found = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found = node.value
+        else:
+            found = None
+        if found is not None and found not in own:
+            names.add(found)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
     for tree in program_trees():
-        for top in tree.body:
-            own = getattr(top, "name", None)  # a definition's own body does not count
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    found = node.id
-                elif isinstance(node, ast.Attribute):
-                    found = node.attr
-                elif isinstance(node, ast.alias):
-                    found = node.name
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    found = node.value
-                else:
-                    continue
-                if found != own:
-                    names.add(found)
+        visit(tree, frozenset())
     return names
 
 
@@ -90,6 +108,12 @@ def test_every_definition_is_used_outside_the_tests():
     used = referenced_names()
     unused = {name: module for module, name in definitions() if name not in used}
     assert set(unused) - set(TEST_ONLY) == set(), f"unused: {unused}"
+
+
+def test_every_method_is_used_outside_the_tests():
+    used = referenced_names()
+    unused = [f"{module}: {cls}.{name}" for module, cls, name in methods() if name not in used]
+    assert unused == [], f"unused: {unused}"
 
 
 def test_each_test_only_name_is_still_defined_and_unused():

@@ -467,6 +467,23 @@ class TestMStep:
         np.testing.assert_array_equal(w2, wp)
         np.testing.assert_array_equal(i2, ip)
 
+    def test_failed_line_search_keeps_the_scores(self, monkeypatch):
+        # No trial meets an Armijo constant this large, so the search fails:
+        # m_step returns the very arrays it was given, after one model pass
+        # for the start value, one for the gradient and one per trial.
+        monkeypatch.setattr(solver, "ARMIJO", 1e300)
+        lm = synthetic.random_instance(3)
+        wp, ip, q = random_state(lm, 4)
+        h = HyperParams(alpha=0.5, beta=0.5, max_outer_iters=3)
+        calls = counted_model_passes(monkeypatch)
+        w2, i2, failed = m_step(lm, q, wp, ip, h)
+        assert failed and w2 is wp and i2 is ip
+        assert len(calls) == 2 + solver.MAX_HALVINGS
+        # a fit counts each failed step and keeps the scores it failed at
+        r = fit(lm, h)
+        assert r.iterations >= 1 and r.line_search_failures == r.iterations
+        assert_fit_equals_reference(lm, h)
+
     def test_huge_penalty_drives_params_to_zero(self):
         lm = synthetic.random_instance(5)
         wp, ip, q = random_state(lm, 6, scale=1.0)

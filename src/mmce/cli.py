@@ -50,7 +50,9 @@ def _add_solver_flags(p):
                         "(exit 1 for aggregate and select --fit-final)")
     p.add_argument("--tol", type=float, default=defaults.tol,
                    help="a fit has converged once an outer iteration (M-step, then "
-                        "E-step) moves the objective by less than tol * max(|previous|, 1e-300)")
+                        "E-step) moves the objective by less than tol * max(|previous|, 1e-300) "
+                        "and its M-step line search did not fail; such an iteration after a "
+                        "failed line search stops the fit unconverged")
     p.add_argument("--seed", type=int, default=selection.CVConfig.seed,
                    help="CV fold seed for select; the fit itself is deterministic")
 

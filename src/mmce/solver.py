@@ -109,17 +109,27 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     observations, so `softmax_in_place` normalizes the logits z along k in
     whole (K, L) slices with one exp pass, and log_obs is z[x_l] minus the
     log-normalizer it returns. The score tensors keep their (entity, c, k) layout.
+
+    Besides the (K, K, L) result it holds one transposed (c, k, item) copy of
+    the item scores, one (K, L) item gather per true class c at a time, and
+    the softmax's (K, L) temporaries, never a second (K, K, L) table.
     """
     K, L = labels.num_classes, labels.num_labels
-    # x_l * L + l: the observed label's logit in the (K, K * L) table
-    obs_index = labels.labels * L + np.arange(L)
     if mode == Mode.ORDINAL:
         worker_params = expand_ordinal(worker_params, K)
         item_params = expand_ordinal(item_params, K)
     # the logits z[c, k, l], turned into P in place below
     prob = gather_rows(labels.workers, worker_params)
-    prob += gather_rows(labels.items, item_params)
+    n = len(item_params)
+    items = np.ascontiguousarray(item_params.reshape(n, K * K).T).reshape(K, K, n)
+    del worker_params, item_params  # an expanded ordinal table goes here
+    for c in range(K):  # one true class at a time; no loop view keeps `items`
+        prob[c] += items[c].take(labels.items, axis=1)
+    del items
+    # x_l * L + l: the observed label's logit in the (K, K * L) table
+    obs_index = labels.labels * L + np.arange(L)
     log_obs = prob.reshape(K, K * L).take(obs_index, axis=1)
+    del obs_index
     log_obs -= softmax_in_place(prob, axis=1)
     return prob, log_obs
 
@@ -208,20 +218,25 @@ def softmax_in_place(a: np.ndarray, axis: int) -> np.ndarray:
     return total
 
 
-def scatter_rows(index: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+def scatter_rows(index: np.ndarray, rows: np.ndarray, size: int, out=None) -> np.ndarray:
     """Sum class-major rows into `size` entity slots: out[index[l], ...] +=
     rows[..., l], the adjoint of `gather_rows`.
 
     One np.add.at per contiguous row into its own zeroed row of an (R, size)
     buffer, adding in observation order from 0 (np.bincount's sums exactly,
     without its pass for the largest index), then one transposing copy to a
-    C-contiguous (size, ...) table.
+    C-contiguous (size, ...) table, or into `out`, a (size, ...) view such as
+    one class of a larger table, which is returned.
     """
     flat = rows.reshape(-1, rows.shape[-1])
-    out = np.zeros((len(flat), size))
+    sums = np.zeros((len(flat), size))
     for r, row in enumerate(flat):
-        np.add.at(out[r], index, row)
-    return np.ascontiguousarray(out.T).reshape((size, *rows.shape[:-1]))
+        np.add.at(sums[r], index, row)
+    table = sums.T.reshape((size, *rows.shape[:-1]))
+    if out is None:
+        return np.ascontiguousarray(table)
+    out[...] = table
+    return out
 
 
 def entropy(posterior: np.ndarray) -> float:
@@ -297,14 +312,19 @@ def _gradients(labels, rows, prob, worker_params, item_params, hyper: HyperParam
 
     The data part per observation is Q(c) * [I(x = k) - P(k | c)], accumulated
     into the observation's worker and item slots in observation order (a fixed
-    reduction order, so results are reproducible).
+    reduction order, so results are reproducible). It is built one true class
+    c at a time, as one (K, L) slab, never as a (K, K, L) table, and each
+    slab's sums go straight into class c of both results.
     """
     K = labels.num_classes
-    # (K, K, L): I(x_l = k) - P(k | c), then times Q(c) in place
-    per_obs = np.subtract(labels.labels == np.arange(K)[:, None], prob)
-    per_obs *= rows[:, None, :]
-    gw = scatter_rows(labels.workers, per_obs, labels.num_workers)
-    gi = scatter_rows(labels.items, per_obs, labels.num_items)
+    observed = labels.labels == np.arange(K)[:, None]  # (K, L): I(x_l = k)
+    gw = np.empty((labels.num_workers, K, K))
+    gi = np.empty((labels.num_items, K, K))
+    for c, (p, q) in enumerate(zip(prob, rows)):
+        slab = np.subtract(observed, p)  # I(x_l = k) - P(k | c), then times Q(c)
+        slab *= q
+        scatter_rows(labels.workers, slab, labels.num_workers, out=gw[:, c])
+        scatter_rows(labels.items, slab, labels.num_items, out=gi[:, c])
     if hyper.mode == Mode.ORDINAL:
         gw = project_ordinal(gw, K)
         gi = project_ordinal(gi, K)
@@ -361,12 +381,19 @@ def _curvature_bound(labels: LabelMatrix, posterior, hyper: HyperParams):
     10-worker, 40-item, 3-class instance, by up to 1.36x), so a full step can
     overshoot; the Armijo search in m_step is what keeps the trace monotone.
     The extreme case is the worker/item split (`_ridge_split`): there the data
-    term is flat and -f'' is the ridge alone, so m_step sets it exactly."""
+    term is flat and -f'' is the ridge alone, so m_step sets it exactly.
+
+    It holds one (K, L) mass table, and per bound the scatter's buffers and
+    the bound itself, which takes its ridge in place."""
     rows, shape = _touch_rows(hyper.mode, labels.num_classes)
     mass = 0.25 * _posterior(labels, posterior).rows  # (K, L)
-    return [(scatter_rows(index, mass, size) @ rows).reshape(size, *shape) + ridge
-            for index, size, ridge in ((labels.workers, labels.num_workers, hyper.alpha),
-                                       (labels.items, labels.num_items, hyper.beta))]
+    bounds = []
+    for index, size, ridge in ((labels.workers, labels.num_workers, hyper.alpha),
+                               (labels.items, labels.num_items, hyper.beta)):
+        bound = (scatter_rows(index, mass, size) @ rows).reshape(size, *shape)
+        bound += ridge
+        bounds.append(bound)
+    return bounds
 
 
 @functools.lru_cache(maxsize=16)
@@ -418,6 +445,13 @@ def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
     not see, so f can only rise. Within a fit, the starting point and each
     trial cost one model pass per point, and the returned point's model is the
     one the caller reads next: a refused peak re-evaluates the accepted trial.
+
+    Before the search it holds the gradient, the bound and the direction (one
+    worker and one item table each), and the slope's products overwrite the
+    bound. Through the search it holds the direction and one trial point, built
+    afresh from the scores for each size; the accepted trial is dropped while a
+    peak is tried and rebuilt if the peak is refused, so no model pass runs
+    beside two trial points.
     Returns (worker_params, item_params, line_search_failed).
     """
     bw, bi = _curvature_bound(labels, posterior, hyper)
@@ -425,27 +459,39 @@ def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
     gw, gi = m_step_gradients(labels, posterior, worker_params, item_params, hyper)
     dw = np.divide(gw, bw, out=np.zeros_like(gw), where=bw > 0)
     di = np.divide(gi, bi, out=np.zeros_like(gi), where=bi > 0)
-    slope = float((gw * dw).sum() + (gi * di).sum())
+    # the products go into the spent bounds: no fourth table beside g, b and d
+    slope = float(np.multiply(gw, dw, out=bw).sum() + np.multiply(gi, di, out=bi).sum())
     del gw, gi, bw, bi  # free them before the trials: only the direction is used
     if slope == 0.0:
         return worker_params, item_params, False
     # the split shift is affine in the step size: t0 + size * td
     t0, td = _ridge_split(worker_params, item_params, hyper), _ridge_split(dw, di, hyper)
-    start_w, start_i, dw, di = worker_params + t0, item_params - t0, dw + td, di - td
+    dw += td
+    di -= td
+
+    def trial(size):
+        """The point (scores + t0) + size * direction, without a multiply at size 1."""
+        point = np.add(worker_params, t0), np.subtract(item_params, t0)
+        for x, d in zip(point, (dw, di)):
+            x += d if size == 1.0 else size * d
+        return point
+
     step = 1.0
     for _ in range(MAX_HALVINGS):
-        cand_w, cand_i = start_w + step * dw, start_i + step * di
-        cand_val = penalized_likelihood(labels, posterior, cand_w, cand_i, hyper)
+        cand = trial(step)
+        cand_val = penalized_likelihood(labels, posterior, *cand, hyper)
         if cand_val >= value + ARMIJO * step * slope:
             curv = value + step * slope - cand_val
             peak = step * step * slope / (2 * curv) if curv > 0 else step
             if peak < PEAK_RETRY * step:
-                peak_w, peak_i = start_w + peak * dw, start_i + peak * di
-                if penalized_likelihood(labels, posterior, peak_w, peak_i,
-                                        hyper) > cand_val:
-                    return peak_w, peak_i, False
-                penalized_likelihood(labels, posterior, cand_w, cand_i, hyper)
-            return cand_w, cand_i, False
+                del cand
+                retry = trial(peak)
+                if penalized_likelihood(labels, posterior, *retry, hyper) > cand_val:
+                    return (*retry, False)
+                del retry
+                cand = trial(step)
+                penalized_likelihood(labels, posterior, *cand, hyper)
+            return (*cand, False)
         step *= 0.5
     return worker_params, item_params, True
 
@@ -493,7 +539,7 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
         posterior = e_step(labels, wp, ip, hyper)
         trace.append(dual_objective(labels, posterior, wp, ip, hyper))
         if abs(trace[-1] - prev) < hyper.tol * max(abs(prev), PROB_FLOOR):
-            converged = True
+            converged = not failed  # a failed step stops the fit, unconverged
             break
     return FitResult(
         posterior=posterior,

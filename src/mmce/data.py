@@ -537,6 +537,15 @@ class GoldLabels:
         return len(self.by_item)
 
 
+def _scored_gold(gold: GoldLabels, n: int):
+    """(items, truth): the gold items that a table of n items holds, keys in
+    0..n-1, in gold order, and their true classes."""
+    items = np.fromiter(gold.by_item.keys(), dtype=np.int64, count=len(gold.by_item))
+    truth = np.fromiter(gold.by_item.values(), dtype=np.int64, count=len(items))
+    keep = (items >= 0) & (items < n)
+    return items[keep], truth[keep]
+
+
 def load_gold(path, item_ids, num_classes, label_base=0) -> GoldLabels:
     """Load an `item_id,label` CSV keyed against a known item-ID order.
 
@@ -577,11 +586,13 @@ class DatasetSummary:
 
 
 def summarize(labels: LabelMatrix, gold: GoldLabels | None = None) -> DatasetSummary:
-    """Dataset counts, mean labels per worker/item, optional worker error vs gold."""
+    """Dataset counts, mean labels per worker/item, optional worker error vs
+    gold, on the gold items of the matrix (keys in 0..num_items-1)."""
     avg_err = None
-    if gold is not None and len(gold) > 0:
+    if gold is not None:
+        items, truth = _scored_gold(gold, labels.num_items)
         lut = np.full(labels.num_items, -1, dtype=np.int64)
-        lut[list(gold.by_item)] = list(gold.by_item.values())
+        lut[items] = truth
         on_gold = lut[labels.items] >= 0
         if on_gold.any():
             avg_err = float(np.mean(labels.labels[on_gold] != lut[labels.items[on_gold]]))

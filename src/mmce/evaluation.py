@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GoldLabels
+from .data import GoldLabels, _scored_gold
 
 # Half-open on the left, closed on the right, so a max probability of exactly
 # 0.9 lands in (0.8, 0.9].
@@ -76,16 +76,14 @@ def calibration_bins(posterior: np.ndarray, gold: GoldLabels,
 
 def evaluate(predictions: np.ndarray, gold: GoldLabels, ordinal: bool = False,
              posterior: np.ndarray | None = None) -> EvalReport:
-    """Score the gold items that have a prediction: error rate, the squared
-    label gap if ordinal, and calibration bins if a posterior is given.
+    """Score the gold items that have a prediction (keys in 0..n-1 for n
+    predictions): error rate, the squared label gap if ordinal, and
+    calibration bins if a posterior is given.
     Raises ValueError naming the first scored posterior row whose largest
     probability is not in (0, 1], which no bin holds."""
     # gold items that have a prediction, in gold order, and their true classes
     # (every score is a count or a mean of small integers, so order is moot)
-    items = np.fromiter(gold.by_item.keys(), dtype=np.int64, count=len(gold.by_item))
-    truth = np.fromiter(gold.by_item.values(), dtype=np.int64, count=len(items))
-    keep = items < len(predictions)
-    items, truth = items[keep], truth[keep]
+    items, truth = _scored_gold(gold, len(predictions))
     if len(items) == 0:
         raise ValueError("no gold items have predictions")
     preds = np.asarray(predictions)[items]

@@ -250,6 +250,14 @@ class TestSummarize:
         # 7 of the 18 labels disagree with the planted truth
         assert s.avg_worker_error == pytest.approx(7 / 18)
 
+    @pytest.mark.parametrize("outside", [{5: 0}, {-1: 1}, {-2: 0, 5: 1}])
+    def test_gold_keys_outside_the_items_are_not_scored(self, outside):
+        # as `evaluate` scores gold: a negative key is no item, not an index
+        # from the end, and a key past the items is none either
+        lm = from_triples([("a", "i", 0), ("b", "j", 1), ("a", "j", 1)], 2)
+        assert summarize(lm, GoldLabels(outside)).avg_worker_error is None
+        assert summarize(lm, GoldLabels({0: 1, **outside})).avg_worker_error == 1.0
+
 
 class TestPosteriorFile:
     def test_round_trip(self, tmp_path, three_worker_labels):
@@ -397,66 +405,13 @@ class TestGold:
             load_gold(p, item_ids, 3)
 
 
-def per_id_keys_of(strings):
-    """(keys, table) as `_Keys.of` made them before its one-encode ASCII
-    path: one encode per id, with lone surrogates passed through."""
-    table = data._Keys()
-    raw = [s.encode("utf-8", "surrogatepass") for s in strings]
-    lengths = np.fromiter(map(len, raw), np.int64, len(raw))
-    buf = np.frombuffer(b"".join(raw) + data._PAD, dtype=np.uint8)
-    ends = np.cumsum(lengths)
-    return table.pack(buf, ends - lengths, ends), table
-
-
-def argsort_repeats(keys):
-    """`_repeats` as it was before its value sort: every row ordered by key."""
-    first = data._groups(keys)[1]
-    repeats = np.ones(len(keys), dtype=bool)
-    repeats[first] = False
-    return repeats
-
-
-class TestKeysAndRepeatsEqualTheOldBodies:
-    @pytest.mark.parametrize("strings", [
-        [],
-        [""],
-        ["", "a", "", "a"],
-        ["w1", "i12345", "1234567", "12345678", "x" * 100, "12345678"],
-        ["ünï", "日本語のid", "é" * 4, "ab", "😀" * 2, ""],
-        ["a\udc80b", "\ud800", "long-\udfff-id", "plain", "\ud800"],
-        ["ascii-only", "then-ß"],
-        ["a\0b", "\0" * 8, "c\td", " e "],
-    ])
-    def test_keys_equal_one_encode_per_id(self, strings):
-        got_table = data._Keys()
-        got = got_table.of(strings)
-        want, want_table = per_id_keys_of(strings)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert got_table.texts == want_table.texts and dict(got_table) == dict(want_table)
-        assert got_table.decode(got) == list(strings)
-
-    @given(st.lists(st.text(max_size=12), max_size=30))
-    @settings(max_examples=60, deadline=None)
-    def test_keys_equal_one_encode_per_id_on_any_text(self, strings):
-        got_table = data._Keys()
-        want, want_table = per_id_keys_of(strings)
-        assert got_table.of(strings).tobytes() == want.tobytes()
-        assert got_table.texts == want_table.texts
-
-    @pytest.mark.parametrize("keys", [
-        [], [7], [3, 1, 2], [3, 1, 3, 2, 1, 3], [0, 0], [2 ** 62, -1, 2 ** 62],
-    ])
-    def test_repeats_equal_the_argsort_form(self, keys):
-        keys = np.array(keys, dtype=np.int64)
-        got = data._repeats(keys)
-        assert got.dtype == bool and np.array_equal(got, argsort_repeats(keys))
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_repeats_equal_the_argsort_form_on_random_keys(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 3000))
-        for keys in (rng.permutation(n), rng.integers(0, n, size=n)):  # distinct, repeated
-            assert np.array_equal(data._repeats(keys), argsort_repeats(keys))
+@pytest.mark.parametrize("keys", [[], [7], [3, 1, 2], [3, 1, 3, 2, 1, 3], [0, 0],
+                                  [2 ** 62, -1, 2 ** 62]]
+                         + [np.random.default_rng(n).permutation(n) for n in (2, 300, 2999)]
+                         + [np.random.default_rng(n).integers(0, n, n) for n in (2, 300, 2999)])
+def test_repeats_are_the_keys_on_earlier_rows(keys):
+    got = data._repeats(np.array(keys, dtype=np.int64))
+    assert got.dtype == bool and got.tolist() == [k in keys[:l] for l, k in enumerate(keys)]
 
 
 def counted_chunks(monkeypatch):
@@ -628,13 +583,24 @@ LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 BLANKS = st.sampled_from(["", " ", "\t", "  \t "])
 # repeated entries weight the draw toward the ids and labels that collide
 # (whitespace that str.strip removes at an edge, ids longer than the 7 bytes a
-# key holds, and ids that differ only by a trailing NUL among them)
+# key holds, 7-byte ids that differ only in their last byte, and ids that
+# differ only by a trailing NUL among them)
 ID_TEXTS = ["w1", "w1", "w2", "w2", "i1", " w1", "w2 ", "", "é", "a b", "w1 ", "\x85w1",
             "\x1cw1", "w1\x0b", "worker-000001", "éééé-long", "n\x00", "n\x00\x00", "\x00",
-            "\u3000worker-000001"]
+            "\u3000worker-000001", "abcdefg", "abcdefh"]
 IDS = st.sampled_from(ID_TEXTS)
 # and a long id with a lone surrogate, which triples can hold and a file cannot
 TRIPLE_IDS = st.sampled_from(ID_TEXTS + ["\ud800-surrogate-long"])
+# id lists for `_Keys.of`: empty ids; ids of 7 bytes (all a key holds), 8 and 100; non-ASCII
+# ids; lone surrogates, NULs and tabs; ASCII ids then one non-ASCII id, off the one-encode path
+KEY_LISTS = [
+    [], [""], ["", "a", "", "a"], ["ascii-only", "then-ß"], ["a\0b", "\0" * 8, "c\td", " e "],
+    ["w1", "i12345", "1234567", "12345678", "x" * 100, "12345678", "abcdefg", "abcdefh"],
+    ["ünï", "日本語のid", "é" * 4, "ab", "😀" * 2, ""],
+    ["a\udc80b", "\ud800", "long-\udfff-id", "plain", "\ud800"],
+]
+# pre-registered ids, which no rule checks: any text, or ids that triples hold
+REGISTERED_IDS = st.lists(st.one_of(TRIPLE_IDS, st.text(max_size=12)), max_size=6)
 LABEL_TEXTS = ["0", "1"] * 3 + ["2", "+1", " 1", "01", "1_0", "x", "-1", "9", "", "1.0"]
 LABELS = st.sampled_from(LABEL_TEXTS)
 
@@ -717,7 +683,7 @@ class TestReferenceEquivalence:
         path = _write_text(tmp_path_factory, text)
         # "w2" twice: a gold id joins the last of equal item ids
         item_ids = ["i1", "w1", "w2", " w1", "é", "a b", "worker-000001", "éééé-long",
-                    "n\x00", "w2"]
+                    "n\x00", "w2", "abcdefg"]
         expected = _outcome(_reference_gold, path, item_ids, *classes_base)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data, "_CHUNK_CHARS", chunk)
@@ -745,16 +711,24 @@ class TestReferenceEquivalence:
 
     @given(st.lists(st.tuples(TRIPLE_IDS, TRIPLE_IDS,
                               st.sampled_from([0, 1, 2, -1, "1", "x", 1.0, True])),
-                    max_size=20))
+                    max_size=20), REGISTERED_IDS, REGISTERED_IDS)
     @settings(max_examples=200, deadline=None)
-    def test_from_triples(self, triples):
-        expected = _outcome(_reference_from_triples, triples, 2, ["w0"], ["i0"])
-        got = _outcome(from_triples, triples, 2, ["w0"], ["i0"])
+    def test_from_triples(self, triples, worker_ids, item_ids):
+        expected = _outcome(_reference_from_triples, triples, 2, worker_ids, item_ids)
+        got = _outcome(from_triples, triples, 2, worker_ids, item_ids)
         if got[0] == "ok":
             lm = got[1]
+            assert (lm.num_workers, lm.num_items) == (len(lm.worker_ids), len(lm.item_ids))
             got = "ok", (lm.workers.tolist(), lm.items.tolist(), lm.labels.tolist(),
                          lm.worker_ids, lm.item_ids)
         assert got == expected
+
+    @pytest.mark.parametrize("ids", KEY_LISTS)
+    def test_keys_are_one_per_id_and_decode_back(self, ids):
+        table = data._Keys()
+        keys = table.of(ids)
+        assert keys.dtype == np.uint64 and len(set(keys.tolist())) == len(set(ids))
+        assert table.decode(keys) == ids
 
 
 def _reference_write_posterior(path, labels, posterior, predicted):

@@ -34,6 +34,16 @@ class TestPointMetrics:
         with pytest.raises(ValueError):
             error_rate(np.array([0]), GoldLabels({5: 1}))
 
+    @pytest.mark.parametrize("outside", [{-1: 1}, {-2: 1}, {-1: 0, 5: 1}])
+    def test_gold_keys_outside_the_predictions_are_not_scored(self, outside):
+        # a negative key is no item, not an index from the end
+        pred = np.array([0, 0])
+        with pytest.raises(ValueError, match="^no gold items have predictions$"):
+            evaluate(pred, GoldLabels(outside))
+        report = evaluate(pred, GoldLabels({0: 0, **outside}), ordinal=True)
+        assert report == evaluate(pred, GoldLabels({0: 0}), ordinal=True)
+        assert (report.n_scored, report.error_rate) == (1, 0.0)
+
 
 class TestCalibrationBins:
     def test_boundary_placement(self):

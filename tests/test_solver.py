@@ -225,16 +225,6 @@ class TestCurvatureBound:
                     assert d2.shape == b.shape
                     assert np.all(d2 >= -b - 1e-5 * (1 + b))
 
-    def test_multiclass_and_binary_ordinal_bounds_equal_the_pooled_bound(self):
-        # Multiclass scores and K = 2 ordinal scores each touch one cell per
-        # true-class row, so the per-score bound is the pooled one bit for bit.
-        for K, mode in ((2, Mode.ORDINAL), (2, Mode.MULTICLASS), (3, Mode.MULTICLASS),
-                        (5, Mode.MULTICLASS)):
-            lm, q = planted_with_posterior(K)
-            h = HyperParams(alpha=0.7, beta=1.3, mode=mode)
-            for got, want in zip(solver._curvature_bound(lm, q, h), pooled_bound(lm, q, h)):
-                assert np.array_equal(got, want)
-
     @pytest.mark.parametrize("K", range(3, 7))
     def test_ordinal_bound_is_at_most_the_pooled_bound(self, K):
         # An ordinal score touching a row at several cells counts that row's
@@ -1002,38 +992,27 @@ class TestOwnModelPasses:
         assert (len(passes), len(gathers)) == (1, 1)
 
 
-def entity_log_model(labels, worker_params, item_params, mode):
-    """The entity-major (L, K, K) model that the class-major kernel replaced:
-    (log_full, log_obs) with log_full[l, c, k] = log P(k | c) and
-    log_obs[l, c] = log P(x_l | c)."""
+def plain_log_model(labels, worker_params, item_params, mode):
+    """The labeling model in its plainest form, observation-major: logits
+    z[l, c, k] = W[w_l, c, k] + I[i_l, c, k] (ordinal scores expanded first),
+    prob = softmax(z) over k and log_obs = z[x_l] - logsumexp(z)."""
     if mode == Mode.ORDINAL:
         worker_params = expand_ordinal(worker_params, labels.num_classes)
         item_params = expand_ordinal(item_params, labels.num_classes)
-    log_full = np.take(worker_params, labels.workers, axis=0)
-    log_full += np.take(item_params, labels.items, axis=0)
-    log_full -= logsumexp(log_full, axis=2, keepdims=True)
-    return log_full, log_full[np.arange(labels.num_labels), :, labels.labels]
+    z = worker_params[labels.workers] + item_params[labels.items]
+    log_obs = z[np.arange(labels.num_labels), :, labels.labels] - logsumexp(z, axis=2)
+    return softmax(z, axis=2), log_obs
 
 
 def column_scatter(index, values, size):
-    """The per-column scatter that the class-major `scatter_rows` replaced:
-    out[index[l]] += values[l], one np.bincount per column of (L, ...) values."""
+    """The plainest scatter: out[index[l]] += values[l], one np.bincount per
+    column of (L, ...) values, each summed in observation order from 0."""
     tail = values.shape[1:]
     columns = values.reshape(len(values), int(np.prod(tail)))
     out = np.empty((size, columns.shape[1]))
     for j in range(columns.shape[1]):
         out[:, j] = np.bincount(index, weights=columns[:, j], minlength=size)
     return out.reshape((size, *tail))
-
-
-def bincount_scatter_rows(index, rows, size):
-    """`scatter_rows` as it was before np.add.at: one np.bincount per
-    contiguous row, written into a strided column."""
-    flat = rows.reshape(-1, rows.shape[-1])
-    out = np.empty((size, len(flat)))
-    for r, row in enumerate(flat):
-        out[:, r] = np.bincount(index, weights=row, minlength=size)
-    return out.reshape((size, *rows.shape[:-1]))
 
 
 def kernel_cases(scale):
@@ -1055,40 +1034,9 @@ def kernel_cases(scale):
             yield lm, mode, wp, ip, q
 
 
-def moveaxis_softmax_in_place(a, axis):
-    """`softmax_in_place` as it was first written, over np.moveaxis views."""
-    parts = np.moveaxis(a, axis, 0)
-    top = parts[0].copy()
-    for part in parts[1:]:
-        np.maximum(top, part, out=top)
-    for part in parts:
-        part -= top
-    np.exp(a, out=a)
-    total = parts[0].copy()
-    for part in parts[1:]:
-        total += part
-    for part in parts:
-        part /= total
-    np.log(total, out=total)
-    total += top
-    return total
-
-
 class TestClassMajorKernel:
-    @pytest.mark.parametrize("shape,axis", [((3, 4, 5), 0), ((3, 4, 5), 1), ((3, 4, 5), 2),
-                                            ((3, 7), 0), ((3, 7), 1)])
-    def test_softmax_in_place_is_bit_equal_to_the_moveaxis_form(self, shape, axis):
-        # the other axes keep their order: swapping axes 0 and 2 would
-        # transpose the normalizer of a 3-d array softmaxed along axis 2
-        a = np.random.default_rng(len(shape) + axis).normal(scale=3.0, size=shape)
-        got, want = a.copy(), a.copy()
-        log_norm = solver.softmax_in_place(got, axis)
-        want_norm = moveaxis_softmax_in_place(want, axis)
-        assert log_norm.shape == want_norm.shape
-        assert np.array_equal(log_norm, want_norm) and np.array_equal(got, want)
-
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["1-d", "2-d", "3-d"])
-    def test_scatter_rows_is_bit_equal_to_the_bincount_body(self, lead):
+    def test_scatter_rows_is_bit_equal_to_column_scatter(self, lead):
         # runs of one repeated index, slots 3 and 9 never observed, and weights
         # with -0.0 (alone in slot 4), subnormals and their sums
         rng = np.random.default_rng(len(lead))
@@ -1102,7 +1050,7 @@ class TestClassMajorKernel:
                                    size=(len(flat), 8))
         flat[:, -4:] = [1e-320, -1e-320, 3e-321, -0.0]
         got = solver.scatter_rows(index, rows, size)
-        want = bincount_scatter_rows(index, rows, size)
+        want = column_scatter(index, np.moveaxis(rows, -1, 0), size)
         assert got.shape == (size, *lead) and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()  # every bit, the sign of zero too
         assert not np.signbit(got[4]).any() and not got[[3, 9]].any()
@@ -1136,10 +1084,14 @@ class TestClassMajorKernel:
 
     @pytest.mark.parametrize("K", range(2, 8))
     @pytest.mark.parametrize("scale", [2.0, None])
-    def test_softmax_in_place_is_the_textbook_softmax(self, K, scale):
-        # scale None: +-800 with a little noise, far past exp's range
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_softmax_in_place_is_the_textbook_softmax(self, K, scale, axis):
+        # scale None: +-800 with a little noise, far past exp's range. The
+        # other axes keep their order: swapping axes 0 and 2 would transpose
+        # the normalizer of a 3-d array softmaxed along axis 2.
         rng = np.random.default_rng(K)
-        for shape, axis in (((40, K), 1), ((K, 40), 0), ((K, K, 40), 1)):
+        for shape in {0: [(K, 40), (K, 4, 5), (K, 7)], 1: [(40, K), (K, K, 40), (3, K, 5), (3, K)],
+                      2: [(3, 4, K)]}[axis]:
             if scale is None:
                 a = 800.0 * rng.choice([-1.0, 1.0], size=shape) + rng.normal(size=shape)
             else:
@@ -1153,7 +1105,7 @@ class TestClassMajorKernel:
             np.testing.assert_allclose(got.sum(axis=axis), 1.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("scale", [2.0, None])
-    def test_log_model_is_the_log_space_softmax(self, scale):
+    def test_log_model_is_bit_equal_to_the_plain_model(self, scale):
         for lm, mode, wp, ip, _ in kernel_cases(scale):
             K, L = lm.num_classes, lm.num_labels
             with warnings.catch_warnings():
@@ -1161,69 +1113,41 @@ class TestClassMajorKernel:
                 prob, log_obs = LOG_MODEL(lm, wp, ip, mode)
             assert prob.shape == (K, K, L) and log_obs.shape == (K, L)
             assert prob.flags.c_contiguous and log_obs.flags.c_contiguous
-            dense_w, dense_i = ((expand_ordinal(p, K) if mode == Mode.ORDINAL else p)
-                                for p in (wp, ip))
-            for l in range(L):
-                for c in range(K):
-                    z = dense_w[lm.workers[l], c] + dense_i[lm.items[l], c]
-                    lse = z.max() + np.log(np.sum(np.exp(z - z.max())))
-                    np.testing.assert_allclose(prob[c, :, l], np.exp(z - lse),
-                                               rtol=1e-12, atol=1e-300)
-                    assert log_obs[c, l] == pytest.approx(z[lm.labels[l]] - lse,
-                                                          rel=1e-12, abs=1e-12)
+            want_prob, want_obs = plain_log_model(lm, wp, ip, mode)
+            assert prob.tobytes() == np.moveaxis(want_prob, 0, -1).tobytes()
+            assert log_obs.tobytes() == want_obs.T.tobytes()
             np.testing.assert_allclose(prob.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("scale", [2.0, None])
-    def test_log_obs_is_bit_equal_to_the_entity_major_model(self, scale):
-        for lm, mode, wp, ip, _ in kernel_cases(scale):
-            _, log_obs = LOG_MODEL(lm, wp, ip, mode)
-            _, want = entity_log_model(lm, wp, ip, mode)
-            assert np.array_equal(log_obs, want.T)
-
-    def test_gradient_matches_the_entity_major_formula(self):
-        for lm, mode, wp, ip, q in kernel_cases(1.0):
-            h = HyperParams(alpha=0.7, beta=1.3, mode=mode)
-            log_full, _ = entity_log_model(lm, wp, ip, mode)
-            per_obs = -np.exp(log_full)
-            per_obs[np.arange(lm.num_labels), :, lm.labels] += 1.0
-            per_obs *= q[lm.items][:, :, None]
-            want = [column_scatter(index, per_obs, size) for index, size in
-                    ((lm.workers, lm.num_workers), (lm.items, lm.num_items))]
-            if mode == Mode.ORDINAL:
-                want = [project_ordinal(g, lm.num_classes) for g in want]
-            want[0] -= 0.7 * wp
-            want[1] -= 1.3 * ip
-            for got, w in zip(m_step_gradients(lm, q, wp, ip, h), want):
-                assert got.shape == w.shape and got.flags.c_contiguous
-                np.testing.assert_allclose(got, w, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("K", range(2, 7))
     def test_gradient_is_bit_equal_to_column_scatter_of_the_full_table(self, mode, K):
-        # The plain (K, K, L) table Q(c) * [I(x = k) - P(k | c)] from the model
-        # pass's own prob, summed per column in observation order, pins the
-        # gradient's summation order to the bit, however the solver builds it.
+        # The plain (K, K, L) table Q(c) * [I(x = k) - P(k | c)], summed per
+        # column in observation order, pins the gradient's summation order to
+        # the bit, however the solver builds it. Besides a sampled instance,
+        # the kernel cases of this mode and K: unlabeled pairs, K = 2..4.
         conf = np.stack([synthetic.diagonal_confusion(K, 0.7)] * 6)
         lm, _ = synthetic.sample_labels(6, 20, K, 3, conf, seed=K)
-        wp, ip, q = random_state(lm, K, mode=mode, scale=2.0)
-        prob, _ = LOG_MODEL(lm, wp, ip, mode)
-        per_obs = np.subtract(lm.labels == np.arange(K)[:, None], prob)
-        per_obs *= np.take(q, lm.items, axis=0).T[:, None, :]
-        table = np.moveaxis(per_obs, -1, 0)  # (L, c, k)
-        want = [column_scatter(index, table, size) for index, size in
-                ((lm.workers, lm.num_workers), (lm.items, lm.num_items))]
-        if mode == Mode.ORDINAL:
-            want = [project_ordinal(g, K) for g in want]
-        want[0] -= 0.7 * wp
-        want[1] -= 1.3 * ip
-        got = m_step_gradients(lm, q, wp, ip, HyperParams(alpha=0.7, beta=1.3, mode=mode))
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        cases = [(lm, *random_state(lm, K, mode=mode, scale=2.0))]
+        cases += [(lm, wp, ip, q) for lm, m, wp, ip, q in kernel_cases(1.0)
+                  if m == mode and lm.num_classes == K]
+        for lm, wp, ip, q in cases:
+            prob, _ = plain_log_model(lm, wp, ip, mode)
+            table = (np.eye(K)[lm.labels][:, None, :] - prob) * q[lm.items][:, :, None]
+            want = [column_scatter(index, table, size) for index, size in
+                    ((lm.workers, lm.num_workers), (lm.items, lm.num_items))]
+            if mode == Mode.ORDINAL:
+                want = [project_ordinal(g, K) for g in want]
+            want[0] -= 0.7 * wp
+            want[1] -= 1.3 * ip
+            got = m_step_gradients(lm, q, wp, ip, HyperParams(alpha=0.7, beta=1.3, mode=mode))
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.flags.c_contiguous
+                assert g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("scale", [2.0, None])
     def test_e_step_is_bit_identical_to_column_scatter(self, scale):
         for lm, mode, wp, ip, _ in kernel_cases(scale):
-            _, log_obs = entity_log_model(lm, wp, ip, mode)
+            _, log_obs = plain_log_model(lm, wp, ip, mode)
             log_q = column_scatter(lm.items, log_obs, lm.num_items)
             got = e_step(lm, wp, ip, HyperParams(mode=mode))
             assert got.flags.c_contiguous
@@ -1233,7 +1157,9 @@ class TestClassMajorKernel:
         # Each score's bound sums the scattered 1/4 Q of the true-class rows it
         # touches: its own row c for a multiclass cell (c, k), and the rows on
         # its side of the threshold for an ordinal score.
-        for lm, mode, _, _, q in kernel_cases(1.0):
+        cases = [(lm, q, mode) for lm, mode, _, _, q in kernel_cases(1.0)]
+        cases += [(*planted_with_posterior(K), mode) for K in range(2, 7) for mode in Mode]
+        for lm, q, mode in cases:
             h = HyperParams(alpha=0.7, beta=1.3, mode=mode)
             K = lm.num_classes
             mass = 0.25 * np.take(q, lm.items, axis=0)

@@ -12,10 +12,11 @@ float slack; the preconditioner alone would not ensure that (see
 an M-step need only raise its block.
 
 Only `fit` shares values, on its own copy of the label matrix, which holds two
-records: one for the score point (`_point`: its model, one pass per point, where
-the all-zero start needs none (`_uniform_model`), its penalties, and the
-objective value with the posterior it was computed at) and one for the
-posterior (`_posterior`: its rows, one gather per posterior, and its entropy).
+records: one for the score point (`_point`: its model, one pass per point, each
+half held until its last reader, where the all-zero start needs none, its
+penalties, and the objective value with the posterior it was computed at) and
+one for the posterior (`_posterior`: its rows, one gather per posterior, and its
+entropy).
 A direct call off a fit computes afresh and keeps nothing; the L-BFGS objective
 and `kl_identity_check` hand one model pass of their own to `_penalized` and
 `_gradients`.
@@ -24,6 +25,7 @@ and `kl_identity_check` hand one model pass of their own to `_penalized` and
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -54,6 +56,11 @@ ARMIJO = 1e-4
 # 3/4 halves the ordinal outer iterations (498 -> 250) and leaves multiclass fits
 # unchanged; 0.7 and 0.8 took 258 and 274, an exact line search (1.0) 293.
 PEAK_RETRY = 0.75
+# Observations per softmax block of the model pass, so its max and sum temporaries
+# are (K, block). numpy copies a strided operand of at most 8192 elements through its
+# buffers: 4096 made a K = 3, L = 20k pass 5% slower than one block, 8192 3-14% faster
+# at K = 3-5, L = 20k-100k (8% slower at K = 2, L = 20k).
+SOFTMAX_BLOCK = 8192
 
 
 @dataclass
@@ -107,12 +114,13 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
     shape (K, L), for the (worker, item) pair of observation l. Ordinal scores
     are expanded first. Each (c, k) row is one contiguous run over the
     observations, so `softmax_in_place` normalizes the logits z along k in
-    whole (K, L) slices with one exp pass, and log_obs is z[x_l] minus the
-    log-normalizer it returns. The score tensors keep their (entity, c, k) layout.
+    (K, K, SOFTMAX_BLOCK) slices of observations with one exp pass each, and
+    log_obs is z[x_l] minus the log-normalizer it returns. The score tensors
+    keep their (entity, c, k) layout.
 
-    Besides the (K, K, L) result it holds one transposed (c, k, item) copy of
-    the item scores, one (K, L) item gather per true class c at a time, and
-    the softmax's (K, L) temporaries, never a second (K, K, L) table.
+    Besides the (K, K, L) result it holds, one true class c at a time, a
+    transposed (k, item) copy of the item scores and its (K, L) gather, then
+    the softmax's (K, block) temporaries, never a second (K, K, L) table.
     """
     K, L = labels.num_classes, labels.num_labels
     if mode == Mode.ORDINAL:
@@ -120,17 +128,16 @@ def _log_model(labels: LabelMatrix, worker_params, item_params, mode: Mode):
         item_params = expand_ordinal(item_params, K)
     # the logits z[c, k, l], turned into P in place below
     prob = gather_rows(labels.workers, worker_params)
-    n = len(item_params)
-    items = np.ascontiguousarray(item_params.reshape(n, K * K).T).reshape(K, K, n)
+    for c in range(K):
+        prob[c] += np.ascontiguousarray(item_params[:, c].T).take(labels.items, axis=1)
     del worker_params, item_params  # an expanded ordinal table goes here
-    for c in range(K):  # one true class at a time; no loop view keeps `items`
-        prob[c] += items[c].take(labels.items, axis=1)
-    del items
     # x_l * L + l: the observed label's logit in the (K, K * L) table
     obs_index = labels.labels * L + np.arange(L)
     log_obs = prob.reshape(K, K * L).take(obs_index, axis=1)
     del obs_index
-    log_obs -= softmax_in_place(prob, axis=1)
+    for lo in range(0, L, SOFTMAX_BLOCK):
+        block = slice(lo, lo + SOFTMAX_BLOCK)
+        log_obs[:, block] -= softmax_in_place(prob[:, :, block], axis=1)
     return prob, log_obs
 
 
@@ -145,25 +152,37 @@ def _uniform_model(K: int, L: int):
 
 
 def _point(labels: LabelMatrix, worker_params, item_params, hyper: HyperParams,
-           model=None) -> SimpleNamespace:
-    """A score point's record: the scores, their `_log_model` pair (`model`), their
-    (worker, item) `penalties`, and the (posterior, penalized likelihood) `value`
-    last computed there (`_value`). One model pass per point within a fit: `fit`'s
-    own copy of the label matrix holds (`held`) the last record built here, from
-    the start on, where `fit` passes the all-zero scores' `_uniform_model`. One fit
-    has one mode, and inputs match by identity, which holds because `fit` builds
-    every score array and posterior anew and changes none in place. A matrix
-    without `held`, as any caller's but `fit`'s, keeps nothing."""
+           model=(None, None)) -> SimpleNamespace:
+    """A score point's record: the scores, the `prob` and `log_obs` halves of
+    their model (`_model`), their (worker, item) `penalties`, and the
+    (posterior, penalized likelihood) `value` last computed there (`_value`).
+    `fit`'s own copy of the label matrix holds (`held`) the last record built
+    here, from the start on, where `fit` passes the all-zero scores'
+    `_uniform_model`. One fit has one mode, and inputs match by identity, which
+    holds because `fit` builds every score array and posterior anew and changes
+    none in place. A matrix without `held`, as any caller's but `fit`'s, keeps
+    nothing."""
     held = getattr(labels, "held", {})
     point = held.get("point")
     if not (point and point.worker_params is worker_params and point.item_params is item_params):
-        held["point"] = point = None  # drop the old model before the pass
-        if model is None:
-            model = _log_model(labels, worker_params, item_params, hyper.mode)
+        held["point"] = point = None  # drop the old model before the penalties' temporaries
         held["point"] = point = SimpleNamespace(
-            worker_params=worker_params, item_params=item_params, model=model,
-            penalties=_penalties(worker_params, item_params, hyper), value=None)
+            worker_params=worker_params, item_params=item_params, prob=model[0],
+            log_obs=model[1], penalties=_penalties(worker_params, item_params, hyper), value=None)
     return point
+
+
+def _model(labels: LabelMatrix, point: SimpleNamespace, hyper: HyperParams, half: str):
+    """The point's `prob` or `log_obs` (`half`), from one model pass that makes
+    both. In a fit each half goes after its last reader: the gradient takes
+    prob, and `fit` drops log_obs after the trace that follows the E-step. A
+    reader that finds its half gone makes the pass again, which a fit does
+    only after an M-step that keeps its scores."""
+    if getattr(point, half) is None:
+        point.prob = point.log_obs = None  # no second model beside the pass
+        point.prob, point.log_obs = _log_model(labels, point.worker_params,
+                                               point.item_params, hyper.mode)
+    return getattr(point, half)
 
 
 def _posterior(labels: LabelMatrix, posterior) -> SimpleNamespace:
@@ -222,20 +241,18 @@ def scatter_rows(index: np.ndarray, rows: np.ndarray, size: int, out=None) -> np
     """Sum class-major rows into `size` entity slots: out[index[l], ...] +=
     rows[..., l], the adjoint of `gather_rows`.
 
-    One np.add.at per contiguous row into its own zeroed row of an (R, size)
-    buffer, adding in observation order from 0 (np.bincount's sums exactly,
-    without its pass for the largest index), then one transposing copy to a
-    C-contiguous (size, ...) table, or into `out`, a (size, ...) view such as
-    one class of a larger table, which is returned.
+    One np.add.at per row straight into its own column of the (size, ...)
+    destination, adding in observation order from 0 (np.bincount's sums
+    exactly, without its pass for the largest index). The destination is
+    `out`, a view such as one class of a larger table, zeroed first, or a
+    fresh C-contiguous zeros table; it is returned, and nothing else is held.
     """
-    flat = rows.reshape(-1, rows.shape[-1])
-    sums = np.zeros((len(flat), size))
-    for r, row in enumerate(flat):
-        np.add.at(sums[r], index, row)
-    table = sums.T.reshape((size, *rows.shape[:-1]))
     if out is None:
-        return np.ascontiguousarray(table)
-    out[...] = table
+        out = np.zeros((size, *rows.shape[:-1]))
+    else:
+        out[...] = 0.0
+    for r in itertools.product(*[range(n) for n in rows.shape[:-1]]):
+        np.add.at(out[(slice(None), *r)], index, rows[r])
     return out
 
 
@@ -264,7 +281,8 @@ def _value(labels, posterior, worker_params, item_params, hyper: HyperParams):
     point = _point(labels, worker_params, item_params, hyper)
     record = _posterior(labels, posterior)
     if point.value is None or point.value[0] is not posterior:
-        point.value = (posterior, _penalized(record.rows, point.model[1], point.penalties))
+        log_obs = _model(labels, point, hyper, "log_obs")
+        point.value = (posterior, _penalized(record.rows, log_obs, point.penalties))
     return point.value[1], record
 
 
@@ -293,18 +311,20 @@ def initialize_posterior(labels: LabelMatrix) -> np.ndarray:
 def e_step(labels: LabelMatrix, worker_params, item_params,
            hyper: HyperParams) -> np.ndarray:
     """Exact posterior block update: Bayes rule with a uniform prior, in log space."""
-    log_obs = _point(labels, worker_params, item_params, hyper).model[1]
-    q = scatter_rows(labels.items, log_obs, labels.num_items)
+    point = _point(labels, worker_params, item_params, hyper)
+    q = scatter_rows(labels.items, _model(labels, point, hyper, "log_obs"), labels.num_items)
     softmax_in_place(q, axis=1)
     return q
 
 
 def m_step_gradients(labels: LabelMatrix, posterior, worker_params, item_params,
                      hyper: HyperParams):
-    """Analytic gradients of the penalized likelihood w.r.t. both score tensors."""
-    prob = _point(labels, worker_params, item_params, hyper).model[0]
-    return _gradients(labels, _posterior(labels, posterior).rows, prob, worker_params,
-                      item_params, hyper)
+    """Analytic gradients of the penalized likelihood w.r.t. both score tensors.
+    They take the point's prob, which no one reads after them in a fit."""
+    point = _point(labels, worker_params, item_params, hyper)
+    rows = _posterior(labels, posterior).rows
+    prob, point.prob = _model(labels, point, hyper, "prob"), None
+    return _gradients(labels, rows, prob, worker_params, item_params, hyper)
 
 
 def _gradients(labels, rows, prob, worker_params, item_params, hyper: HyperParams):
@@ -313,18 +333,20 @@ def _gradients(labels, rows, prob, worker_params, item_params, hyper: HyperParam
     The data part per observation is Q(c) * [I(x = k) - P(k | c)], accumulated
     into the observation's worker and item slots in observation order (a fixed
     reduction order, so results are reproducible). It is built one true class
-    c at a time, as one (K, L) slab, never as a (K, K, L) table, and each
-    slab's sums go straight into class c of both results.
+    c at a time in one reused (K, L) slab, never as a (K, K, L) table, whose
+    sums go straight into class c of both results; the slab goes before the ridge.
     """
     K = labels.num_classes
     observed = labels.labels == np.arange(K)[:, None]  # (K, L): I(x_l = k)
+    slab = np.empty((K, labels.num_labels))
     gw = np.empty((labels.num_workers, K, K))
     gi = np.empty((labels.num_items, K, K))
     for c, (p, q) in enumerate(zip(prob, rows)):
-        slab = np.subtract(observed, p)  # I(x_l = k) - P(k | c), then times Q(c)
+        np.subtract(observed, p, out=slab)  # I(x_l = k) - P(k | c), then times Q(c)
         slab *= q
         scatter_rows(labels.workers, slab, labels.num_workers, out=gw[:, c])
         scatter_rows(labels.items, slab, labels.num_items, out=gi[:, c])
+    del observed, slab
     if hyper.mode == Mode.ORDINAL:
         gw = project_ordinal(gw, K)
         gi = project_ordinal(gi, K)
@@ -383,8 +405,8 @@ def _curvature_bound(labels: LabelMatrix, posterior, hyper: HyperParams):
     The extreme case is the worker/item split (`_ridge_split`): there the data
     term is flat and -f'' is the ridge alone, so m_step sets it exactly.
 
-    It holds one (K, L) mass table, and per bound the scatter's buffers and
-    the bound itself, which takes its ridge in place."""
+    It holds one (K, L) mass table, and per bound the scattered sums and the
+    bound itself, which takes its ridge in place."""
     rows, shape = _touch_rows(hyper.mode, labels.num_classes)
     mass = 0.25 * _posterior(labels, posterior).rows  # (K, L)
     bounds = []
@@ -446,22 +468,21 @@ def m_step(labels: LabelMatrix, posterior, worker_params, item_params,
     trial cost one model pass per point, and the returned point's model is the
     one the caller reads next: a refused peak re-evaluates the accepted trial.
 
-    Before the search it holds the gradient, the bound and the direction (one
-    worker and one item table each), and the slope's products overwrite the
-    bound. Through the search it holds the direction and one trial point, built
-    afresh from the scores for each size; the accepted trial is dropped while a
-    peak is tried and rebuilt if the peak is refused, so no model pass runs
-    beside two trial points.
+    Before the search it holds the gradient, which took the start's prob, and
+    the bound, one worker and one item table each; the direction overwrites the
+    bound and the slope's products the gradient. Through the search it holds the
+    direction and one trial point, built afresh from the scores for each size;
+    the accepted trial is dropped while a peak is tried and rebuilt if the peak
+    is refused, so no model pass runs beside two trial points.
     Returns (worker_params, item_params, line_search_failed).
     """
-    bw, bi = _curvature_bound(labels, posterior, hyper)
     value = penalized_likelihood(labels, posterior, worker_params, item_params, hyper)
     gw, gi = m_step_gradients(labels, posterior, worker_params, item_params, hyper)
-    dw = np.divide(gw, bw, out=np.zeros_like(gw), where=bw > 0)
-    di = np.divide(gi, bi, out=np.zeros_like(gi), where=bi > 0)
-    # the products go into the spent bounds: no fourth table beside g, b and d
-    slope = float(np.multiply(gw, dw, out=bw).sum() + np.multiply(gi, di, out=bi).sum())
-    del gw, gi, bw, bi  # free them before the trials: only the direction is used
+    bw, bi = _curvature_bound(labels, posterior, hyper)  # b = 0 where no division is made
+    dw = np.divide(gw, bw, out=bw, where=bw > 0)
+    di = np.divide(gi, bi, out=bi, where=bi > 0)
+    slope = float(np.multiply(gw, dw, out=gw).sum() + np.multiply(gi, di, out=gi).sum())
+    del gw, gi  # free them before the trials: only the direction is used
     if slope == 0.0:
         return worker_params, item_params, False
     # the split shift is affine in the step size: t0 + size * td
@@ -538,6 +559,7 @@ def fit(labels: LabelMatrix, hyper: HyperParams) -> FitResult:
         trace.append(dual_objective(labels, posterior, wp, ip, hyper))
         posterior = e_step(labels, wp, ip, hyper)
         trace.append(dual_objective(labels, posterior, wp, ip, hyper))
+        labels.held["point"].log_obs = None  # read last here: the next M-step reads prob
         if abs(trace[-1] - prev) < hyper.tol * max(abs(prev), PROB_FLOOR):
             converged = not failed  # a failed step stops the fit, unconverged
             break
